@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import bundled
 from .binning import verify_lemma_regimes
-from .codec import TrialResult, run_end_to_end
+from .codec import TrialResult, run_trials
 from .construction import (
     PolarParams,
     SourceModel,
@@ -334,10 +335,8 @@ def _run_construct(cfg) -> dict:
     return report
 
 
-def _simulate_one(args) -> TrialResult:
-    model_doc, sets, k, seed = args
-    model = SourceModel.from_json_dict(model_doc)
-    return run_end_to_end(model, sets, k, seed)
+def _simulate_chunk(model_doc, sets, k, seeds) -> list[TrialResult]:
+    return run_trials(SourceModel.from_json_dict(model_doc), sets, k, seeds)
 
 
 def _run_simulate(cfg) -> dict:
@@ -353,8 +352,7 @@ def _run_simulate(cfg) -> dict:
         profile = estimate_profile(model, params, rng)
         sets = build_index_sets(profile, params)
     seeds = cfg["seeds"] if cfg["seeds"] is not None else [cfg["seed"] + t for t in range(cfg["trials"])]
-    jobs = [(model.to_json_dict(), sets, cfg["k"], s) for s in seeds]
-    results = _parallel_map(_simulate_one, jobs)
+    results = _parallel_map(functools.partial(_simulate_chunk, model.to_json_dict(), sets, cfg["k"]), seeds)
     results.sort(key=lambda r: r.seed)
 
     rows = [r.csv_row() for r in results]
@@ -449,13 +447,17 @@ def _echo(cfg) -> dict:
 
 
 def _parallel_map(fn, items):
+    """``fn(chunk)`` maps a list of items to a list of results; each worker
+    gets one contiguous chunk, and the results come back in item order."""
     limit = os.environ.get("COORDSIM_THREADS")
     workers = int(limit) if limit else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+    if workers == 1:
+        return fn(items)
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return [result for part in pool.map(fn, chunks) for result in part]
 
 
 _RUNNERS = {
@@ -514,7 +516,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.subcommand, doc, base)
         run(args.subcommand, cfg)
         return 0
-    except (ConfigError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as err:
+    except (ConfigError, ValueError, ArithmeticError, RuntimeError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(json.dumps({"error": str(err), "type": type(err).__name__}) + "\n")
         return 1
 

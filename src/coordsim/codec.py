@@ -15,6 +15,13 @@ a lossless side channel), the rest by hard successive-cancellation
 decisions, and the action V is sampled symbol by symbol from the action
 rule applied to the reconstructed auxiliary and the channel output.
 
+:func:`run_trials` runs the trials of several seeds in lockstep: each
+successive-cancellation pass covers the same block of every trial at once,
+while each trial keeps its own generators, consumed in the order of a
+one-trial run, so a trial's result does not depend on its batch.
+:func:`run_end_to_end`, :func:`encode` and :func:`decode` are one-trial
+views of the same code.
+
 Coordination statistics pair the source block of index i-1 with the signal
 block i: that tuple follows the single-letter model when the scheme works,
 and only the first signal block (driven by the dummy uniform source block)
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import PolarIndexSets, SourceModel, rate_report
-from .polar import SuccessiveCancellation, polar_transform
+from .polar import polar_transform, sc_pass
 from .probability import Alphabet, JointPMF, marginalize, mutual_information
 
 __all__ = [
@@ -45,6 +52,7 @@ __all__ = [
     "transmit",
     "decode",
     "run_end_to_end",
+    "run_trials",
     "empirical_mutual_information",
     "chi_square_conditional",
 ]
@@ -150,50 +158,100 @@ class BlockTranscript:
             raise ValueError("w must be the transform of z")
 
 
-# role codes for the per-bit fill maps
-_DRAW, _THRESH, _SRC = 0, 1, 2
+def _stacked(crs: list[CommonRandomness]) -> tuple[np.ndarray, ...]:
+    """c, c_prime, c_bar, keys_s, keys_z of one trial per row."""
+    return tuple(
+        np.stack([getattr(cr, name) for cr in crs]) for name in ("c", "c_prime", "c_bar", "keys_s", "keys_z")
+    )
 
 
-def _fill_map(n: int, sources: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """role[j]: _DRAW or an offset into the concatenated source list;
-    sources maps a source id to the (sorted) index array it fills."""
-    role = np.full(n, -1, dtype=np.int64)
-    src = np.full(n, -1, dtype=np.int64)
-    pos = np.zeros(n, dtype=np.int64)
-    for sid, idx in sources.items():
-        role[idx] = _SRC
-        src[idx] = sid
-        pos[idx] = np.arange(len(idx))
-    return role, src, pos
+def _known(n: int, *index_sets: np.ndarray) -> np.ndarray:
+    known = np.zeros(n, dtype=bool)
+    for idx in index_sets:
+        known[idx] = True
+    return known
 
 
-def _sc_pass(leaf_p1, role, src, pos, tables, decide):
-    """One successive-cancellation pass: known positions are pushed from
-    ``tables[src]``, the rest produced by ``decide(p1)``."""
-    n = len(leaf_p1)
-    sc = SuccessiveCancellation(leaf_p1)
-    out = np.empty(n, dtype=np.uint8)
-    for j in range(n):
-        if role[j] == _SRC:
-            bit = int(tables[src[j]][pos[j]])
+def _sampler(rngs: list[np.random.Generator], count: int):
+    """SC decisions drawn as Bernoulli(p), one uniform per decided bit,
+    pre-drawn from each trial's generator in bit order."""
+    columns = iter(np.stack([rng.random(count) for rng in rngs]).T)
+    return lambda _j, p: next(columns) < p
+
+
+def _hard(_j, p):
+    return p > 0.5  # likelihood ratio >= 1 decides 0
+
+
+def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs):
+    """The chaining encoder for a batch of trials in lockstep.
+
+    ``u_blocks`` has shape (trials, k+1, n); ``crs`` and ``rngs`` hold one
+    :class:`CommonRandomness` and one generator per trial, and each
+    generator is consumed in the order of a one-trial run.  Returns s, z,
+    x, w, each of shape (trials, k, n).
+    """
+    trials, k, n = u_blocks.shape[0], u_blocks.shape[1] - 1, sets.n
+    c, c_prime, c_bar, keys_s, keys_z = _stacked(crs)
+    b1_rest = np.setdiff1d(sets.b1, sets.bp1)
+    s_known, z_known = _known(n, sets.a1, sets.a2), _known(n, sets.b1)
+    s_draws, z_draws = n - int(s_known.sum()), n - int(z_known.sum())
+    leaf_prior = np.full((trials, n), float(model.x_prior.table[1]))
+    wxu = model.w_given_xu()
+
+    s, z, x, w = (np.zeros((trials, k, n), dtype=np.uint8) for _ in range(4))
+    for i in range(k):
+        s_i, z_i = s[:, i], z[:, i]
+        s_i[:, sets.a1] = c[:, i]
+        local = sets.a2 if i == 0 else sets.ap2
+        s_i[:, local] = [rng.integers(0, 2, len(local), dtype=np.uint8) for rng in rngs]
+        if i > 0:
+            s_i[:, sets.ap3] = s[:, i - 1][:, sets.a3] ^ keys_s[:, i - 1]
+            s_i[:, sets.bp3] = z[:, i - 1][:, sets.b3] ^ keys_z[:, i - 1]
+        x[:, i] = sc_pass(leaf_prior, s_i, s_known, _sampler(rngs, s_draws))
+
+        z_i[:, sets.bp1] = c_bar
+        z_i[:, b1_rest] = c_prime[:, i]
+        w[:, i] = sc_pass(wxu[x[:, i], u_blocks[:, i]], z_i, z_known, _sampler(rngs, z_draws))
+    return s, z, x, w
+
+
+def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, model: SourceModel, rngs):
+    """The reverse-order decoder for a batch of trials in lockstep.
+
+    ``y_blocks`` has shape (trials, k, n); ``s_last_a3``/``z_last_b3`` are
+    the side-channel payloads, one row per trial.  Returns s_hat, z_hat,
+    x_hat, w_hat and v, each of shape (trials, k, n).
+    """
+    trials, k, n = y_blocks.shape
+    c, c_prime, c_bar, keys_s, keys_z = _stacked(crs)
+    b1_rest = np.setdiff1d(sets.b1, sets.bp1)
+    s_known, z_known = _known(n, sets.a1, sets.a3), _known(n, sets.b1, sets.b3)
+    xpost = model.x_posterior_given_y()
+    wx = model.w_given_x()
+    v_cdf = np.cumsum(model.v_rule.aligned_table(("W", "Y")), axis=-1)
+    v_cdf[..., -1] = 1.0
+
+    s_hat, z_hat, x_hat, w_hat, v = (np.zeros((trials, k, n), dtype=np.uint8) for _ in range(5))
+    for i in range(k - 1, -1, -1):
+        if i == k - 1:
+            s_chain, z_chain = s_last_a3, z_last_b3
         else:
-            bit = decide(sc.next_probability())
-        sc.push(bit)
-        out[j] = bit
-    return out
+            s_chain = s_hat[:, i + 1][:, sets.ap3] ^ keys_s[:, i]
+            z_chain = s_hat[:, i + 1][:, sets.bp3] ^ keys_z[:, i]
+        s_i, z_i = s_hat[:, i], z_hat[:, i]
+        s_i[:, sets.a1] = c[:, i]
+        s_i[:, sets.a3] = s_chain
+        x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, _hard)
 
+        z_i[:, sets.bp1] = c_bar
+        z_i[:, b1_rest] = c_prime[:, i]
+        z_i[:, sets.b3] = z_chain
+        w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard)
 
-class _Maps:
-    """Precomputed fill maps for the four pass kinds."""
-
-    def __init__(self, sets: PolarIndexSets):
-        n = sets.n
-        self.b1_rest = np.setdiff1d(sets.b1, sets.bp1)
-        self.s_first = _fill_map(n, {0: sets.a1, 1: sets.a2})
-        self.s_rest = _fill_map(n, {0: sets.a1, 1: sets.ap2, 2: sets.ap3, 3: sets.bp3})
-        self.z_enc = _fill_map(n, {0: sets.bp1, 1: self.b1_rest})
-        self.s_dec = _fill_map(n, {0: sets.a1, 1: sets.a3})
-        self.z_dec = _fill_map(n, {0: sets.bp1, 1: self.b1_rest, 2: sets.b3})
+        uniforms = np.stack([rng.random(n) for rng in rngs])
+        v[:, i] = (uniforms[:, :, None] > v_cdf[w_hat[:, i], y_blocks[:, i]]).sum(axis=2)
+    return s_hat, z_hat, x_hat, w_hat, v
 
 
 def encode(
@@ -211,48 +269,14 @@ def encode(
     """
     u_blocks = np.asarray(u_blocks, dtype=np.uint8)
     k = u_blocks.shape[0] - 1
-    n = sets.n
     if k < 2:
         raise ValueError("the chaining construction needs k >= 2 blocks (plus the dummy)")
-    if u_blocks.shape[1] != n:
-        raise ValueError(f"u blocks must have length {n}")
+    if u_blocks.shape[1] != sets.n:
+        raise ValueError(f"u blocks must have length {sets.n}")
     cr.validate(sets, k)
-    maps = _Maps(sets)
-    p_x1 = float(model.x_prior.table[1])
-    leaf_prior = np.full(n, p_x1)
-    wxu = model.w_given_xu()
-
-    def draw(p1: float) -> int:
-        return int(rng.random() < p1)
-
-    blocks: list[EncodedBlock] = []
-    pad_s = pad_z = None
-    for i in range(1, k + 1):
-        if i == 1:
-            local = rng.integers(0, 2, len(sets.a2), dtype=np.uint8)
-            role, src, pos = maps.s_first
-            tables = [cr.c[0], local]
-        else:
-            local = rng.integers(0, 2, len(sets.ap2), dtype=np.uint8)
-            role, src, pos = maps.s_rest
-            tables = [cr.c[i - 1], local, pad_s, pad_z]
-        s = _sc_pass(leaf_prior, role, src, pos, tables, draw)
-        x = polar_transform(s)
-
-        leaf_z = wxu[x, u_blocks[i - 1]]
-        role, src, pos = maps.z_enc
-        z = _sc_pass(leaf_z, role, src, pos, [cr.c_bar, cr.c_prime[i - 1]], draw)
-        w = polar_transform(z)
-        blocks.append(EncodedBlock(s=s, z=z, x=x, w=w))
-
-        if i < k:
-            pad_s = one_time_pad(s[sets.a3], cr.keys_s[i - 1])
-            pad_z = one_time_pad(z[sets.b3], cr.keys_z[i - 1])
-
-    payload = SideChannelPayload(
-        s_last_a3=blocks[-1].s[sets.a3].copy(), z_last_b3=blocks[-1].z[sets.b3].copy()
-    )
-    return blocks, payload
+    s, z, x, w = (a[0] for a in _encode_trials(u_blocks[None], sets, [cr], model, [rng]))
+    blocks = [EncodedBlock(s=s[i], z=z[i], x=x[i], w=w[i]) for i in range(k)]
+    return blocks, SideChannelPayload(s_last_a3=s[-1, sets.a3], z_last_b3=z[-1, sets.b3])
 
 
 def transmit(x: np.ndarray, channel, rng: np.random.Generator) -> np.ndarray:
@@ -283,41 +307,18 @@ def decode(
             f"payload sizes {payload.s_last_a3.shape}/{payload.z_last_b3.shape} do not "
             f"match |a3|={len(sets.a3)}, |b3|={len(sets.b3)}"
         )
-    maps = _Maps(sets)
-    xpost = model.x_posterior_given_y()
-    wx = model.w_given_x()
-    v_cdf = np.cumsum(model.v_rule.aligned_table(("W", "Y")), axis=-1)
-    v_cdf[..., -1] = 1.0
-
-    def hard(p1: float) -> int:
-        return 0 if p1 <= 0.5 else 1  # likelihood ratio >= 1 decides 0
-
-    out: list[DecodedBlock | None] = [None] * k
-    next_s_hat = None
-    for i in range(k, 0, -1):
-        if i == k:
-            s_chain = payload.s_last_a3
-            z_chain = payload.z_last_b3
-        else:
-            s_chain = one_time_pad(next_s_hat[sets.ap3], cr.keys_s[i - 1])
-            z_chain = one_time_pad(next_s_hat[sets.bp3], cr.keys_z[i - 1])
-
-        role, src, pos = maps.s_dec
-        s_hat = _sc_pass(xpost[y_blocks[i - 1]], role, src, pos, [cr.c[i - 1], s_chain], hard)
-        x_hat = polar_transform(s_hat)
-
-        role, src, pos = maps.z_dec
-        z_hat = _sc_pass(wx[x_hat], role, src, pos, [cr.c_bar, cr.c_prime[i - 1], z_chain], hard)
-        w_hat = polar_transform(z_hat)
-
-        v = (rng.random(sets.n)[:, None] > v_cdf[w_hat, y_blocks[i - 1]]).sum(axis=1).astype(np.uint8)
-
+    s_hat, z_hat, x_hat, w_hat, v = (
+        a[0] for a in _decode_trials(
+            y_blocks[None], payload.s_last_a3[None], payload.z_last_b3[None], sets, [cr], model, [rng]
+        )
+    )
+    out = []
+    for i in range(k):
         flags = {}
         if truth is not None:
-            flags["s_ok"] = bool(np.array_equal(s_hat, truth[i - 1].s))
-            flags["z_ok"] = bool(np.array_equal(z_hat, truth[i - 1].z))
-        out[i - 1] = DecodedBlock(s_hat=s_hat, z_hat=z_hat, x_hat=x_hat, w_hat=w_hat, v=v, flags=flags)
-        next_s_hat = s_hat
+            flags["s_ok"] = bool(np.array_equal(s_hat[i], truth[i].s))
+            flags["z_ok"] = bool(np.array_equal(z_hat[i], truth[i].z))
+        out.append(DecodedBlock(s_hat=s_hat[i], z_hat=z_hat[i], x_hat=x_hat[i], w_hat=w_hat[i], v=v[i], flags=flags))
     return out
 
 
@@ -412,67 +413,84 @@ def _tuple_codes(u, x, y, v, sizes) -> np.ndarray:
     return code
 
 
+def _source_blocks(model: SourceModel, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The uniform dummy block and k source blocks, shape (k+1, n)."""
+    u_blocks = np.empty((k + 1, n), dtype=np.uint8)
+    u_blocks[0] = rng.integers(0, model.sizes["U"], n)
+    cdf_u = np.cumsum(model.u_prior.table)
+    cdf_u[-1] = 1.0
+    u_blocks[1:] = (rng.random((k, n))[:, :, None] > cdf_u[None, None, :]).sum(axis=2)
+    return u_blocks
+
+
+def run_trials(
+    model: SourceModel,
+    sets: PolarIndexSets,
+    k: int,
+    seeds,
+) -> list[TrialResult]:
+    """Full pipeline for each seed, the trials run in lockstep: draw
+    randomness, encode, transmit, decode, and collect coordination
+    statistics over the k-1 guaranteed block pairings.  A trial's result
+    depends on its seed alone, not on the other trials of the batch."""
+    n = sets.n
+    generators = [
+        [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)] for seed in seeds
+    ]
+    rng_cr, rng_enc, rng_ch, rng_dec = (list(g) for g in zip(*generators))
+
+    crs = [CommonRandomness.draw(sets, k, rng) for rng in rng_cr]
+    u_blocks = np.stack([_source_blocks(model, n, k, rng) for rng in rng_enc])
+    s, z, x, w = _encode_trials(u_blocks, sets, crs, model, rng_enc)
+    y = np.stack([[transmit(x_i, model.channel, rng) for x_i in x_t] for x_t, rng in zip(x, rng_ch)])
+    s_hat, z_hat, _, _, v = _decode_trials(
+        y, s[:, -1][:, sets.a3], z[:, -1][:, sets.b3], sets, crs, model, rng_dec
+    )
+    s_ok = (s_hat == s).all(axis=2)
+    z_ok = (z_hat == z).all(axis=2)
+
+    sizes = model.sizes
+    tuple_size = sizes["U"] * sizes["X"] * sizes["Y"] * sizes["V"]
+    target = marginalize(model.single_letter_joint(), ["U", "X", "Y", "V"]).table.reshape(-1)
+    rates = rate_report(sets, k)
+    results = []
+    for t, seed in enumerate(seeds):
+        transcripts = [
+            BlockTranscript(
+                u=u_blocks[t, i], s=s[t, i], z=z[t, i], x=x[t, i], w=w[t, i], y=y[t, i], v=v[t, i],
+                flags={"s_ok": bool(s_ok[t, i]), "z_ok": bool(z_ok[t, i])},
+            )
+            for i in range(k)
+        ]
+        # coordinated single letters: source block i-1 with signal block i, i = 2..k
+        codes = [_tuple_codes(u_blocks[t, i], x[t, i], y[t, i], v[t, i], sizes) for i in range(1, k)]
+        counts = np.zeros(tuple_size)
+        np.add.at(counts, np.concatenate(codes), 1.0)
+        hist = counts / counts.sum()
+        tv = float(np.abs(hist - target).sum())
+
+        if len(codes) >= 2:
+            a = np.concatenate(codes[:-1])
+            b = np.concatenate(codes[1:])
+            mi = empirical_mutual_information(a, b, tuple_size, tuple_size)
+        else:
+            mi = 0.0
+
+        results.append(TrialResult(
+            n=n, k=k, seed=seed,
+            s_error_rate=float(np.mean(~s_ok[t])), w_error_rate=float(np.mean(~z_ok[t])),
+            tv_estimate=tv, mi_consecutive=mi,
+            cr_rate=rates.common_randomness_rate, side_rate=rates.side_channel_rate,
+            transcripts=transcripts,
+        ))
+    return results
+
+
 def run_end_to_end(
     model: SourceModel,
     sets: PolarIndexSets,
     k: int,
     seed: int,
 ) -> TrialResult:
-    """Full pipeline for one seed: draw randomness, encode, transmit,
-    decode, and collect coordination statistics over the k-1 guaranteed
-    block pairings."""
-    n = sets.n
-    ss = np.random.SeedSequence(seed).spawn(4)
-    rng_cr, rng_enc, rng_ch, rng_dec = (np.random.default_rng(s) for s in ss)
-
-    cr = CommonRandomness.draw(sets, k, rng_cr)
-    u_blocks = np.empty((k + 1, n), dtype=np.uint8)
-    u_size = model.sizes["U"]
-    u_blocks[0] = rng_enc.integers(0, u_size, n)  # uniform dummy block
-    cdf_u = np.cumsum(model.u_prior.table)
-    cdf_u[-1] = 1.0
-    u_blocks[1:] = (rng_enc.random((k, n))[:, :, None] > cdf_u[None, None, :]).sum(axis=2)
-
-    enc, payload = encode(u_blocks, sets, cr, model, rng_enc)
-    y_blocks = np.stack([transmit(b.x, model.channel, rng_ch) for b in enc])
-    dec = decode(y_blocks, payload, sets, cr, model, rng_dec, truth=enc)
-
-    transcripts = [
-        BlockTranscript(
-            u=u_blocks[i], s=enc[i].s, z=enc[i].z, x=enc[i].x, w=enc[i].w,
-            y=y_blocks[i], v=dec[i].v, flags=dict(dec[i].flags),
-        )
-        for i in range(k)
-    ]
-
-    s_err = float(np.mean([0.0 if d.flags["s_ok"] else 1.0 for d in dec]))
-    w_err = float(np.mean([0.0 if d.flags["z_ok"] else 1.0 for d in dec]))
-
-    sizes = model.sizes
-    tuple_size = sizes["U"] * sizes["X"] * sizes["Y"] * sizes["V"]
-    # coordinated single letters: source block i-1 with signal block i, i = 2..k
-    codes = [
-        _tuple_codes(u_blocks[i - 1], enc[i - 1].x, y_blocks[i - 1], dec[i - 1].v, sizes)
-        for i in range(2, k + 1)
-    ]
-    counts = np.zeros(tuple_size)
-    np.add.at(counts, np.concatenate(codes), 1.0)
-    hist = counts / counts.sum()
-    target = marginalize(model.single_letter_joint(), ["U", "X", "Y", "V"]).table.reshape(-1)
-    tv = float(np.abs(hist - target).sum())
-
-    if len(codes) >= 2:
-        a = np.concatenate(codes[:-1])
-        b = np.concatenate(codes[1:])
-        mi = empirical_mutual_information(a, b, tuple_size, tuple_size)
-    else:
-        mi = 0.0
-
-    rates = rate_report(sets, k)
-    return TrialResult(
-        n=n, k=k, seed=seed,
-        s_error_rate=s_err, w_error_rate=w_err,
-        tv_estimate=tv, mi_consecutive=mi,
-        cr_rate=rates.common_randomness_rate, side_rate=rates.side_channel_rate,
-        transcripts=transcripts,
-    )
+    """Full pipeline for one seed: the one-trial view of :func:`run_trials`."""
+    return run_trials(model, sets, k, [seed])[0]

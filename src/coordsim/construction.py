@@ -212,6 +212,8 @@ class PolarizedEntropyProfile:
             arr = getattr(self, name)
             if arr.shape != (self.n,):
                 raise ValueError(f"{name} must have shape ({self.n},)")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} estimates must be finite")
             if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
                 raise ValueError(f"{name} estimates must lie in [0, 1]")
 

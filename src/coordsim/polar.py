@@ -1,20 +1,38 @@
 """GF(2) polarization transform and successive-cancellation machinery.
 
-The transform is multiplication by the m-fold Kronecker power of
-``[[1,0],[1,1]]`` **without** bit reversal; in this convention the transform
-is its own inverse and the recursion splits a block into the sub-systems
-attached to the odd- and even-indexed leaves:
-
-    bits   (b_1, ..., b_n)        leaves (x_1, ..., x_n)
-    v_i = b_{2i-1} ^ b_{2i}   polarizes the odd-indexed leaves
-    w_i = b_{2i}              polarizes the even-indexed leaves
+The transform T is multiplication by the m-fold Kronecker power of
+``[[1,0],[1,1]]`` **without** bit reversal; in this convention T is its own
+inverse, and a block of bits split into halves b = (b_L, b_R) has
+T(b) = (T(b_L ^ b_R), T(b_R)).
 
 Given independent per-leaf distributions (the "evidence": a prior or a
-per-symbol posterior), the conditional law P(b_j | b^{j-1}, evidence) is
-computed exactly by the standard pairwise combine rules.  Two drivers are
-provided: a sequential one that interleaves probability queries with bit
-decisions (for encoding/decoding), and a batched vectorized one that runs
-along known bit paths (for Monte-Carlo entropy estimation).
+per-symbol posterior), successive cancellation (SC) computes the
+conditional law P(b_j = 1 | b^{j-1}, evidence) exactly with one pair of
+pairwise updates on a sub-block whose leaf probabilities have halves a, b:
+
+    f(a, b)       = a(1-b) + (1-a)b     leaves of the first half of the bits
+    g(a, b, x_a)  = P(leaf = 1 | x_a)   leaves of the second half, once the
+                                        first half is known with partial
+                                        sums x_a = T(first half)
+
+Every update is clipped to [1e-20, 1].  Contradiction rule: the
+denominator of g is zero where both hypotheses for a second-half leaf have
+zero mass, that is, where a decided or frozen bit contradicts certain
+evidence (after a decoding error upstream); g is then 1/2.  Such a block is
+already wrong, and the codec counts it through its block error flags.
+
+Two drivers share f and g (the array layout of Tal & Vardy, "List decoding
+of polar codes"):
+
+* :func:`sc_pass` is sequential: depth-first in natural bit order over a
+  batch of blocks run in lockstep, deciding one bit at a time.  A sub-block
+  whose bits are all known (frozen, common randomness, chained) is not
+  evaluated; its partial sums are the transform of its known bits (the
+  rate-0 node of simplified SC decoders).
+* :func:`true_path_conditionals` runs along known paths: all bits are known
+  up front, so each level of the recursion is one set of array operations
+  over all of its sub-blocks, on rows taken in cache-sized chunks.  It
+  serves the Monte-Carlo entropy profile and :class:`SuccessiveCancellation`.
 """
 
 from __future__ import annotations
@@ -24,12 +42,14 @@ import numpy as np
 __all__ = [
     "polar_transform",
     "SuccessiveCancellation",
+    "sc_pass",
     "true_path_conditionals",
     "sc_probability_x",
     "sc_probability_w",
 ]
 
 _CLIP = 1e-20
+_CHUNK_ROWS = 32  # rows per known-path chunk: its level arrays stay in cache
 
 
 def _require_power_of_two(n: int):
@@ -56,91 +76,96 @@ def polar_transform(bits) -> np.ndarray:
     return x.reshape(shape)
 
 
-def _combine_odd(pv, pw):
-    # P(v ^ w = 1) for independent bits with P(=1) = pv, pw
-    return pv * (1.0 - pw) + (1.0 - pv) * pw
+def _clip(p: np.ndarray) -> np.ndarray:
+    np.maximum(p, _CLIP, out=p)
+    return np.minimum(p, 1.0 - _CLIP, out=p)  # the upper bound is 1.0 in float64
 
 
-def _combine_even(pv, pw, odd_bit):
-    # P(w = 1 | v ^ w = odd_bit) up to normalization
-    pv_match1 = pv if odd_bit == 0 else 1.0 - pv  # P(v = odd_bit ^ 1)
-    num = pv_match1 * pw
-    den = num + (1.0 - pv_match1) * (1.0 - pw)
-    return num / den
+def _f(a, b):
+    """P(leaf = 1) for the first half of a sub-block: the XOR of
+    independent bits with P(=1) = a and b."""
+    p = a * (1.0 - b)
+    p += (1.0 - a) * b
+    return _clip(p)
 
 
-class _Node:
-    """One sub-system of the SC recursion: knows P(next bit | pushed prefix)."""
+def _g(a, b, x_a):
+    """P(leaf = 1) for the second half of a sub-block, given the partial
+    sums ``x_a`` of its decided first half; 1/2 where both hypotheses have
+    zero mass (the contradiction rule)."""
+    a_match = np.where(x_a, 1.0 - a, a)  # P(first leaf = x_a ^ 1)
+    num = a_match * b
+    den = (1.0 - a_match) * (1.0 - b)
+    den += num
+    if not den.all():
+        zero = den == 0.0
+        num[zero] = 0.5
+        den[zero] = 1.0
+    return _clip(np.divide(num, den, out=num))
 
-    __slots__ = ("size", "p1", "odd_child", "even_child", "_pv", "_pw", "_odd_bit", "_parity")
 
-    def __init__(self, p1: np.ndarray):
-        self.size = len(p1)
-        if self.size == 1:
-            self.p1 = float(p1[0])
-            self.odd_child = self.even_child = None
+def _leaf_probabilities(leaf_p1) -> np.ndarray:
+    p1 = np.clip(np.asarray(leaf_p1, dtype=np.float64), _CLIP, 1.0 - _CLIP)
+    _require_power_of_two(p1.shape[-1])
+    return p1
+
+
+def sc_pass(leaf_p1, bits: np.ndarray, known, decide) -> np.ndarray:
+    """One successive-cancellation pass over a batch of blocks in lockstep.
+
+    ``leaf_p1`` has shape (trials, n).  ``bits`` is a (trials, n) uint8
+    array holding the known bits at the positions where ``known`` (shape
+    (n,), shared by all trials) is true; the other positions are filled in
+    place, in increasing order, with ``decide(j, p)``, where ``p`` is
+    P(bit_j = 1 | bits before j, evidence) of shape (trials,).  Sub-blocks
+    whose bits are all known are not evaluated.  Returns the partial sums
+    ``polar_transform(bits)``.
+    """
+    p1 = _leaf_probabilities(leaf_p1)
+    sums = np.empty_like(bits)  # partial sums of each sub-block once it is done
+    known_before = np.concatenate(([0], np.cumsum(known, dtype=np.int64))).tolist()
+
+    def visit(p, lo, hi):
+        if known_before[hi] - known_before[lo] == hi - lo:
+            sums[:, lo:hi] = polar_transform(bits[:, lo:hi])
+        elif hi - lo == 1:
+            sums[:, lo] = bits[:, lo] = decide(lo, p[:, 0])
         else:
-            self.p1 = 0.0
-            self.odd_child = _Node(p1[0::2])
-            self.even_child = _Node(p1[1::2])
-        self._pv = None
-        self._pw = None
-        self._odd_bit = 0
-        self._parity = 0  # 0: next bit is the odd member of its pair
+            half = (hi - lo) // 2
+            a, b = p[:, :half], p[:, half:]
+            visit(_f(a, b), lo, lo + half)
+            visit(_g(a, b, sums[:, lo : lo + half]), lo + half, hi)
+            sums[:, lo : lo + half] ^= sums[:, lo + half : hi]
 
-    def _fetch_pair(self):
-        if self._pv is None:
-            self._pv = self.odd_child.next_probability()
-            self._pw = self.even_child.next_probability()
-
-    def next_probability(self) -> float:
-        if self.size == 1:
-            return self.p1
-        self._fetch_pair()
-        if self._parity == 0:
-            return _combine_odd(self._pv, self._pw)
-        return _combine_even(self._pv, self._pw, self._odd_bit)
-
-    def push(self, bit: int):
-        if self.size == 1:
-            return
-        if self._parity == 0:
-            self._odd_bit = bit
-            self._parity = 1
-        else:
-            self._fetch_pair()  # children must advance even when never queried
-            self.odd_child.push(self._odd_bit ^ bit)
-            self.even_child.push(bit)
-            self._pv = self._pw = None
-            self._parity = 0
+    visit(p1, 0, p1.shape[-1])
+    return sums
 
 
 class SuccessiveCancellation:
-    """Sequential successive-cancellation pass over one block.
+    """Sequential successive-cancellation queries over one block.
 
     ``leaf_p1[i]`` is P(leaf_i = 1) under the per-symbol evidence.  Call
     :meth:`next_probability` for P(next bit = 1 | bits pushed so far), then
     :meth:`push` with the chosen bit; frozen positions may be pushed without
-    querying.
+    querying.  Each query runs :func:`true_path_conditionals` along the
+    pushed prefix.
     """
 
     def __init__(self, leaf_p1):
-        p1 = np.clip(np.asarray(leaf_p1, dtype=np.float64), _CLIP, 1.0 - _CLIP)
-        _require_power_of_two(len(p1))
-        self.n = len(p1)
-        self._root = _Node(p1)
+        self._leaf = _leaf_probabilities(leaf_p1)[None, :]
+        self.n = self._leaf.shape[1]
+        self._bits = np.zeros_like(self._leaf, dtype=np.uint8)
         self._consumed = 0
 
     def next_probability(self) -> float:
         if self._consumed >= self.n:
             raise IndexError("all bits already pushed")
-        p = self._root.next_probability()
-        return min(max(p, _CLIP), 1.0 - _CLIP)
+        return float(true_path_conditionals(self._leaf, self._bits)[0, self._consumed])
 
     def push(self, bit: int):
         if self._consumed >= self.n:
             raise IndexError("all bits already pushed")
-        self._root.push(int(bit) & 1)
+        self._bits[0, self._consumed] = int(bit) & 1
         self._consumed += 1
 
 
@@ -151,28 +176,35 @@ def true_path_conditionals(leaf_p1: np.ndarray, bits: np.ndarray) -> np.ndarray:
     Equivalent to running :class:`SuccessiveCancellation` along each row's
     known bit path, but batched.
     """
-    p1 = np.clip(np.asarray(leaf_p1, dtype=np.float64), _CLIP, 1.0 - _CLIP)
+    p1 = _leaf_probabilities(leaf_p1)
     bits = np.asarray(bits, dtype=np.uint8)
     if p1.shape != bits.shape:
         raise ValueError(f"shape mismatch: {p1.shape} vs {bits.shape}")
-    _require_power_of_two(p1.shape[-1])
-    return _true_path(p1, bits)
-
-
-def _true_path(p1, bits):
-    n = p1.shape[-1]
-    if n == 1:
-        return p1.copy()
-    odd = bits[:, 0::2]
-    even = bits[:, 1::2]
-    pv = _true_path(p1[:, 0::2], odd ^ even)
-    pw = _true_path(p1[:, 1::2], even)
     out = np.empty_like(p1)
-    out[:, 0::2] = pv * (1.0 - pw) + (1.0 - pv) * pw
-    pv_match1 = np.where(odd == 0, pv, 1.0 - pv)
-    num = pv_match1 * pw
-    out[:, 1::2] = num / (num + (1.0 - pv_match1) * (1.0 - pw))
-    return np.clip(out, _CLIP, 1.0 - _CLIP)
+    for lo in range(0, p1.shape[0], _CHUNK_ROWS):
+        out[lo : lo + _CHUNK_ROWS] = _known_path(p1[lo : lo + _CHUNK_ROWS], bits[lo : lo + _CHUNK_ROWS])
+    return out
+
+
+def _known_path(p1, bits):
+    """Level-ordered evaluation along known bits.  Level d holds the 2**d
+    sub-blocks of length n >> d as an array of shape (rows, n >> d, 2**d):
+    the position inside a sub-block runs slowest, so the halves that f and
+    g combine are contiguous."""
+    rows, n = p1.shape
+    # partial sums of the first half of every sub-block, from the bits up
+    first_sums = []
+    x = bits.astype(bool).reshape(rows, 1, n)
+    while x.shape[2] > 1:
+        first, second = x[:, :, 0::2], x[:, :, 1::2]
+        first_sums.append(np.ascontiguousarray(first))
+        x = np.concatenate((first ^ second, second), axis=1)
+    p = p1.reshape(rows, n, 1)
+    for x_a in reversed(first_sums):
+        half = p.shape[1] // 2
+        a, b = p[:, :half], p[:, half:]
+        p = np.stack((_f(a, b), _g(a, b, x_a)), axis=-1).reshape(rows, half, -1)
+    return p.reshape(rows, n)
 
 
 # ---------------------------------------------------------------------------

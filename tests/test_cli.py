@@ -112,12 +112,26 @@ def test_simulate_report_schema_and_determinism(tmp_path, monkeypatch):
 
 def test_simulate_parallel_matches_serial(tmp_path, monkeypatch):
     cfg = simulate_config(tmp_path, out="par")
-    monkeypatch.setenv("COORDSIM_THREADS", "3")
-    assert cli.main(["simulate", "--config", str(cfg)]) == 0
-    par = (tmp_path / "par" / "trials.csv").read_bytes()
     monkeypatch.setenv("COORDSIM_THREADS", "1")
     assert cli.main(["simulate", "--config", str(cfg)]) == 0
-    assert (tmp_path / "par" / "trials.csv").read_bytes() == par
+    serial = (tmp_path / "par" / "trials.csv").read_bytes()
+    for workers in ("3", "2"):  # one trial per worker; chunks of one and two trials
+        monkeypatch.setenv("COORDSIM_THREADS", workers)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "par" / "trials.csv").read_bytes() == serial
+
+
+def test_simulate_pinned_trials_csv(tmp_path, monkeypatch):
+    # SHA-256 of the trials.csv this config produced before the trials ran in
+    # lockstep; batching must not change any random stream
+    import hashlib
+
+    monkeypatch.setenv("COORDSIM_THREADS", "1")
+    cfg = simulate_config(tmp_path, model="bundled:chained", params={"n": 64, "mc_samples": 4000},
+                          k=4, trials=3, out="pinned")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    digest = hashlib.sha256((tmp_path / "pinned" / "trials.csv").read_bytes()).hexdigest()
+    assert digest == "8838dd7357894319b95281da475d290cd92b798ab2deffe76997e47f6ea386cb"
 
 
 def test_simulate_with_cache_and_overrides(tmp_path, monkeypatch):
@@ -247,6 +261,18 @@ def test_main_capacity_error_is_machine_readable(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "chaining" in err["error"]
     assert err["type"] == "CapacityError"
+
+
+def test_main_arithmetic_error_is_machine_readable(tmp_path, monkeypatch, capsys):
+    def failing_trials(*_args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setenv("COORDSIM_THREADS", "1")
+    monkeypatch.setattr(cli, "run_trials", failing_trials)
+    code = cli.main(["simulate", "--config", str(simulate_config(tmp_path))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "float division by zero", "type": "ZeroDivisionError"}
 
 
 def test_main_reads_stdin(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from coordsim.codec import (
     encode,
     one_time_pad,
     run_end_to_end,
+    run_trials,
     transmit,
 )
 from coordsim.construction import (
@@ -343,6 +344,52 @@ def test_chained_model_coordination_converges():
         wins += int(b.tv_estimate <= a.tv_estimate)
     assert wins >= 5  # pilot: 6/6, means 0.101 -> 0.047
     assert np.mean(tv_large) < np.mean(tv_small)
+
+
+def test_run_trials_equals_one_trial_runs():
+    model = chained_model()
+    sets = constructed_sets(model, n=64, seed=4)
+    seeds = [7, 0, 3]
+    batch = run_trials(model, sets, 4, seeds)
+    for got, seed in zip(batch, seeds):
+        want = run_end_to_end(model, sets, 4, seed)
+        assert got.csv_row() == want.csv_row()
+        for tg, tw in zip(got.transcripts, want.transcripts, strict=True):
+            assert tg.flags == tw.flags
+            for name in ("u", "s", "z", "x", "w", "y", "v"):
+                assert np.array_equal(getattr(tg, name), getattr(tw, name)), (seed, name)
+
+
+def contradiction_model():
+    """W = 0 when X = 0, else a BSC(0.3) copy of U: the auxiliary evidence
+    is certain on every X = 0 symbol."""
+    w_rule = np.zeros((2, 2, 2))  # [x, u, w]
+    w_rule[0, :, 0] = 1.0
+    w_rule[1, 0] = [0.7, 0.3]
+    w_rule[1, 1] = [0.3, 0.7]
+    return SourceModel(
+        u_prior=JointPMF.uniform((U,)),
+        x_prior=JointPMF((X,), np.array([0.6, 0.4])),
+        channel=binary_symmetric_channel(0.08),
+        w_rule=ConditionalPMF((X, U), (W,), w_rule),
+        v_rule=ConditionalPMF((W, Y), (V,), np.full((2, 2, 2), 0.5)),
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decoder_contradiction_counts_as_block_error():
+    # after a signal decoding error the frozen auxiliary bits contradict
+    # certain evidence; these seeds used to raise ZeroDivisionError
+    contradicted = {0, 2, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 23, 24,
+                    27, 28, 29, 30, 33, 34, 35, 36, 39}
+    model = contradiction_model()
+    sets = constructed_sets(model, n=64, mc=4000, seed=0)
+    results = run_trials(model, sets, 4, range(40))
+    assert [r.seed for r in results] == list(range(40))
+    for r in results:
+        assert all(np.isfinite(v) for v in r.csv_row())
+        if r.seed in contradicted:
+            assert r.s_error_rate > 0 or r.w_error_rate > 0, r.seed
 
 
 def test_decode_rejects_wrong_payload_sizes():

@@ -96,6 +96,13 @@ def test_profile_json_roundtrip():
     assert back.samples == prof.samples
 
 
+def test_profile_rejects_non_finite_entries():
+    doc = estimate_profile(bsc_model(), small_params(n=8, mc=50), np.random.default_rng(9)).to_json_dict()
+    doc["h_s_y"][3] = float("nan")  # NaN fails every threshold comparison
+    with pytest.raises(ValueError, match="h_s_y estimates must be finite"):
+        PolarizedEntropyProfile.from_json_dict(doc)
+
+
 # -- index sets -----------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from coordsim.construction import SourceModel
 from coordsim.polar import (
     SuccessiveCancellation,
     polar_transform,
+    sc_pass,
     sc_probability_w,
     sc_probability_x,
     true_path_conditionals,
@@ -111,6 +112,42 @@ def test_conditionals_match_enumeration_property(seed, n):
     for j in range(1, n + 1):
         expect = enumerate_conditional(leaf, bits[: j - 1].tolist(), j)
         assert probs[j - 1] == pytest.approx(expect, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4, 8]))
+def test_sc_pass_matches_enumeration_with_known_bits(seed, n):
+    rng = np.random.default_rng(seed)
+    trials = 3
+    leaf = rng.uniform(0.02, 0.98, (trials, n))
+    known = rng.random(n) < 0.5
+    bits = np.where(known, rng.integers(0, 2, (trials, n)), 0).astype(np.uint8)
+    decided = []
+
+    def decide(j, p):
+        decided.append((j, p.copy()))
+        return rng.random(trials) < p
+
+    sums = sc_pass(leaf, bits, known, decide)
+    assert [j for j, _ in decided] == [j for j in range(n) if not known[j]]
+    assert np.array_equal(sums, polar_transform(bits))
+    for j, p in decided:
+        for t in range(trials):
+            expect = enumerate_conditional(leaf[t], bits[t, :j].tolist(), j + 1)
+            assert p[t] == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_contradiction_rule():
+    # both leaves are surely 1, so bit 1 (their XOR) is surely 0; a path that
+    # sets it to 1 leaves no mass for either value of bit 2
+    probs = true_path_conditionals(np.ones((1, 2)), np.array([[1, 0]], dtype=np.uint8))
+    assert probs[0, 1] == 0.5
+    decided = []
+    sums = sc_pass(np.ones((1, 2)), np.array([[1, 0]], dtype=np.uint8), np.array([True, False]),
+                   lambda j, p: decided.append(p) or p > 0.5)
+    assert decided[0][0] == 0.5
+    assert np.array_equal(sums, [[1, 0]])
 
 
 def test_batched_matches_sequential():
