@@ -11,7 +11,8 @@ CSV into the output directory.  Configs are strict JSON: unknown keys are
 rejected with a JSON-pointer path.  Models are given inline, as a path to
 a model JSON, or as one of the bundled names (``bundled:bsc``,
 ``bundled:bsc-noiseless``, ``bundled:chained``, ``bundled:planted-target``).
-The worker pool for simulation trials is capped by COORDSIM_THREADS.
+The worker pool for simulation trials is capped by COORDSIM_THREADS; each
+worker runs one contiguous chunk of the seeds in lockstep.
 """
 
 from __future__ import annotations

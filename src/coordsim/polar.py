@@ -50,6 +50,10 @@ __all__ = [
 
 _CLIP = 1e-20
 _CHUNK_ROWS = 32  # rows per known-path chunk: its level arrays stay in cache
+# 0-d array operands: on the small arrays of a sequential pass numpy
+# broadcasts them faster than Python floats
+_FLOOR = np.array(_CLIP)
+_ONE = np.array(1.0)
 
 
 def _require_power_of_two(n: int):
@@ -77,27 +81,31 @@ def polar_transform(bits) -> np.ndarray:
 
 
 def _clip(p: np.ndarray) -> np.ndarray:
-    np.maximum(p, _CLIP, out=p)
-    return np.minimum(p, 1.0 - _CLIP, out=p)  # the upper bound is 1.0 in float64
+    # The upper bound 1 - _CLIP is 1.0 in float64, which f and g never
+    # exceed for inputs in [0, 1]: in g the numerator is at most the
+    # denominator, and the two rounded products of f sum to at most
+    # 1 + 2**-53, which rounds to 1.0.  So only the lower bound can act.
+    return np.maximum(p, _FLOOR, out=p)
 
 
-def _f(a, b):
+def _f(a, b, not_a, not_b):
     """P(leaf = 1) for the first half of a sub-block: the XOR of
-    independent bits with P(=1) = a and b."""
-    p = a * (1.0 - b)
-    p += (1.0 - a) * b
+    independent bits with P(=1) = a and b.  ``not_a``, ``not_b`` are 1 - a
+    and 1 - b, computed once per sub-block for both updates."""
+    p = a * not_b
+    p += not_a * b
     return _clip(p)
 
 
-def _g(a, b, x_a):
+def _g(a, b, not_a, not_b, x_a):
     """P(leaf = 1) for the second half of a sub-block, given the partial
     sums ``x_a`` of its decided first half; 1/2 where both hypotheses have
     zero mass (the contradiction rule)."""
-    a_match = np.where(x_a, 1.0 - a, a)  # P(first leaf = x_a ^ 1)
+    a_match = np.where(x_a, not_a, a)  # P(first leaf = x_a ^ 1)
     num = a_match * b
-    den = (1.0 - a_match) * (1.0 - b)
+    den = (_ONE - a_match) * not_b
     den += num
-    if not den.all():
+    if np.count_nonzero(den) < den.size:
         zero = den == 0.0
         num[zero] = 0.5
         den[zero] = 1.0
@@ -116,29 +124,44 @@ def sc_pass(leaf_p1, bits: np.ndarray, known, decide) -> np.ndarray:
     ``leaf_p1`` has shape (trials, n).  ``bits`` is a (trials, n) uint8
     array holding the known bits at the positions where ``known`` (shape
     (n,), shared by all trials) is true; the other positions are filled in
-    place, in increasing order, with ``decide(j, p)``, where ``p`` is
-    P(bit_j = 1 | bits before j, evidence) of shape (trials,).  Sub-blocks
-    whose bits are all known are not evaluated.  Returns the partial sums
-    ``polar_transform(bits)``.
+    place with the results of ``decide(j, p)``, called in increasing ``j``
+    with ``p`` = P(bit_j = 1 | bits before j, evidence) of shape (trials,).
+    Sub-blocks whose bits are all known are not evaluated.  Returns the
+    partial sums ``polar_transform(bits)``.
     """
     p1 = _leaf_probabilities(leaf_p1)
-    sums = np.empty_like(bits)  # partial sums of each sub-block once it is done
-    known_before = np.concatenate(([0], np.cumsum(known, dtype=np.int64))).tolist()
+    known = np.asarray(known, dtype=bool)
+    known_before = np.concatenate(([0], np.cumsum(known))).tolist()
+    is_known = known.tolist()
+    sums = np.empty(bits.shape, dtype=bool)  # partial sums of each sub-block once it is done
 
-    def visit(p, lo, hi):
+    def visit(lo, hi, probabilities):
+        # probabilities() gives the leaf probabilities of sub-block [lo, hi);
+        # it is called only when a bit of the sub-block is unknown
         if known_before[hi] - known_before[lo] == hi - lo:
             sums[:, lo:hi] = polar_transform(bits[:, lo:hi])
-        elif hi - lo == 1:
-            sums[:, lo] = bits[:, lo] = decide(lo, p[:, 0])
+            return
+        p = probabilities()
+        if hi - lo == 1:
+            sums[:, lo] = decide(lo, p[:, 0])
+        elif hi - lo == 2:  # decide both bits here rather than in two visits
+            halves = p[:, 0], p[:, 1], _ONE - p[:, 0], _ONE - p[:, 1]
+            first = bits[:, lo] if is_known[lo] else decide(lo, _f(*halves))
+            second = bits[:, hi - 1] if is_known[hi - 1] else decide(hi - 1, _g(*halves, first))
+            sums[:, lo] = first ^ second
+            sums[:, hi - 1] = second
         else:
             half = (hi - lo) // 2
-            a, b = p[:, :half], p[:, half:]
-            visit(_f(a, b), lo, lo + half)
-            visit(_g(a, b, sums[:, lo : lo + half]), lo + half, hi)
-            sums[:, lo : lo + half] ^= sums[:, lo + half : hi]
+            not_p = _ONE - p
+            halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
+            visit(lo, lo + half, lambda: _f(*halves))
+            x_a = sums[:, lo : lo + half]
+            visit(lo + half, hi, lambda: _g(*halves, x_a))
+            x_a ^= sums[:, lo + half : hi]
 
-    visit(p1, 0, p1.shape[-1])
-    return sums
+    visit(0, p1.shape[-1], lambda: p1)
+    bits[...] = polar_transform(sums)  # T is its own inverse
+    return sums.view(np.uint8)
 
 
 class SuccessiveCancellation:
@@ -170,11 +193,11 @@ class SuccessiveCancellation:
 
 
 def true_path_conditionals(leaf_p1: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Vectorized P(bit_j = 1 | true prefix, evidence) for whole blocks.
+    """Vectorized P(bit_j = 1 | true prefix, evidence) for whole blocks:
+    the known-path driver.
 
-    leaf_p1, bits: arrays of shape (batch, n); returns the same shape.
-    Equivalent to running :class:`SuccessiveCancellation` along each row's
-    known bit path, but batched.
+    leaf_p1, bits: arrays of shape (batch, n); returns the same shape.  The
+    rows are evaluated in chunks of ``_CHUNK_ROWS``.
     """
     p1 = _leaf_probabilities(leaf_p1)
     bits = np.asarray(bits, dtype=np.uint8)
@@ -202,8 +225,9 @@ def _known_path(p1, bits):
     p = p1.reshape(rows, n, 1)
     for x_a in reversed(first_sums):
         half = p.shape[1] // 2
-        a, b = p[:, :half], p[:, half:]
-        p = np.stack((_f(a, b), _g(a, b, x_a)), axis=-1).reshape(rows, half, -1)
+        not_p = 1.0 - p
+        halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
+        p = np.stack((_f(*halves), _g(*halves, x_a)), axis=-1).reshape(rows, half, -1)
     return p.reshape(rows, n)
 
 
