@@ -122,8 +122,8 @@ def test_simulate_parallel_matches_serial(tmp_path, monkeypatch):
 
 
 def test_simulate_pinned_trials_csv(tmp_path, monkeypatch):
-    # SHA-256 of the trials.csv this config produced before the trials ran in
-    # lockstep; batching must not change any random stream
+    # the digest pins every random stream of a simulate run, so running the
+    # trials in lockstep must leave it unchanged
     import hashlib
 
     monkeypatch.setenv("COORDSIM_THREADS", "1")

@@ -378,8 +378,8 @@ def contradiction_model():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_decoder_contradiction_counts_as_block_error():
-    # after a signal decoding error the frozen auxiliary bits contradict
-    # certain evidence; these seeds used to raise ZeroDivisionError
+    # after a decoding error the known auxiliary bits contradict the certain
+    # evidence W = 0 on X = 0 symbols in these seeds (ROADMAP item 2)
     contradicted = {0, 2, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 23, 24,
                     27, 28, 29, 30, 33, 34, 35, 36, 39}
     model = contradiction_model()
