@@ -5,8 +5,11 @@ above H(A|B) lets a maximum-posterior decoder recover A^n from its bin
 index and side information B^n (source coding with side information), and
 a binning of rate below H(B|A) produces an index nearly uniform and nearly
 independent of A^n (channel randomness extraction).  This module checks
-both by explicit enumeration at tiny blocklengths: the decoder really
-enumerates every sequence, and the extraction KL is computed exactly.
+both exactly at tiny blocklengths: the decoder scores every sequence, and
+the extraction KL is computed exactly.  Both use the i.i.d. product
+structure of the joint instead of enumerating sequence pairs: the decoder's
+scores are a Kronecker sum of per-symbol log-likelihoods, and P(a^n, k) is
+contracted from the bin indicator one symbol at a time.
 
 Blocklengths are capped hard; the module exists to be an oracle, not a
 codec.
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +37,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 16384  # max |alphabet|^n states per enumerated axis
-ENUMERATION_CELL_CAP = 1 << 24  # max cells touched by an exact cross-enumeration
+ENUMERATION_CELL_CAP = 1 << 24  # max cells of one array an exact oracle allocates
 
 
 def _check_states(alphabet_size: int, n: int, what: str) -> int:
@@ -48,36 +50,13 @@ def _check_states(alphabet_size: int, n: int, what: str) -> int:
     return states
 
 
-@lru_cache(maxsize=32)
-def _digit_table_cached(states: int, n: int, base: int) -> np.ndarray:
-    idx = np.arange(states)
-    out = np.empty((states, n), dtype=np.int64)
-    for t in range(n - 1, -1, -1):
-        out[:, t] = idx % base
-        idx //= base
-    out.flags.writeable = False
-    return out
-
-
-def _digit_table(states: int, n: int, base: int) -> np.ndarray:
-    """All sequences of length n in lexicographic order, one row each."""
-    return _digit_table_cached(states, n, base)
-
-
-def _sequence_product(table: np.ndarray, n: int) -> np.ndarray:
-    """The i.i.d. n-fold product of a per-symbol array, sequence-indexed on
-    every axis (Kronecker power in lexicographic order)."""
-    out = table
+def _sequence_product(pmf: np.ndarray, n: int) -> np.ndarray:
+    """The i.i.d. n-fold product of a per-symbol pmf vector, indexed by
+    sequence in lexicographic order (a Kronecker power)."""
+    out = pmf
     for _ in range(n - 1):
-        out = np.kron(out, table)
+        out = np.kron(out, pmf)
     return out
-
-
-def _pack(seqs: np.ndarray, base: int) -> np.ndarray:
-    code = np.zeros(len(seqs), dtype=np.int64)
-    for t in range(seqs.shape[1]):
-        code = code * base + seqs[:, t]
-    return code
 
 
 @dataclass(frozen=True)
@@ -112,9 +91,6 @@ class RandomBinning:
         states = _check_states(alphabet_size, n, "binning")
         return cls(n, math.log2(alphabet_size), alphabet_size, np.arange(1, states + 1))
 
-    def bin_of(self, seq) -> int:
-        return int(self.assignment[_pack(np.asarray(seq, dtype=np.int64)[None, :], self.alphabet_size)[0]])
-
 
 def _log_table(table: np.ndarray) -> np.ndarray:
     out = np.full(table.shape, -np.inf)
@@ -122,12 +98,17 @@ def _log_table(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ab_table(joint: JointPMF) -> np.ndarray:
+    """The single-letter table with axes ordered (A, B)."""
+    return joint.table if joint.axis_names == ("A", "B") else joint.table.T
+
+
 def sw_decode(
     bin_index: int, side_b, binning: RandomBinning, joint: JointPMF
 ) -> tuple[np.ndarray, bool]:
     """Maximum-posterior decoding of a^n from its bin and side information.
 
-    Enumerates every sequence in the bin and maximizes P(a^n | b^n) under
+    Scores every sequence in the bin and maximizes P(a^n | b^n) under
     the memoryless ``joint`` over axes (A, B); ties break to the
     lexicographically first sequence.  An empty bin (a legitimate random
     event) returns the all-zeros sequence flagged as such.
@@ -142,20 +123,25 @@ def sw_decode(
     mask = binning.assignment == bin_index
     if not mask.any():
         return np.zeros(n, dtype=np.int64), True
-    scores = _posterior_scores(joint, side_b[None, :], size_a, n)[0]
+    scores = _posterior_scores(joint, side_b[None, :])[0]
     scores[~mask] = -np.inf
-    return _digit_table(size_a**n, n, size_a)[int(np.argmax(scores))].copy(), False
+    return np.array(np.unravel_index(int(np.argmax(scores)), (size_a,) * n), dtype=np.int64), False
 
 
-def _posterior_scores(joint: JointPMF, side_b: np.ndarray, size_a: int, n: int) -> np.ndarray:
-    """log P(a^n, b^n) for every a-sequence (columns of the digit table)
-    and each row of side_b; P(b^n) is constant in a, so this ranks the
-    posterior."""
-    ll = _log_table(joint.table if joint.axis_names == ("A", "B") else joint.table.T)
-    seqs = _digit_table(size_a**n, n, size_a)
-    scores = np.zeros((side_b.shape[0], size_a**n))
-    for t in range(n):
-        scores += ll[seqs[:, t][None, :], side_b[:, t][:, None]]
+def _posterior_scores(joint: JointPMF, side_b: np.ndarray) -> np.ndarray:
+    """log P(a^n, b^n) for every a-sequence (columns, lexicographic) and
+    each row of side_b; P(b^n) is constant in a, so this ranks the
+    posterior.
+
+    The scores are the Kronecker sum of the per-symbol log-likelihood
+    columns ll[:, b_t], added left to right: the same additions in the
+    same order as summing ll[a_t, b_t] over t for each sequence.
+    """
+    ll = _log_table(_ab_table(joint))
+    rows = side_b.shape[0]
+    scores = ll[:, side_b[:, 0]].T
+    for t in range(1, side_b.shape[1]):
+        scores = (scores[:, :, None] + ll[:, side_b[:, t]].T[:, None, :]).reshape(rows, -1)
     return scores
 
 
@@ -164,8 +150,8 @@ def _sample_pairs(joint: JointPMF, rng: np.random.Generator, count: int, n: int)
     cdf = np.cumsum(flat)
     cdf[-1] = 1.0
     draws = np.searchsorted(cdf, rng.random((count, n)), side="right")
-    a, b = np.unravel_index(draws, joint.table.shape)
-    return a, b
+    cells = np.unravel_index(draws, joint.table.shape)
+    return cells[joint.axis_index("A")], cells[joint.axis_index("B")]
 
 
 def sw_error_rate(
@@ -173,25 +159,26 @@ def sw_error_rate(
     joint: JointPMF,
     rng: np.random.Generator,
     samples: int = 200,
-) -> tuple[float, float]:
-    """Empirical P{decoded != true} over i.i.d. draws; also returns the
-    fraction of draws that hit an empty bin."""
+) -> float:
+    """Empirical P{decoded != true} over i.i.d. draws."""
     a, b = _sample_pairs(joint, rng, samples, binning.n)
-    size_a = binning.alphabet_size
-    codes = _pack(a, size_a)
-    scores = _posterior_scores(joint, b, size_a, binning.n)
-    errors = 0
-    for i in range(samples):
-        # the true sequence sits in the queried bin, so the bin is never empty
-        mask = binning.assignment == binning.assignment[codes[i]]
-        row = np.where(mask, scores[i], -np.inf)
-        errors += int(int(np.argmax(row)) != codes[i])
-    return errors / samples, 0.0
+    codes = np.ravel_multi_index(tuple(a.T), (binning.alphabet_size,) * binning.n)
+    scores = _posterior_scores(joint, b)
+    # each draw's own bin holds its true sequence, so no queried bin is empty
+    in_bin = binning.assignment[None, :] == binning.assignment[codes][:, None]
+    decoded = np.argmax(np.where(in_bin, scores, -np.inf), axis=1)
+    return int(np.count_nonzero(decoded != codes)) / samples
 
 
 def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     """Exact divergence (bits) of (A^n, K) from P_{A^n} x uniform, where K
-    is the bin index of B^n under ``binning``."""
+    is the bin index of B^n under ``binning``.
+
+    P(a^n, k) is contracted from the one-hot bin indicator over b^n, one
+    symbol at a time: step t replaces the t-th B axis by an A axis through
+    the single-letter table.  That costs O(n |A| |B|^n bins) and never
+    builds the |A|^n x |B|^n pair table.
+    """
     if n != binning.n:
         raise ValueError("n must match the binning")
     size_a = joint.axes[joint.axis_index("A")].size
@@ -201,20 +188,20 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     states_a = _check_states(size_a, n, "extraction")
     states_b = _check_states(size_b, n, "extraction")
     bins = binning.num_bins
-    if states_a * bins > ENUMERATION_CELL_CAP:
+    # no array of the contraction exceeds max(|A|, |B|)^n x bins cells
+    widest = max(size_a, size_b)
+    cells = widest**n * bins
+    if cells > ENUMERATION_CELL_CAP:
         raise ValueError(
-            f"extraction table {states_a} x {bins} exceeds {ENUMERATION_CELL_CAP} cells; "
-            "use a smaller n or rate"
+            f"extraction contracts {widest}^{n} x {bins} = {cells} cells, beyond "
+            f"{ENUMERATION_CELL_CAP}; use a smaller n or rate"
         )
-    if states_a * states_b > ENUMERATION_CELL_CAP:
-        raise ValueError(
-            f"extraction enumerates {states_a} x {states_b} sequence pairs, beyond "
-            f"{ENUMERATION_CELL_CAP} cells; use a smaller n"
-        )
-    table = joint.table if joint.axis_names == ("A", "B") else joint.table.T
-    full = _sequence_product(table, n)  # (states_a, states_b)
-    joint_ak = np.zeros((states_a, bins))
-    np.add.at(joint_ak.T, binning.assignment - 1, full.T)
+    table = _ab_table(joint)
+    cur = np.zeros((states_b, bins))
+    cur[np.arange(states_b), binning.assignment - 1] = 1.0
+    for t in range(n):
+        cur = np.matmul(table, cur.reshape(size_a**t, size_b, -1))
+    joint_ak = cur.reshape(states_a, bins)
     pa_seq = _sequence_product(table.sum(axis=1), n)
 
     mask = joint_ak > 0
@@ -240,14 +227,12 @@ class BinningTrialStats:
     lemma: str  # "sw" or "extraction"
     error_rate: float | None
     kl_to_uniform: float | None
-    empty_bin_rate: float
     replicates: int
 
     def csv_rows(self) -> list[tuple]:
         rows = []
         if self.error_rate is not None:
             rows.append((self.n, self.rate, self.lemma, "error_rate", self.error_rate))
-            rows.append((self.n, self.rate, self.lemma, "empty_bin_rate", self.empty_bin_rate))
         if self.kl_to_uniform is not None:
             rows.append((self.n, self.rate, self.lemma, "kl_to_uniform", self.kl_to_uniform))
         return rows
@@ -286,7 +271,7 @@ def verify_lemma_regimes(
                     )
                     # the source draws depend only on (n, rep): paired across rates
                     sample_rng = np.random.default_rng(np.random.SeedSequence([anchor, n, rep, 1]))
-                    errs[ri, rep], _ = sw_error_rate(bin_a, joint, sample_rng, samples)
+                    errs[ri, rep] = sw_error_rate(bin_a, joint, sample_rng, samples)
                 if "extraction" in lemmas:
                     bin_b = RandomBinning.draw(
                         n, rate, size_b,
@@ -296,8 +281,8 @@ def verify_lemma_regimes(
         for ri, rate in enumerate(rates):
             if "sw" in lemmas:
                 results.append(BinningTrialStats(n, rate, "sw", float(errs[ri].mean()), None,
-                                                 0.0, replicates))
+                                                 replicates))
             if "extraction" in lemmas:
                 results.append(BinningTrialStats(n, rate, "extraction", None, float(kls[ri].mean()),
-                                                 0.0, replicates))
+                                                 replicates))
     return results

@@ -165,8 +165,10 @@ class SourceModel:
         cdf = np.cumsum(flat)
         cdf[-1] = 1.0
         draws = np.searchsorted(cdf, rng.random((count, n)), side="right")
-        idx = np.unravel_index(draws, joint.table.shape)
-        return dict(zip(("u", "x", "w", "y", "v"), (a.astype(np.uint8) for a in idx)))
+        # per-axis uint8 lookups of the flat cell index: no int64 copy per axis
+        lookups = np.unravel_index(np.arange(joint.table.size), joint.table.shape)
+        return {name: lut.astype(np.uint8)[draws]
+                for name, lut in zip(("u", "x", "w", "y", "v"), lookups)}
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,16 +269,18 @@ def estimate_profile(
         u, x, w, y, v = blk["u"], blk["x"], blk["w"], blk["y"], blk["v"]
         s = polar_transform(x)
         z = polar_transform(w)
+        # each family's evidence is built only for its own call, so one
+        # (b, n) float64 array is alive at a time
         evidences = {
-            "h_s": np.full((b, n), p_x1),
-            "h_s_y": xpost[y],
-            "h_z_xu": wxu[x, u],
-            "h_z_x": wx[x],
-            "h_z_all": wfull[u, x, y, v],
+            "h_s": lambda: np.full((b, n), p_x1),
+            "h_s_y": lambda: xpost[y],
+            "h_z_xu": lambda: wxu[x, u],
+            "h_z_x": lambda: wx[x],
+            "h_z_all": lambda: wfull[u, x, y, v],
         }
-        for fam, ev in evidences.items():
+        for fam, evidence in evidences.items():
             bits = s if fam.startswith("h_s") else z
-            h = binary_entropy(true_path_conditionals(ev, bits))
+            h = binary_entropy(true_path_conditionals(evidence(), bits))
             sums[fam] += h.sum(axis=0)
             sqs[fam] += (h * h).sum(axis=0)
         done += b

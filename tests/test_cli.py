@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -207,7 +208,39 @@ def test_verify_binning_cli(tmp_path):
     assert cli.main(["verify-binning", "--config", str(cfg)]) == 0
     lines = (tmp_path / "bin" / "binning.csv").read_text().strip().splitlines()
     assert lines[0] == "n,rate,lemma,statistic,value"
-    assert len(lines) == 1 + 2 * 2 * 3  # 2 n x 2 rates x (error, empty, kl)
+    assert len(lines) == 1 + 2 * 2 * 2  # 2 n x 2 rates x (error, kl)
+
+
+def test_verify_binning_pinned_csv(tmp_path):
+    # a 2x3 joint with a zero cell, sweep seed 20240613: the sampled SW error
+    # rates are exact, the exact extraction KL is pinned to rounding
+    from coordsim.probability import Alphabet, JointPMF
+
+    joint = JointPMF((Alphabet("A", 2), Alphabet("B", 3)),
+                     np.array([[0.3, 0.15, 0.05], [0.0, 0.2, 0.3]]))
+    cfg = write_config(
+        tmp_path, "b.json",
+        {"model": joint.to_json_dict(), "n_list": [3, 7], "rates": [0.4, 1.2],
+         "replicates": 3, "samples": 30, "seed": 20240613, "out": "bin"},
+    )
+    assert cli.main(["verify-binning", "--config", str(cfg)]) == 0
+    with open(tmp_path / "bin" / "binning.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "rate", "lemma", "statistic", "value"]
+    got = {(int(n), float(rate), stat): float(value) for n, rate, _, stat, value in rows[1:]}
+    expect_err = {
+        (3, 0.4): 0.14444444444444446, (3, 1.2): 0.07777777777777778,
+        (7, 0.4): 0.39999999999999997, (7, 1.2): 0.022222222222222223,
+    }
+    expect_kl = {
+        (3, 0.4): 0.2297088622472756, (3, 1.2): 1.2018181895042916,
+        (7, 0.4): 0.03312189156504342, (7, 1.2): 1.5959366952158767,
+    }
+    assert len(got) == len(rows) - 1 == len(expect_err) + len(expect_kl)
+    for (n, rate), err in expect_err.items():
+        assert got[(n, rate, "error_rate")] == err
+    for (n, rate), kl in expect_kl.items():
+        assert got[(n, rate, "kl_to_uniform")] == pytest.approx(kl, abs=1e-12)
 
 
 # -- plotdata -----------------------------------------------------------------------
