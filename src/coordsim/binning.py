@@ -202,11 +202,16 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     for t in range(n):
         cur = np.matmul(table, cur.reshape(size_a**t, size_b, -1))
     joint_ak = cur.reshape(states_a, bins)
+    del cur
     pa_seq = _sequence_product(table.sum(axis=1), n)
 
     mask = joint_ak > 0
-    ref = pa_seq[:, None] / bins
-    return float((joint_ak[mask] * np.log2(joint_ak[mask] / np.broadcast_to(ref, joint_ak.shape)[mask])).sum())
+    p = joint_ak[mask]
+    del joint_ak  # the contraction's table is freed before the ratio is built
+    ratio = np.broadcast_to(pa_seq[:, None] / bins, mask.shape)[mask]
+    np.divide(p, ratio, out=ratio)
+    np.log2(ratio, out=ratio)
+    return float(np.multiply(p, ratio, out=ratio).sum())
 
 
 def dsbs(p: float) -> JointPMF:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polar import polar_transform, true_path_conditionals
+from .polar import CHUNK_ROWS, known_path_conditionals, known_path_tree, polar_transform
 from .probability import (
     ConditionalPMF,
     JointPMF,
@@ -239,6 +239,13 @@ def _default_batch(n: int, mc_samples: int) -> int:
     return max(1, min(mc_samples, (1 << 21) // n))
 
 
+def _carried_sum(carry: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """The axis-0 sum of ``rows`` with ``carry`` (if any) as the first row."""
+    if carry is not None:
+        rows = np.concatenate((carry[None], rows))
+    return np.add.reduce(rows, axis=0)
+
+
 def estimate_profile(
     model: SourceModel,
     params: PolarParams,
@@ -250,7 +257,9 @@ def estimate_profile(
     Each sample draws a full i.i.d. block of (u, x, w, y, v), polarizes x
     and w, and evaluates the exact successive-cancellation conditional of
     every bit along the true path; h(p) averaged over samples estimates the
-    conditional entropy.
+    conditional entropy.  Rows are evaluated in chunks of ``CHUNK_ROWS``;
+    within a chunk the two families on the bits of s share one partial-sum
+    tree and the three families on the bits of z share another.
     """
     n, total = params.n, params.mc_samples
     batch = batch_size or _default_batch(n, total)
@@ -269,20 +278,28 @@ def estimate_profile(
         u, x, w, y, v = blk["u"], blk["x"], blk["w"], blk["y"], blk["v"]
         s = polar_transform(x)
         z = polar_transform(w)
-        # each family's evidence is built only for its own call, so one
-        # (b, n) float64 array is alive at a time
-        evidences = {
-            "h_s": lambda: np.full((b, n), p_x1),
-            "h_s_y": lambda: xpost[y],
-            "h_z_xu": lambda: wxu[x, u],
-            "h_z_x": lambda: wx[x],
-            "h_z_all": lambda: wfull[u, x, y, v],
-        }
-        for fam, evidence in evidences.items():
-            bits = s if fam.startswith("h_s") else z
-            h = binary_entropy(true_path_conditionals(evidence(), bits))
-            sums[fam] += h.sum(axis=0)
-            sqs[fam] += (h * h).sum(axis=0)
+        # Per-batch sums of h and h*h, folded in chunk by chunk.  numpy's
+        # axis-0 sum adds rows in order, so carrying the running sum as the
+        # first row of each chunk adds the batch's rows in the same order as
+        # one sum over the whole batch would.
+        batch_sums, batch_sqs = {}, {}
+        for lo in range(0, b, CHUNK_ROWS):
+            c = slice(lo, lo + CHUNK_ROWS)
+            s_tree, z_tree = known_path_tree(s[c]), known_path_tree(z[c])
+            families = {
+                "h_s": (np.full(s[c].shape, p_x1), s_tree),
+                "h_s_y": (xpost[y[c]], s_tree),
+                "h_z_xu": (wxu[x[c], u[c]], z_tree),
+                "h_z_x": (wx[x[c]], z_tree),
+                "h_z_all": (wfull[u[c], x[c], y[c], v[c]], z_tree),
+            }
+            for fam, (evidence, tree) in families.items():
+                h = binary_entropy(known_path_conditionals(evidence, tree))
+                batch_sums[fam] = _carried_sum(batch_sums.get(fam), h)
+                batch_sqs[fam] = _carried_sum(batch_sqs.get(fam), h * h)
+        for fam in PolarizedEntropyProfile.FAMILIES:
+            sums[fam] += batch_sums[fam]
+            sqs[fam] += batch_sqs[fam]
         done += b
 
     kw = {"n": n, "samples": total}

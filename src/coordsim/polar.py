@@ -32,7 +32,11 @@ of polar codes"):
 * :func:`true_path_conditionals` runs along known paths: all bits are known
   up front, so each level of the recursion is one set of array operations
   over all of its sub-blocks, on rows taken in cache-sized chunks.  It
-  serves the Monte-Carlo entropy profile and :class:`SuccessiveCancellation`.
+  serves :class:`SuccessiveCancellation`.  Its two steps,
+  :func:`known_path_tree` (the partial sums of the bits) and
+  :func:`known_path_conditionals` (the f/g levels on one tree), are public
+  so that the Monte-Carlo entropy profile can share one tree between the
+  families of evidence on the same bits.
 """
 
 from __future__ import annotations
@@ -44,12 +48,15 @@ __all__ = [
     "SuccessiveCancellation",
     "sc_pass",
     "true_path_conditionals",
+    "known_path_tree",
+    "known_path_conditionals",
+    "CHUNK_ROWS",
     "sc_probability_x",
     "sc_probability_w",
 ]
 
 _CLIP = 1e-20
-_CHUNK_ROWS = 32  # rows per known-path chunk: its level arrays stay in cache
+CHUNK_ROWS = 32  # rows per known-path chunk: its level arrays stay in cache
 # 0-d array operands: on the small arrays of a sequential pass numpy
 # broadcasts them faster than Python floats
 _FLOOR = np.array(_CLIP)
@@ -197,33 +204,49 @@ def true_path_conditionals(leaf_p1: np.ndarray, bits: np.ndarray) -> np.ndarray:
     the known-path driver.
 
     leaf_p1, bits: arrays of shape (batch, n); returns the same shape.  The
-    rows are evaluated in chunks of ``_CHUNK_ROWS``.
+    rows are evaluated in chunks of ``CHUNK_ROWS``, each by
+    :func:`known_path_conditionals` on its own :func:`known_path_tree`.
     """
-    p1 = _leaf_probabilities(leaf_p1)
+    p1 = np.asarray(leaf_p1, dtype=np.float64)
+    _require_power_of_two(p1.shape[-1])
     bits = np.asarray(bits, dtype=np.uint8)
     if p1.shape != bits.shape:
         raise ValueError(f"shape mismatch: {p1.shape} vs {bits.shape}")
     out = np.empty_like(p1)
-    for lo in range(0, p1.shape[0], _CHUNK_ROWS):
-        out[lo : lo + _CHUNK_ROWS] = _known_path(p1[lo : lo + _CHUNK_ROWS], bits[lo : lo + _CHUNK_ROWS])
+    for lo in range(0, p1.shape[0], CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        out[rows] = known_path_conditionals(p1[rows], known_path_tree(bits[rows]))
     return out
 
 
-def _known_path(p1, bits):
-    """Level-ordered evaluation along known bits.  Level d holds the 2**d
-    sub-blocks of length n >> d as an array of shape (rows, n >> d, 2**d):
-    the position inside a sub-block runs slowest, so the halves that f and
-    g combine are contiguous."""
-    rows, n = p1.shape
-    # partial sums of the first half of every sub-block, from the bits up
-    first_sums = []
+def known_path_tree(bits: np.ndarray) -> list[np.ndarray]:
+    """The partial sums that :func:`known_path_conditionals` reads, for a
+    (rows, n) bit array.  Entry k holds the partial sums of the first half
+    of every sub-block of length 2**(k + 1), with shape (rows, 2**k,
+    n >> (k + 1)): the position inside the half runs slowest.  Families of
+    evidence on the same bits share one tree."""
+    rows, n = bits.shape
+    tree = []
     x = bits.astype(bool).reshape(rows, 1, n)
     while x.shape[2] > 1:
         first, second = x[:, :, 0::2], x[:, :, 1::2]
-        first_sums.append(np.ascontiguousarray(first))
+        tree.append(np.ascontiguousarray(first))
         x = np.concatenate((first ^ second, second), axis=1)
+    return tree
+
+
+def known_path_conditionals(leaf_p1: np.ndarray, tree: list[np.ndarray]) -> np.ndarray:
+    """P(bit_j = 1 | true prefix, evidence) for (rows, n) leaf
+    probabilities along the bits whose :func:`known_path_tree` is ``tree``.
+
+    Level-ordered: level d holds the 2**d sub-blocks of length n >> d as an
+    array of shape (rows, n >> d, 2**d), so the halves that f and g combine
+    are contiguous.
+    """
+    p1 = _leaf_probabilities(leaf_p1)
+    rows, n = p1.shape
     p = p1.reshape(rows, n, 1)
-    for x_a in reversed(first_sums):
+    for x_a in reversed(tree):
         half = p.shape[1] // 2
         not_p = 1.0 - p
         halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]

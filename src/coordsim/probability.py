@@ -209,16 +209,6 @@ class ConditionalPMF:
         o = ",".join(self.out_names)
         return f"ConditionalPMF({o}|{g})"
 
-    def row(self, assignment) -> JointPMF:
-        """The conditional row for a given assignment, as a JointPMF over
-        the out axes.  ``assignment`` is a dict name->symbol or a tuple in
-        given-axis order."""
-        if isinstance(assignment, dict):
-            idx = tuple(assignment[n] for n in self.given_names)
-        else:
-            idx = tuple(int(v) for v in assignment)
-        return JointPMF(self.out_axes, self.table[idx])
-
     def aligned_table(self, given_order: Sequence[str]) -> np.ndarray:
         """Table transposed so the given axes appear in ``given_order``
         (out axes keep their order, trailing)."""

@@ -17,7 +17,7 @@ optimality of the bilinear search is not claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -278,8 +278,8 @@ def _raw_factors(target: CoordinationTarget):
 
 
 def _induced_table(pu, px, ch, q, r):
-    # q: [u, x, w], r: [w, y, v]
-    return np.einsum("u,x,xy,uxw,wyv->uxyv", pu, px, ch, q, r)
+    # q: [..., u, x, w], r: [..., w, y, v]; a leading restart axis is kept
+    return np.einsum("u,x,xy,...uxw,...wyv->...uxyv", pu, px, ch, q, r)
 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
@@ -295,34 +295,48 @@ def _project_rows(mat: np.ndarray) -> np.ndarray:
     return out.reshape(mat.shape)
 
 
+_CELLS = (1, 2, 3, 4)  # the (u, x, y, v) axes of a batch of tables
+
+
 def _block_descent(pu, px, ch, tgt, q, r, which: str, steps: int, base_step: float):
     """Projected gradient steps on 0.5*||induced - target||^2 for one block,
     with exact line search along the feasible direction (the objective is
-    quadratic in each block)."""
+    quadratic in each block).
+
+    ``q`` (restarts, u, x, w) and ``r`` (restarts, w, y, v) hold a batch of
+    restarts run in lockstep.  A restart stops at its first step with no
+    descent (a zero direction or a zero step); its blocks are then left as
+    they are while the others go on.  Returns new arrays.  Each restart's
+    sums run over its own cells in the same order as for a batch of one, so
+    its result does not depend on the rest of the batch.
+    """
+    q, r = q.copy(), r.copy()
+    live = np.arange(len(q))
     for _ in range(steps):
-        m = _induced_table(pu, px, ch, q, r)
-        resid = m - tgt
+        ql, rl = q[live], r[live]
+        resid = _induced_table(pu, px, ch, ql, rl) - tgt
         if which == "q":
-            grad = np.einsum("uxyv,u,x,xy,wyv->uxw", resid, pu, px, ch, r)
-            cand = _project_rows(q - base_step * grad)
-            direction = cand - q
-            dm = _induced_table(pu, px, ch, direction, r)
+            grad = np.einsum("...uxyv,u,x,xy,...wyv->...uxw", resid, pu, px, ch, rl)
+            direction = _project_rows(ql - base_step * grad) - ql
+            dm = _induced_table(pu, px, ch, direction, rl)
         else:
-            grad = np.einsum("uxyv,u,x,xy,uxw->wyv", resid, pu, px, ch, q)
-            cand = _project_rows(r - base_step * grad)
-            direction = cand - r
-            dm = _induced_table(pu, px, ch, q, direction)
-        denom = float((dm * dm).sum())
-        if denom <= 0.0:
+            grad = np.einsum("...uxyv,u,x,xy,...uxw->...wyv", resid, pu, px, ch, ql)
+            direction = _project_rows(rl - base_step * grad) - rl
+            dm = _induced_table(pu, px, ch, ql, direction)
+        denom = (dm * dm).sum(axis=_CELLS)
+        num = -(resid * dm).sum(axis=_CELLS)
+        t = np.zeros_like(denom)
+        np.divide(num, denom, out=t, where=~(denom <= 0.0))
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
+        moving = t != 0.0  # also false where denom <= 0
+        live, t, direction = live[moving], t[moving], direction[moving]
+        if not live.size:
             break
-        t = float(-(resid * dm).sum() / denom)
-        t = min(max(t, 0.0), 1.0)
-        if t == 0.0:
-            break
+        step = t[:, None, None, None] * direction
         if which == "q":
-            q = q + t * direction
+            q[live] = ql[moving] + step
         else:
-            r = r + t * direction
+            r[live] = rl[moving] + step
     return q, r
 
 
@@ -387,30 +401,46 @@ def search_auxiliary(
     alternating projected-gradient descent on the two conditional blocks
     followed by a joint least-squares polish.
 
+    The restarts descend in lockstep, as one batch with a leading restart
+    axis.  Each keeps its own stopping rules: a block's descent ends for a
+    restart at its first step without descent, and its outer iterations end
+    once its L1 residual is at most ``0.05 * tol``; a stopped restart's
+    blocks are left as they are.  Restart i draws its start from the i-th
+    child of ``SeedSequence(seed)``, so the result equals that of running
+    the restarts one after another.  The polish and the scoring run per
+    restart.
+
     Returns the best verdict found: among feasible witnesses the one with
     the smallest inner rate, otherwise the one with the smallest residual.
     An infeasible verdict means "not found within budget".
     """
     if w_size < 1:
         raise ValueError("w_size must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if w_size > cardinality_bound(target):
         raise ValueError(f"w_size {w_size} exceeds the cardinality bound {cardinality_bound(target)}")
     pu, px, ch, tgt = _raw_factors(target)
     s = target.sizes
-    verdicts = []
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    for ss in seeds:
+    q, r = [], []
+    for ss in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(ss)
-        q = rng.dirichlet(np.ones(w_size), size=(s["U"], s["X"]))
-        r = rng.dirichlet(np.ones(s["V"]), size=(w_size, s["Y"]))
-        for _ in range(iterations):
-            q, r = _block_descent(pu, px, ch, tgt, q, r, "q", 6, 4.0)
-            q, r = _block_descent(pu, px, ch, tgt, q, r, "r", 6, 4.0)
-            m = _induced_table(pu, px, ch, q, r)
-            if float(np.abs(m - tgt).sum()) <= 0.05 * tol:
-                break
-        q, r = _polish(pu, px, ch, tgt, q, r)
-        verdicts.append(evaluate(target, _as_aux(target, w_size, q, r), tol))
+        q.append(rng.dirichlet(np.ones(w_size), size=(s["U"], s["X"])))
+        r.append(rng.dirichlet(np.ones(s["V"]), size=(w_size, s["Y"])))
+    q, r = np.array(q), np.array(r)
+    live = np.arange(restarts)
+    for _ in range(iterations):
+        ql, rl = _block_descent(pu, px, ch, tgt, q[live], r[live], "q", 6, 4.0)
+        ql, rl = _block_descent(pu, px, ch, tgt, ql, rl, "r", 6, 4.0)
+        q[live], r[live] = ql, rl
+        m = _induced_table(pu, px, ch, ql, rl)
+        live = live[~(np.abs(m - tgt).sum(axis=_CELLS) <= 0.05 * tol)]
+        if not live.size:
+            break
+    verdicts = []
+    for qi, ri in zip(q, r):
+        qi, ri = _polish(pu, px, ch, tgt, qi, ri)
+        verdicts.append(evaluate(target, _as_aux(target, w_size, qi, ri), tol))
     feasible = [v for v in verdicts if v.feasible]
     if feasible:
         return min(feasible, key=lambda v: (v.inner_rate, v.residual))
@@ -435,7 +465,6 @@ class RateLedger:
     windows: dict[str, tuple[float, float]]
     assignment: dict[str, float]
     r0_bound: float
-    r0_formula_check: float = field(repr=False, default=0.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -524,7 +553,7 @@ def binning_rate_ledger(target: CoordinationTarget, aux: AuxiliaryDecomposition)
     for name, (lo, hi) in windows.items():
         if hi < lo - 1e-12:
             raise EmptyWindow(f"rate window for {name} is empty: ({lo!r}, {hi!r})")
-    ledger = RateLedger(entropies, windows, assignment, r0_bound, r0_formula_check=inner)
+    ledger = RateLedger(entropies, windows, assignment, r0_bound)
     if abs(r0_bound - inner) > 1e-9:
         raise AssertionError(
             f"ledger R0 bound {r0_bound!r} disagrees with I(W;UXV|Y)+H(X|WY) = {inner!r}"

@@ -127,6 +127,13 @@ def test_extraction_independent_source_decreasing_in_n():
     assert means[0] > means[1] > means[2]
 
 
+@pytest.mark.parametrize("rate,expected", [(0.3, 0.6294073806117334), (0.8, 4.514653181493051)])
+def test_extraction_kl_pinned_n12(rate, expected):
+    # the benchmark's source and block length; the value is pinned to the bit
+    binning = RandomBinning.draw(12, rate, 2, np.random.default_rng(12))
+    assert extraction_kl(binning, dsbs(0.1), 12) == expected
+
+
 def _ab_joint(table, order):
     """A joint over A (rows of ``table``) and B, stored in the given axis order."""
     ax_a, ax_b = Alphabet("A", table.shape[0]), Alphabet("B", table.shape[1])

@@ -88,6 +88,21 @@ def test_profile_deterministic_given_seed():
     assert np.array_equal(a.h_s_y, b.h_s_y)
 
 
+@pytest.mark.parametrize("batch,digest", [
+    (None, "40e492cb23c91d9cf3ce98d15bd9a80e47b38a734ed3525a1b9b98a7664ae804"),
+    (100, "d84acddd08bfd30985e8da537917d57778de31e8c51ef9676a3eefa945aea228"),
+])
+def test_profile_pinned_digest(batch, digest):
+    # one 3000-row batch, then thirty 100-row batches: the digest pins the
+    # random stream and the order in which every h and h*h is summed
+    import hashlib
+    import json
+
+    prof = estimate_profile(chained_model(), small_params(n=64, mc=3000), np.random.default_rng(0), batch)
+    got = hashlib.sha256(json.dumps(prof.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert got == digest
+
+
 def test_profile_json_roundtrip():
     model = bsc_model()
     prof = estimate_profile(model, small_params(n=32, mc=500), np.random.default_rng(8))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from coordsim.probability import (
     mutual_information,
     total_variation,
 )
+from coordsim import region
 from coordsim.region import (
     AuxiliaryDecomposition,
     CoordinationTarget,
@@ -396,6 +399,76 @@ def test_search_rejects_oversized_w():
     target = planted_target()
     with pytest.raises(ValueError, match="cardinality"):
         search_auxiliary(target, w_size=cardinality_bound(target) + 1, restarts=1)
+    with pytest.raises(ValueError, match="restarts"):
+        search_auxiliary(target, w_size=1, restarts=0)
+
+
+def small_target(seed, sizes):
+    """A random target over alphabets of the given (|U|, |X|, |Y|, |V|)."""
+    rng = np.random.default_rng(seed)
+    su, sx, sy, sv = sizes
+    u, x, y, v = (Alphabet(name, k) for name, k in zip("UXYV", sizes))
+    return CoordinationTarget(
+        p_u=JointPMF((u,), rng.dirichlet(np.ones(su))),
+        p_x=JointPMF((x,), rng.dirichlet(np.ones(sx))),
+        channel=ConditionalPMF((x,), (y,), rng.dirichlet(np.ones(sy), size=sx)),
+        action_rule=ConditionalPMF((u, x, y), (v,), rng.dirichlet(np.ones(sv), size=(su, sx, sy))),
+    )
+
+
+def verdict_digest(verdict):
+    # JSON floats are written with repr, so the digest pins every bit
+    return hashlib.sha256(json.dumps(verdict.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+# Digests of verdicts computed by running the restarts one after another;
+# the lockstep search must reproduce them bit for bit.
+PINNED_VERDICTS = [
+    ("planted", 1, 32, 0, "e6d0371b5b25abdbd996e10d40d912387f9690d1a578817b497865b3dee627e3"),
+    ("planted", 2, 32, 0, "33ec73ca413ec1203acadf06d7401b46a5c81e2c3e0236aee657f210f5f5032f"),
+    # at this seed one restart meets the L1 test an iteration before the
+    # others, and some restarts end a block's descent steps before the rest
+    ("bsc", 1, 8, 0, "220de6a1ac9bca6261ac162f871c567e18eeebb4557688e11edda4643182e304"),
+    ("small31", 1, 6, 5, "9ce0d11b1b18ddb3711881ef5b1decf252485db79a5c59eba6105d508ef44726"),
+    ("small31", 2, 6, 5, "dfd911ff2093891e6063100fe01c9851b7f121ebbe8a1f42a3f57c3f661bbbcb"),
+    ("small31", 3, 6, 5, "724c385e8de3f4cd34277958373b4c7c3be881951e2291f0c014741d70e7e011"),
+    ("small32", 1, 6, 5, "0c2f2844bd4046c6fcd7c88234d889531a609ab3a46f775874cd888335d54520"),
+    ("small32", 2, 6, 5, "a02e1d8286ce3e8227702ed85a77ba53b2a406148783182725c4623e506c5f43"),
+    ("small32", 3, 6, 5, "26515cd9ace8da936d122cf1f96d030c80e61c81465b99ddd311eb8eb2f66899"),
+]
+
+PINNED_TARGETS = {
+    "planted": planted_target,
+    "bsc": bsc_target,
+    "small31": lambda: small_target(31, (3, 2, 3, 2)),
+    "small32": lambda: small_target(32, (2, 3, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name,w_size,restarts,seed,digest", PINNED_VERDICTS)
+def test_search_pinned_verdicts(name, w_size, restarts, seed, digest):
+    verdict = search_auxiliary(PINNED_TARGETS[name](), w_size, restarts=restarts, seed=seed)
+    assert verdict_digest(verdict) == digest
+
+
+def test_block_descent_lockstep_matches_one_restart_at_a_time(monkeypatch):
+    target = bsc_target()
+    pu, px, ch, tgt = region._raw_factors(target)
+    rng = np.random.default_rng(40)
+    q = rng.dirichlet(np.ones(2), size=(6, 2, 2))
+    r = rng.dirichlet(np.ones(2), size=(6, 2, 2))
+    live = []  # restarts still descending, per step
+    project = region._project_rows
+    monkeypatch.setattr(region, "_project_rows", lambda m: live.append(len(m)) or project(m))
+    batches = {which: region._block_descent(pu, px, ch, tgt, q, r, which, 40, 4.0) for which in "qr"}
+    # measured: the q descent ends for two of the six restarts before its
+    # 40 steps are spent, so stopped and live restarts share the batch
+    assert 0 < min(live) < len(q)
+    monkeypatch.undo()
+    for which, (batch_q, batch_r) in batches.items():
+        for i in range(len(q)):
+            one_q, one_r = region._block_descent(pu, px, ch, tgt, q[i : i + 1], r[i : i + 1], which, 40, 4.0)
+            assert np.array_equal(batch_q[i], one_q[0]) and np.array_equal(batch_r[i], one_r[0])
 
 
 # -- rate ledger --------------------------------------------------------------------
