@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import JointPMF
+from .probability import JointPMF, inverse_cdf
 
 __all__ = [
-    "BRUTE_FORCE_CAP",
     "ENUMERATION_CELL_CAP",
     "RandomBinning",
     "BinningTrialStats",
@@ -36,18 +35,18 @@ __all__ = [
     "verify_lemma_regimes",
 ]
 
-BRUTE_FORCE_CAP = 16384  # max |alphabet|^n states per enumerated axis
 ENUMERATION_CELL_CAP = 1 << 24  # max cells of one array an exact oracle allocates
 
 
-def _check_states(alphabet_size: int, n: int, what: str) -> int:
-    states = alphabet_size**n
-    if states > BRUTE_FORCE_CAP:
+def _check_cells(what: str, shape: str, cells: int) -> int:
+    """The one enumeration guard, applied before an array of ``cells``
+    cells is allocated; returns ``cells``."""
+    if cells > ENUMERATION_CELL_CAP:
         raise ValueError(
-            f"{what}: {alphabet_size}^{n} = {states} states exceeds the brute-force cap "
-            f"{BRUTE_FORCE_CAP}; this module enumerates exhaustively, use a smaller n"
+            f"{what}: {shape} = {cells} cells exceeds the enumeration cap "
+            f"{ENUMERATION_CELL_CAP}; use a smaller n"
         )
-    return states
+    return cells
 
 
 def _sequence_product(pmf: np.ndarray, n: int) -> np.ndarray:
@@ -69,8 +68,7 @@ class RandomBinning:
     assignment: np.ndarray  # shape (alphabet_size**n,), values 1..num_bins
 
     def __post_init__(self):
-        states = _check_states(self.alphabet_size, self.n, "binning")
-        if self.assignment.shape != (states,):
+        if self.assignment.shape != (self.alphabet_size**self.n,):
             raise ValueError("assignment must cover every sequence")
         if self.assignment.min() < 1 or self.assignment.max() > self.num_bins:
             raise ValueError("bin labels must lie in 1..num_bins")
@@ -81,14 +79,14 @@ class RandomBinning:
 
     @classmethod
     def draw(cls, n: int, rate: float, alphabet_size: int, rng: np.random.Generator) -> "RandomBinning":
-        states = _check_states(alphabet_size, n, "binning")
+        states = _check_cells("binning", f"{alphabet_size}^{n}", alphabet_size**n)
         num_bins = 1 << math.ceil(n * rate)
         return cls(n, rate, alphabet_size, rng.integers(1, num_bins + 1, states))
 
     @classmethod
     def identity(cls, n: int, alphabet_size: int) -> "RandomBinning":
         """One bin per sequence: rate log2(alphabet_size)."""
-        states = _check_states(alphabet_size, n, "binning")
+        states = _check_cells("binning", f"{alphabet_size}^{n}", alphabet_size**n)
         return cls(n, math.log2(alphabet_size), alphabet_size, np.arange(1, states + 1))
 
 
@@ -146,10 +144,7 @@ def _posterior_scores(joint: JointPMF, side_b: np.ndarray) -> np.ndarray:
 
 
 def _sample_pairs(joint: JointPMF, rng: np.random.Generator, count: int, n: int):
-    flat = joint.table.reshape(-1)
-    cdf = np.cumsum(flat)
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random((count, n)), side="right")
+    draws = inverse_cdf(joint.table.reshape(-1), rng.random((count, n)))
     cells = np.unravel_index(draws, joint.table.shape)
     return cells[joint.axis_index("A")], cells[joint.axis_index("B")]
 
@@ -161,8 +156,11 @@ def sw_error_rate(
     samples: int = 200,
 ) -> float:
     """Empirical P{decoded != true} over i.i.d. draws."""
-    a, b = _sample_pairs(joint, rng, samples, binning.n)
-    codes = np.ravel_multi_index(tuple(a.T), (binning.alphabet_size,) * binning.n)
+    size_a, n = binning.alphabet_size, binning.n
+    # the score and in-bin arrays are samples x |A|^n
+    _check_cells("SW decoding", f"{samples} x {size_a}^{n}", samples * size_a**n)
+    a, b = _sample_pairs(joint, rng, samples, n)
+    codes = np.ravel_multi_index(tuple(a.T), (size_a,) * n)
     scores = _posterior_scores(joint, b)
     # each draw's own bin holds its true sequence, so no queried bin is empty
     in_bin = binning.assignment[None, :] == binning.assignment[codes][:, None]
@@ -185,17 +183,11 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     size_b = joint.axes[joint.axis_index("B")].size
     if size_b != binning.alphabet_size:
         raise ValueError("binning alphabet does not match the joint's B axis")
-    states_a = _check_states(size_a, n, "extraction")
-    states_b = _check_states(size_b, n, "extraction")
+    states_a, states_b = size_a**n, size_b**n
     bins = binning.num_bins
     # no array of the contraction exceeds max(|A|, |B|)^n x bins cells
     widest = max(size_a, size_b)
-    cells = widest**n * bins
-    if cells > ENUMERATION_CELL_CAP:
-        raise ValueError(
-            f"extraction contracts {widest}^{n} x {bins} = {cells} cells, beyond "
-            f"{ENUMERATION_CELL_CAP}; use a smaller n or rate"
-        )
+    _check_cells("extraction", f"{widest}^{n} x {bins}", widest**n * bins)
     table = _ab_table(joint)
     cur = np.zeros((states_b, bins))
     cur[np.arange(states_b), binning.assignment - 1] = 1.0

@@ -5,8 +5,8 @@ Two models ship with the package:
 * :func:`bsc_target` / (see :mod:`coordsim.construction` for the source-model
   form) -- uniform binary signal over a BSC(0.1) with a constant auxiliary
   variable and an action that is a noisy copy of the channel output.
-* :func:`planted_target` -- a target built from a known binary-auxiliary
-  witness, used to exercise witness recovery.
+* :func:`planted_target` -- the target of a source model that holds a
+  known binary-auxiliary witness, used to exercise witness recovery.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 
 from .construction import SourceModel
 from .probability import Alphabet, ConditionalPMF, JointPMF
-from .region import AuxiliaryDecomposition, CoordinationTarget, induced_joint
-from .probability import condition, marginalize
+from .region import AuxiliaryDecomposition, CoordinationTarget
 
 __all__ = [
     "binary_symmetric_channel",
@@ -109,19 +108,13 @@ def planted_witness() -> AuxiliaryDecomposition:
 
 
 def planted_target(crossover: float = 0.05) -> CoordinationTarget:
-    """A target whose action rule is induced by :func:`planted_witness`
-    through a BSC(crossover); the witness is feasible by construction."""
-    base = CoordinationTarget(
-        p_u=JointPMF.uniform((U,)),
-        p_x=JointPMF.uniform((X,)),
+    """The target induced by :func:`planted_witness` through a
+    BSC(crossover); the witness is feasible by construction."""
+    witness = planted_witness()
+    return SourceModel(
+        u_prior=JointPMF.uniform((U,)),
+        x_prior=JointPMF.uniform((X,)),
         channel=binary_symmetric_channel(crossover),
-        # placeholder rule; replaced below by the induced one
-        action_rule=ConditionalPMF((U, X, Y), (V,), np.full((2, 2, 2, 2), 0.5)),
-    )
-    ind = induced_joint(base, planted_witness())
-    return CoordinationTarget(
-        p_u=base.p_u,
-        p_x=base.p_x,
-        channel=base.channel,
-        action_rule=condition(marginalize(ind, ("U", "X", "Y", "V")), ["V"], ["U", "X", "Y"]),
-    )
+        w_rule=witness.p_w_given_ux,
+        v_rule=witness.p_v_given_wy,
+    ).target

@@ -42,7 +42,7 @@ from .construction import (
     rate_report,
     save_index_cache,
 )
-from .probability import JointPMF, condition, marginalize
+from .probability import JointPMF
 from .region import (
     AuxiliaryDecomposition,
     CoordinationTarget,
@@ -242,18 +242,8 @@ def _target(cfg) -> CoordinationTarget:
 
 
 def _target_and_witness_of(model: SourceModel) -> tuple[CoordinationTarget, AuxiliaryDecomposition]:
-    """A source model carries its own witness: its (w_rule, v_rule) pair,
-    with the action rule induced by marginalizing the auxiliary out."""
-    joint = model.single_letter_joint()
-    target = CoordinationTarget(
-        p_u=model.u_prior,
-        p_x=model.x_prior,
-        channel=model.channel,
-        action_rule=condition(marginalize(joint, ["U", "X", "Y", "V"]), ["V"], ["U", "X", "Y"]),
-    )
-    w_given_ux = condition(joint, ["W"], ["U", "X"])
-    aux = AuxiliaryDecomposition(2, w_given_ux, model.v_rule)
-    return target, aux
+    """The model's target and witness views, as one pair."""
+    return model.target, model.witness
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +367,7 @@ def _run_simulate(cfg) -> dict:
     if profile is not None:
         report["divergence_certificate"] = divergence_certificate(profile, sets).to_json_dict()
     if cfg["attach_region_verdict"]:
-        target, aux = _target_and_witness_of(model)
-        report["region_verdict"] = evaluate(target, aux).to_json_dict()
+        report["region_verdict"] = evaluate(model.target, model.witness).to_json_dict()
     out_dir = Path(cfg["base_dir"]) / cfg["out"]
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "trials.csv", TrialResult.CSV_FIELDS, rows)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .construction import PolarIndexSets, SourceModel, rate_report
 from .polar import polar_transform, sc_pass
-from .probability import Alphabet, JointPMF, marginalize, mutual_information
+from .probability import Alphabet, JointPMF, inverse_cdf, marginalize, mutual_information
 
 __all__ = [
     "CommonRandomness",
@@ -105,10 +105,6 @@ class CommonRandomness:
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"common randomness field {name} has shape {got}, expected {shape}")
-
-    @property
-    def total_bits(self) -> int:
-        return self.c.size + self.c_prime.size + self.c_bar.size + self.keys_s.size + self.keys_z.size
 
 
 @dataclass(frozen=True)
@@ -206,8 +202,8 @@ def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs
         local = sets.a2 if i == 0 else sets.ap2
         s_i[:, local] = [rng.integers(0, 2, len(local), dtype=np.uint8) for rng in rngs]
         if i > 0:
-            s_i[:, sets.ap3] = s[:, i - 1][:, sets.a3] ^ keys_s[:, i - 1]
-            s_i[:, sets.bp3] = z[:, i - 1][:, sets.b3] ^ keys_z[:, i - 1]
+            s_i[:, sets.ap3] = one_time_pad(s[:, i - 1][:, sets.a3], keys_s[:, i - 1])
+            s_i[:, sets.bp3] = one_time_pad(z[:, i - 1][:, sets.b3], keys_z[:, i - 1])
         x[:, i] = sc_pass(leaf_prior, s_i, s_known, _sampler(rngs, s_draws))
 
         z_i[:, sets.bp1] = c_bar
@@ -229,16 +225,15 @@ def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, mo
     s_known, z_known = _known(n, sets.a1, sets.a3), _known(n, sets.b1, sets.b3)
     xpost = model.x_posterior_given_y()
     wx = model.w_given_x()
-    v_cdf = np.cumsum(model.v_rule.aligned_table(("W", "Y")), axis=-1)
-    v_cdf[..., -1] = 1.0
+    v_rule = model.v_rule.aligned_table(("W", "Y"))
 
     s_hat, z_hat, x_hat, w_hat, v = (np.zeros((trials, k, n), dtype=np.uint8) for _ in range(5))
     for i in range(k - 1, -1, -1):
         if i == k - 1:
             s_chain, z_chain = s_last_a3, z_last_b3
         else:
-            s_chain = s_hat[:, i + 1][:, sets.ap3] ^ keys_s[:, i]
-            z_chain = s_hat[:, i + 1][:, sets.bp3] ^ keys_z[:, i]
+            s_chain = one_time_pad(s_hat[:, i + 1][:, sets.ap3], keys_s[:, i])
+            z_chain = one_time_pad(s_hat[:, i + 1][:, sets.bp3], keys_z[:, i])
         s_i, z_i = s_hat[:, i], z_hat[:, i]
         s_i[:, sets.a1] = c[:, i]
         s_i[:, sets.a3] = s_chain
@@ -250,7 +245,7 @@ def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, mo
         w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard)
 
         uniforms = np.stack([rng.random(n) for rng in rngs])
-        v[:, i] = (uniforms[:, :, None] > v_cdf[w_hat[:, i], y_blocks[:, i]]).sum(axis=2)
+        v[:, i] = inverse_cdf(v_rule[w_hat[:, i], y_blocks[:, i]], uniforms)
     return s_hat, z_hat, x_hat, w_hat, v
 
 
@@ -282,10 +277,7 @@ def encode(
 def transmit(x: np.ndarray, channel, rng: np.random.Generator) -> np.ndarray:
     """Memoryless per-symbol transmission of one block."""
     x = np.asarray(x, dtype=np.intp)
-    cdf = np.cumsum(channel.table, axis=-1)
-    cdf[..., -1] = 1.0
-    u = rng.random(len(x))
-    return (u[:, None] > cdf[x]).sum(axis=1).astype(np.uint8)
+    return inverse_cdf(channel.table[x], rng.random(len(x))).astype(np.uint8)
 
 
 def decode(
@@ -417,9 +409,7 @@ def _source_blocks(model: SourceModel, n: int, k: int, rng: np.random.Generator)
     """The uniform dummy block and k source blocks, shape (k+1, n)."""
     u_blocks = np.empty((k + 1, n), dtype=np.uint8)
     u_blocks[0] = rng.integers(0, model.sizes["U"], n)
-    cdf_u = np.cumsum(model.u_prior.table)
-    cdf_u[-1] = 1.0
-    u_blocks[1:] = (rng.random((k, n))[:, :, None] > cdf_u[None, None, :]).sum(axis=2)
+    u_blocks[1:] = inverse_cdf(model.u_prior.table, rng.random((k, n)))
     return u_blocks
 
 

@@ -26,13 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polar import CHUNK_ROWS, known_path_conditionals, known_path_tree, polar_transform
-from .probability import (
-    ConditionalPMF,
-    JointPMF,
-    binary_entropy,
-    compose,
-    condition,
-)
+from .probability import ConditionalPMF, JointPMF, binary_entropy, condition, inverse_cdf, marginalize
+from .region import AXES_UXYV, AuxiliaryDecomposition, CoordinationTarget, check_source_axes, witness_joint
 
 __all__ = [
     "PolarParams",
@@ -85,8 +80,13 @@ class PolarParams:
 
 
 class SourceModel:
-    """Single-letter model (P_U, P_X, P_{Y|X}, P_{W|XU}, P_{V|WY}) with
-    binary X and W."""
+    """A coordination target plus the witness that induces it: the
+    single-letter law P_U P_X P_{Y|X} P_{W|UX} P_{V|WY}, with binary X and
+    W for the polar codec.
+
+    Its (U, X, Y, V) marginal is the :attr:`target` and (P_{W|UX},
+    P_{V|WY}) the :attr:`witness`; the polar scheme runs on the whole law.
+    """
 
     def __init__(
         self,
@@ -96,24 +96,17 @@ class SourceModel:
         w_rule: ConditionalPMF,
         v_rule: ConditionalPMF,
     ):
-        if x_prior.axis_names != ("X",) or x_prior.axes[0].size != 2:
-            raise ValueError("x_prior must be a pmf over a binary axis 'X'")
-        if u_prior.axis_names != ("U",):
-            raise ValueError("u_prior must be a pmf over axis 'U'")
-        if channel.given_names != ("X",) or channel.out_names != ("Y",):
-            raise ValueError("channel must be Y|X")
-        if set(w_rule.given_names) != {"X", "U"} or w_rule.out_names != ("W",):
-            raise ValueError("w_rule must be W|XU")
-        if w_rule.out_axes[0].size != 2:
-            raise ValueError("W must be binary")
-        if set(v_rule.given_names) != {"W", "Y"} or v_rule.out_names != ("V",):
-            raise ValueError("v_rule must be V|WY")
+        check_source_axes(u_prior, x_prior, channel)
+        AuxiliaryDecomposition(2, w_rule, v_rule)  # W|UX with binary W, V|WY
+        if x_prior.axes[0].size != 2:
+            raise ValueError("X must be binary")
         self.u_prior = u_prior
         self.x_prior = x_prior
         self.channel = channel
         self.w_rule = w_rule
         self.v_rule = v_rule
-        self._joint = None
+        # composing checks that the factors agree on every shared axis size
+        self._joint = witness_joint(u_prior, x_prior, channel, w_rule, v_rule)
 
     @property
     def sizes(self) -> dict[str, int]:
@@ -127,13 +120,22 @@ class SourceModel:
 
     def single_letter_joint(self) -> JointPMF:
         """The i.i.d. per-symbol joint over (U, X, W, Y, V)."""
-        if self._joint is None:
-            j = JointPMF.product(self.u_prior, self.x_prior)
-            j = compose(j, self.w_rule)
-            j = compose(j, self.channel)
-            j = compose(j, self.v_rule)
-            self._joint = j
         return self._joint
+
+    @property
+    def target(self) -> CoordinationTarget:
+        """The coordination target: the action rule is V|UXY of the joint,
+        with the auxiliary summed out."""
+        joint = marginalize(self.single_letter_joint(), AXES_UXYV)
+        return CoordinationTarget(
+            self.u_prior, self.x_prior, self.channel, condition(joint, ["V"], ["U", "X", "Y"])
+        )
+
+    @property
+    def witness(self) -> AuxiliaryDecomposition:
+        """The witness (P_{W|UX}, P_{V|WY}), W|UX read off the joint."""
+        w_given_ux = condition(self.single_letter_joint(), ["W"], ["U", "X"])
+        return AuxiliaryDecomposition(2, w_given_ux, self.v_rule)
 
     # evidence tables for the successive-cancellation passes
 
@@ -161,10 +163,7 @@ class SourceModel:
         """``count`` i.i.d. blocks of length ``n`` of the 5-tuple, as a dict
         of (count, n) int arrays keyed 'u','x','w','y','v'."""
         joint = self.single_letter_joint()
-        flat = joint.table.reshape(-1)
-        cdf = np.cumsum(flat)
-        cdf[-1] = 1.0
-        draws = np.searchsorted(cdf, rng.random((count, n)), side="right")
+        draws = inverse_cdf(joint.table.reshape(-1), rng.random((count, n)))
         # per-axis uint8 lookups of the flat cell index: no int64 copy per axis
         lookups = np.unravel_index(np.arange(joint.table.size), joint.table.shape)
         return {name: lut.astype(np.uint8)[draws]

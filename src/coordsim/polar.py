@@ -51,8 +51,6 @@ __all__ = [
     "known_path_tree",
     "known_path_conditionals",
     "CHUNK_ROWS",
-    "sc_probability_x",
-    "sc_probability_w",
 ]
 
 _CLIP = 1e-20
@@ -252,59 +250,3 @@ def known_path_conditionals(leaf_p1: np.ndarray, tree: list[np.ndarray]) -> np.n
         halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
         p = np.stack((_f(*halves), _g(*halves, x_a)), axis=-1).reshape(rows, half, -1)
     return p.reshape(rows, n)
-
-
-# ---------------------------------------------------------------------------
-# single-index conditional queries on a source model
-
-
-def _prefix_probability(leaf_p1, prefix) -> float:
-    sc = SuccessiveCancellation(leaf_p1)
-    for b in prefix:
-        sc.push(b)
-    return sc.next_probability()
-
-
-def sc_probability_x(j: int, s_prefix, model, n: int | None = None, y_obs=None) -> float:
-    """P(S_j = 1 | S^{j-1} = s_prefix [, Y^n = y_obs]) for the polarized
-    signal chain of ``model`` (a :class:`coordsim.construction.SourceModel`).
-
-    Without an observation the per-leaf evidence is the signal prior (and
-    the block length ``n`` must be given); with one it is the per-symbol
-    posterior through the channel.  ``j`` is the 1-based bit index and must
-    equal ``len(s_prefix) + 1``.
-    """
-    if j != len(s_prefix) + 1:
-        raise ValueError("j must point just past the supplied prefix")
-    if y_obs is None:
-        if n is None:
-            raise ValueError("block length n is required when no observation is given")
-        leaf = np.full(n, model.x_prior.table[1])
-    else:
-        leaf = model.x_posterior_given_y()[np.asarray(y_obs, dtype=np.intp)]
-    return _prefix_probability(leaf, s_prefix)
-
-
-def sc_probability_w(j: int, z_prefix, model, x, u=None, y=None, v=None) -> float:
-    """P(Z_j = 1 | Z^{j-1} = z_prefix, side information) for the polarized
-    auxiliary chain of ``model``.
-
-    Side information forms: ``x`` alone (evidence P(w|x)); ``x`` and ``u``
-    (evidence P(w|x,u)); ``x, u, y, v`` all present (full posterior).
-    """
-    x = np.asarray(x, dtype=np.intp)
-    n = len(x)
-    _require_power_of_two(n)
-    if j != len(z_prefix) + 1:
-        raise ValueError("j must point just past the supplied prefix")
-    if u is None:
-        leaf = model.w_given_x()[x]
-    elif y is None and v is None:
-        leaf = model.w_given_xu()[x, np.asarray(u, dtype=np.intp)]
-    elif y is not None and v is not None:
-        leaf = model.w_posterior_full()[
-            np.asarray(u, dtype=np.intp), x, np.asarray(y, dtype=np.intp), np.asarray(v, dtype=np.intp)
-        ]
-    else:
-        raise ValueError("side information must be x | (x,u) | (x,u,y,v)")
-    return _prefix_probability(leaf, z_prefix)

@@ -18,7 +18,6 @@ cells.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -40,6 +39,7 @@ __all__ = [
     "total_variation",
     "tv_halved",
     "kl_divergence",
+    "inverse_cdf",
     "sample",
     "binary_entropy",
 ]
@@ -132,11 +132,6 @@ class JointPMF:
         spec = ", ".join(f"{a.name}:{a.size}" for a in self.axes)
         return f"JointPMF({spec})"
 
-    def allclose(self, other: "JointPMF", atol: float = 1e-12) -> bool:
-        return self.axis_names == other.axis_names and np.allclose(
-            self.table, other.table, rtol=0.0, atol=atol
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -150,13 +145,6 @@ class JointPMF:
         axes = tuple(Alphabet(a["name"], int(a["size"])) for a in d["axes"])
         shape = tuple(a.size for a in axes)
         return cls(axes, np.array(d["table"], dtype=np.float64).reshape(shape))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "JointPMF":
-        return cls.from_json_dict(json.loads(s))
 
 
 class ConditionalPMF:
@@ -218,13 +206,6 @@ class ConditionalPMF:
         perm += [len(self.given_axes) + i for i in range(len(self.out_axes))]
         return self.table.transpose(perm)
 
-    def allclose(self, other: "ConditionalPMF", atol: float = 1e-12) -> bool:
-        return (
-            self.given_names == other.given_names
-            and self.out_names == other.out_names
-            and np.allclose(self.table, other.table, rtol=0.0, atol=atol)
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "given_axes": [{"name": a.name, "size": a.size} for a in self.given_axes],
@@ -238,13 +219,6 @@ class ConditionalPMF:
         out = tuple(Alphabet(a["name"], int(a["size"])) for a in d["out_axes"])
         shape = tuple(a.size for a in given) + tuple(a.size for a in out)
         return cls(given, out, np.array(d["table"], dtype=np.float64).reshape(shape))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "ConditionalPMF":
-        return cls.from_json_dict(json.loads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +352,31 @@ def kl_divergence(p: JointPMF, q: JointPMF) -> float:
     return float((pm * np.log2(pm / qt[mask])).sum())
 
 
+def inverse_cdf(pmf, uniforms):
+    """The cell of each uniform under the pmf on ``pmf``'s last axis.
+
+    Cell i holds the uniforms in [cdf[i-1], cdf[i]), the rule of
+    ``np.searchsorted(cdf, u, side="right")``.  The CDF is 1 from the last
+    cell with mass on, so the rounding slack of the sum goes to that cell
+    and a zero-mass cell is never drawn.  ``pmf`` is either one pmf shared
+    by all uniforms (1-D, searched without a draws x cells array) or one pmf
+    per uniform, of shape ``uniforms.shape + (cells,)``.
+    """
+    cdf = np.cumsum(pmf, axis=-1)
+    cdf[cdf == cdf[..., -1:]] = 1.0
+    if cdf.ndim == 1:
+        return np.searchsorted(cdf, uniforms, side="right")
+    return (np.asarray(uniforms)[..., None] >= cdf).sum(axis=-1)
+
+
 def sample(p: JointPMF, rng: np.random.Generator, size: int | None = None):
     """Inverse-CDF sampling.  Returns a tuple of symbols, or an
     (size, n_axes) int array when ``size`` is given."""
-    cdf = np.cumsum(p.table.reshape(-1))
-    cdf[-1] = 1.0
+    flat = p.table.reshape(-1)
     if size is None:
-        flat = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return tuple(int(v) for v in np.unravel_index(flat, p.table.shape))
-    flat = np.searchsorted(cdf, rng.random(size), side="right")
-    return np.stack(np.unravel_index(flat, p.table.shape), axis=-1)
+        cell = int(inverse_cdf(flat, rng.random()))
+        return tuple(int(v) for v in np.unravel_index(cell, p.table.shape))
+    return np.stack(np.unravel_index(inverse_cdf(flat, rng.random(size)), p.table.shape), axis=-1)
 
 
 def binary_entropy(p) -> np.ndarray | float:

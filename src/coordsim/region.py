@@ -43,7 +43,9 @@ __all__ = [
     "RateLedger",
     "FactorizationError",
     "EmptyWindow",
+    "check_source_axes",
     "check_target_factorization",
+    "witness_joint",
     "induced_joint",
     "evaluate",
     "equivalent_constraint_check",
@@ -73,6 +75,14 @@ class EmptyWindow(ValueError):
     """A strict rate window required by the binning scheme is empty."""
 
 
+def check_source_axes(p_u: JointPMF, p_x: JointPMF, channel: ConditionalPMF):
+    """The axis checks on (P_U, P_X, P_{Y|X}) that every model shares."""
+    if p_u.axis_names != ("U",) or p_x.axis_names != ("X",):
+        raise ValueError("p_u / p_x must be single-axis pmfs over axes 'U' / 'X'")
+    if channel.given_names != ("X",) or channel.out_names != ("Y",):
+        raise ValueError("channel must be Y|X")
+
+
 @dataclass(frozen=True)
 class CoordinationTarget:
     """The coordination problem (P_U, P_X, P_{Y|X}, P_{V|UXY})."""
@@ -83,10 +93,7 @@ class CoordinationTarget:
     action_rule: ConditionalPMF
 
     def __post_init__(self):
-        if self.p_u.axis_names != ("U",) or self.p_x.axis_names != ("X",):
-            raise ValueError("p_u / p_x must be single-axis pmfs over axes 'U' / 'X'")
-        if self.channel.given_names != ("X",) or self.channel.out_names != ("Y",):
-            raise ValueError("channel must be Y|X")
+        check_source_axes(self.p_u, self.p_x, self.channel)
         if set(self.action_rule.given_names) != {"U", "X", "Y"} or self.action_rule.out_names != ("V",):
             raise ValueError("action_rule must be V|UXY")
 
@@ -209,13 +216,21 @@ def check_target_factorization(
     )
 
 
+def witness_joint(
+    p_u: JointPMF, p_x: JointPMF, channel: ConditionalPMF, w_rule: ConditionalPMF, v_rule: ConditionalPMF
+) -> JointPMF:
+    """P_U P_X P_{W|UX} P_{Y|X} P_{V|WY} over axes (U, X, W, Y, V): the one
+    composition behind :func:`induced_joint` and the source model's joint."""
+    j = JointPMF.product(p_u, p_x)
+    j = compose(j, w_rule)
+    j = compose(j, channel)
+    j = compose(j, v_rule)
+    return j
+
+
 def induced_joint(target: CoordinationTarget, aux: AuxiliaryDecomposition) -> JointPMF:
     """P_U P_X P_{W|UX} P_{Y|X} P_{V|WY} over axes (U, X, W, Y, V)."""
-    j = JointPMF.product(target.p_u, target.p_x)
-    j = compose(j, aux.p_w_given_ux)
-    j = compose(j, target.channel)
-    j = compose(j, aux.p_v_given_wy)
-    return j
+    return witness_joint(target.p_u, target.p_x, target.channel, aux.p_w_given_ux, aux.p_v_given_wy)
 
 
 def _rates(ind: JointPMF) -> tuple[float, float]:

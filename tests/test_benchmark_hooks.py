@@ -1,0 +1,94 @@
+"""The benchmark's hooks into the package.
+
+``perfbench/`` patches and imports names from ``src/`` by string, outside
+the package.  These smoke tests load its modules read-only, so that a
+rename or deletion in ``src/`` fails here instead of breaking
+``perfbench/run.py --trace 1``.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from coordsim import cli, codec
+from coordsim.binning import RandomBinning
+from coordsim.bundled import chained_model
+from coordsim.codec import CommonRandomness
+from coordsim.construction import PolarizedEntropyProfile, SourceModel
+from coordsim.polar import polar_transform, true_path_conditionals
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def coordsim_references():
+    """Every module-level name of the coordsim modules, and the attributes
+    of the classes whose methods the tracer replaces."""
+    refs = {}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("coordsim"):
+            refs.update({(mod_name, attr): value for attr, value in vars(module).items()})
+    for cls in (SourceModel, CommonRandomness, RandomBinning):
+        refs.update({(cls.__qualname__, attr): value for attr, value in vars(cls).items()})
+    return refs
+
+
+def test_tracer_patches_existing_names_and_restores_them():
+    tracing = load("tracing")
+    before = coordsim_references()
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):  # a name it patches that is gone raises here
+        during = coordsim_references()
+        codec.transmit(np.zeros(4, np.uint8), chained_model().channel, np.random.default_rng(0))
+    after = coordsim_references()
+
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    patched = {key for key in before if during[key] is not before[key]}
+    for key in [
+        ("coordsim.polar", "SuccessiveCancellation"),
+        ("coordsim.polar", "true_path_conditionals"),
+        ("coordsim.codec", "run_end_to_end"),
+        ("coordsim.codec", "encode"),
+        ("coordsim.codec", "decode"),
+        ("coordsim.codec", "transmit"),
+        ("coordsim.construction", "estimate_profile"),
+        ("coordsim.binning", "extraction_kl"),
+        ("coordsim.region", "search_auxiliary"),
+        ("coordsim.cli", "run"),
+        ("SourceModel", "sample_blocks"),
+        ("CommonRandomness", "draw"),
+        ("RandomBinning", "draw"),
+    ]:
+        assert key in patched, key
+    assert tracer.counts["codec.transmit.calls"] == 1
+
+
+def test_benchmark_names_resolve():
+    workloads = load("workloads")
+    load("run")
+    entropies = workloads._single_letter_entropies()  # single_letter_joint and the entropies
+    assert set(entropies) == set(PolarizedEntropyProfile.FAMILIES)
+
+    # the batch sweep of run.py, at a small size
+    model = chained_model()
+    blocks = model.sample_blocks(np.random.default_rng(0), 4, 16)
+    evidence = model.x_posterior_given_y()[blocks["y"]]
+    assert true_path_conditionals(evidence, polar_transform(blocks["x"])).shape == (4, 16)
+
+    # every workload's config parses and names a model the CLI loads
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = cli.parse_config(name, workload.config(0, Path("out")), PERFBENCH.parent)
+        if name == "region":
+            cli._target(cfg)
+        elif name != "verify-binning":
+            cli._source_model(cfg)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from coordsim.binning import (
-    BRUTE_FORCE_CAP,
+    ENUMERATION_CELL_CAP,
     RandomBinning,
     _posterior_scores,
     dsbs,
@@ -21,10 +22,25 @@ from coordsim.probability import Alphabet, JointPMF, mutual_information
 
 
 def test_cap_enforced():
+    # one cell guard: a binning past ENUMERATION_CELL_CAP and SW score arrays of
+    # samples x |A|^n past it both raise before anything is allocated
     rng = np.random.default_rng(0)
-    assert 2**15 > BRUTE_FORCE_CAP
-    with pytest.raises(ValueError, match="cap"):
-        RandomBinning.draw(15, 0.5, 2, rng)
+    assert 2**25 > ENUMERATION_CELL_CAP and 257 * 2**16 > ENUMERATION_CELL_CAP
+    binning = RandomBinning.draw(16, 0.5, 2, rng)
+    state = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            RandomBinning.draw(25, 0.5, 2, rng)
+        with pytest.raises(ValueError, match="cap"):
+            RandomBinning.identity(25, 2)
+        with pytest.raises(ValueError, match="cap"):
+            sw_error_rate(binning, dsbs(0.1), rng, samples=257)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rng.bit_generator.state == state
 
 
 def test_bin_labels_and_count():

@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from coordsim.binning import _sample_pairs, dsbs
 from coordsim.bundled import binary_symmetric_channel, bsc_model, chained_model
 from coordsim.codec import (
     BlockTranscript,
     CommonRandomness,
     SideChannelPayload,
+    _source_blocks,
     chi_square_conditional,
     decode,
     empirical_mutual_information,
@@ -24,7 +28,7 @@ from coordsim.construction import (
     estimate_profile,
 )
 from coordsim.polar import polar_transform
-from coordsim.probability import Alphabet, ConditionalPMF, JointPMF
+from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, sample
 
 U, X, Y, V, W = (Alphabet(n, 2) for n in "UXYVW")
 
@@ -102,6 +106,99 @@ def test_transmit_constant_output_channel():
     const = ConditionalPMF((X,), (Y,), np.array([[1.0, 0.0], [1.0, 0.0]]))
     x = rng.integers(0, 2, 1000, dtype=np.uint8)
     assert not transmit(x, const, rng).any()
+
+
+# -- sampling sites ------------------------------------------------------------------
+
+
+class ZeroUniforms:
+    """A generator stand-in whose uniforms are all exactly 0.0."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        return np.full(size, low, dtype=dtype)
+
+
+def zero_payload(sets):
+    return SideChannelPayload(np.zeros(len(sets.a3), np.uint8), np.zeros(len(sets.b3), np.uint8))
+
+
+# a uniform of exactly 0.0 used to pick the first cell of each of these
+# draws whether or not it had mass
+
+
+def test_transmit_zero_uniform_skips_zero_mass_output():
+    assert transmit([1, 1], binary_symmetric_channel(0.0), ZeroUniforms()).tolist() == [1, 1]
+
+
+def test_source_blocks_zero_uniform_skips_zero_mass_symbol():
+    base = bsc_model()
+    sure_u = SourceModel(JointPMF((U,), np.array([0.0, 1.0])), base.x_prior, base.channel,
+                         base.w_rule, base.v_rule)
+    assert np.all(_source_blocks(sure_u, 8, 3, ZeroUniforms())[1:] == 1)
+
+
+def test_action_draw_zero_uniform_skips_zero_mass_action():
+    base = bsc_model()
+    always_one = ConditionalPMF((W, Y), (V,), np.tile([0.0, 1.0], (2, 2, 1)))
+    model = SourceModel(base.u_prior, base.x_prior, base.channel, base.w_rule, always_one)
+    sets = synthetic_sets()
+    cr = CommonRandomness.draw(sets, 2, np.random.default_rng(0))
+    decoded = decode(np.zeros((2, 8), np.uint8), zero_payload(sets), sets, cr, model, ZeroUniforms())
+    assert all(np.all(block.v == 1) for block in decoded)
+
+
+def test_sampling_sites_take_one_random_call_each():
+    # each site draws its uniforms with one rng.random call of the draw
+    # shape, so the generator ends where that call alone leaves it
+    def state_after(draw):
+        rng = np.random.default_rng(21)
+        draw(rng)
+        return rng.bit_generator.state
+
+    model = chained_model()
+    joint = model.single_letter_joint()
+    sets = synthetic_sets()
+    cr = CommonRandomness.draw(sets, 3, np.random.default_rng(0))
+    y = np.random.default_rng(1).integers(0, 2, (3, 8), dtype=np.uint8)
+    sites = [
+        (lambda r: transmit(np.ones(33, np.uint8), model.channel, r), lambda r: r.random(33)),
+        (lambda r: _source_blocks(model, 16, 3, r), lambda r: (r.integers(0, 2, 16), r.random((3, 16)))),
+        (lambda r: model.sample_blocks(r, 5, 16), lambda r: r.random((5, 16))),
+        (lambda r: _sample_pairs(dsbs(0.1), r, 7, 4), lambda r: r.random((7, 4))),
+        (lambda r: sample(joint, r), lambda r: r.random()),
+        (lambda r: sample(joint, r, 9), lambda r: r.random(9)),
+        # hard SC decisions draw nothing; the action takes one rng.random(n) per block
+        (lambda r: decode(y, zero_payload(sets), sets, cr, model, r),
+         lambda r: [r.random(8) for _ in range(3)]),
+    ]
+    for i, (site, reference) in enumerate(sites):
+        assert state_after(site) == state_after(reference), i
+
+
+def test_sampling_streams_pinned():
+    # digest of every sampling site's output at fixed seeds, taken before the
+    # sites shared one inverse-CDF helper: no stream moved
+    digest = hashlib.sha256()
+    model = chained_model()
+    sets = synthetic_sets()
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        blocks = model.sample_blocks(rng, 7, 16)
+        digest.update(b"".join(blocks[k].tobytes() for k in "uxwyv"))
+        digest.update(sample(model.single_letter_joint(), rng, 50).tobytes())
+        digest.update(repr(sample(model.single_letter_joint(), rng)).encode())
+        a, b = _sample_pairs(dsbs(0.2), rng, 9, 5)
+        digest.update(a.tobytes() + b.tobytes())
+        digest.update(transmit(rng.integers(0, 2, 33), binary_symmetric_channel(0.3), rng).tobytes())
+        digest.update(_source_blocks(model, 16, 3, rng).tobytes())
+        cr = CommonRandomness.draw(sets, 3, rng)
+        y = rng.integers(0, 2, (3, 8), dtype=np.uint8)
+        decoded = decode(y, zero_payload(sets), sets, cr, model, rng)
+        digest.update(b"".join(block.v.tobytes() for block in decoded))
+    assert digest.hexdigest() == "b432f46f67fd4beb643f0e5eddd976458b29634be846d25fb3df57ae38f8aec3"
 
 
 # -- mechanics on synthetic sets ------------------------------------------------------

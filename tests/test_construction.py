@@ -1,12 +1,17 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from coordsim.bundled import bsc_model, chained_model
+from coordsim.bundled import bsc_model, chained_model, planted_target
+from coordsim.cli import ConfigError, _source_model, _target_and_witness_of
 from coordsim.construction import (
     CapacityError,
     PolarIndexSets,
     PolarParams,
     PolarizedEntropyProfile,
+    SourceModel,
     build_index_sets,
     divergence_certificate,
     estimate_profile,
@@ -14,11 +19,105 @@ from coordsim.construction import (
     rate_report,
     save_index_cache,
 )
-from coordsim.probability import conditional_entropy, entropy
+from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, conditional_entropy, entropy
+from coordsim.region import AuxiliaryDecomposition, evaluate, induced_joint
 
 
 def small_params(n=64, mc=4000):
     return PolarParams(n=n, beta=0.25, mc_samples=mc)
+
+
+# -- the source model ---------------------------------------------------------------
+
+
+def _rename(axis, name):
+    axis.update(name=name)
+
+
+def _ternary_x(d):
+    d["x_prior"] = {"axes": [{"name": "X", "size": 3}], "table": [0.5, 0.25, 0.25]}
+
+
+def _ternary_w(d):
+    d["w_rule"]["out_axes"][0]["size"] = 3
+    d["w_rule"]["table"] = [0.5, 0.25, 0.25] * 4
+
+
+def _ternary_y_in_v_rule(d):
+    d["v_rule"]["given_axes"][1]["size"] = 3
+    d["v_rule"]["table"] = [0.5, 0.5] * 6
+
+
+MALFORMED = {
+    "u_prior over A": lambda d: _rename(d["u_prior"]["axes"][0], "A"),
+    "ternary X": _ternary_x,
+    "ternary W": _ternary_w,
+    "v_rule V|WX": lambda d: _rename(d["v_rule"]["given_axes"][1], "X"),
+    "w_rule V|XU": lambda d: _rename(d["w_rule"]["out_axes"][0], "V"),
+    "channel Y|U": lambda d: _rename(d["channel"]["given_axes"][0], "U"),
+    "v_rule over a ternary Y": _ternary_y_in_v_rule,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_source_model_rejects_malformed(case):
+    doc = chained_model().to_json_dict()
+    MALFORMED[case](doc)
+    with pytest.raises(ValueError):
+        SourceModel.from_json_dict(doc)
+    with pytest.raises(ConfigError) as err:
+        _source_model({"model": doc, "base_dir": "."})
+    assert err.value.pointer == "/model"
+
+
+def random_binary_w_model(rng):
+    u, y, v = (Alphabet(name, int(rng.integers(2, 4))) for name in "UYV")
+    x, w = Alphabet("X", 2), Alphabet("W", 2)
+
+    def rows(given, out):
+        shape = tuple(a.size for a in given)
+        return ConditionalPMF(given, (out,), rng.dirichlet(np.ones(out.size), size=shape))
+
+    return SourceModel(
+        JointPMF((u,), rng.dirichlet(np.ones(u.size))),
+        JointPMF((x,), rng.dirichlet(np.ones(2))),
+        rows((x,), y), rows((x, u), w), rows((w, y), v),
+    )
+
+
+def test_single_letter_joint_is_the_induced_joint():
+    rng = np.random.default_rng(12)
+    models = [bsc_model(), chained_model()] + [random_binary_w_model(rng) for _ in range(8)]
+    for m in models:
+        ind = induced_joint(m.target, AuxiliaryDecomposition(2, m.w_rule, m.v_rule))
+        joint = m.single_letter_joint()
+        assert ind.axis_names == joint.axis_names == ("U", "X", "W", "Y", "V")
+        assert np.array_equal(ind.table, joint.table)
+
+
+def test_witness_view_induces_target_view():
+    rng = np.random.default_rng(13)
+    for m in [bsc_model(), chained_model()] + [random_binary_w_model(rng) for _ in range(4)]:
+        assert evaluate(m.target, m.witness).residual <= 1e-12
+
+
+def test_target_and_witness_views_pinned():
+    # digests of the (target, witness) JSON that the CLI derived for the
+    # bundled models before they were views of the model
+    pinned = {
+        bsc_model: "a1a9ef0fd7f9a23e7feab957ddcca34e43edfeec4f2448ae69d24b38d5e03311",
+        chained_model: "1f2c9ec32e9b3f7e1de9cf91de2594dd6be1ab42fb4837ed868c798164690723",
+    }
+    for make, digest in pinned.items():
+        model = make()
+        views = [v.to_json_dict() for v in _target_and_witness_of(model)]
+        assert views == [model.target.to_json_dict(), model.witness.to_json_dict()]
+        assert hashlib.sha256(json.dumps(views).encode()).hexdigest() == digest
+
+
+def test_planted_target_pinned():
+    digest = hashlib.sha256(json.dumps(planted_target().to_json_dict()).encode()).hexdigest()
+    assert digest == "e92559d0ebfad1adf28d211615d85ebb74d6eaf0f1f9fbc24c72f13d53472d59"
 
 
 # -- params ------------------------------------------------------------------------

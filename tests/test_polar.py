@@ -11,8 +11,6 @@ from coordsim.polar import (
     SuccessiveCancellation,
     polar_transform,
     sc_pass,
-    sc_probability_w,
-    sc_probability_x,
     true_path_conditionals,
 )
 from coordsim.probability import Alphabet, ConditionalPMF, JointPMF
@@ -178,13 +176,21 @@ def test_push_without_query_keeps_state_consistent():
         sc.push(int(bits[j]))
 
 
-# -- model-facing queries --------------------------------------------------------------
+# -- the model's evidence tables through the known-path driver --------------------
+
+
+def prefix_conditional(leaf_p1, prefix) -> float:
+    """P(bit_j = 1 | bits before j = prefix, evidence) with j = len(prefix)
+    (0-based); the bits after the prefix do not enter."""
+    bits = np.zeros(len(leaf_p1), dtype=np.uint8)
+    bits[: len(prefix)] = prefix
+    return float(true_path_conditionals(np.asarray(leaf_p1)[None], bits[None])[0, len(prefix)])
 
 
 def test_sc_probability_x_uniform_source():
-    model = bsc_model()
-    assert sc_probability_x(1, [], model, n=8) == pytest.approx(0.5, abs=1e-12)
-    assert sc_probability_x(3, [0, 1], model, n=8) == pytest.approx(0.5, abs=1e-12)
+    leaf = np.full(8, bsc_model().x_prior.table[1])
+    assert prefix_conditional(leaf, []) == pytest.approx(0.5, abs=1e-12)
+    assert prefix_conditional(leaf, [0, 1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sc_probability_x_base_case():
@@ -195,14 +201,15 @@ def test_sc_probability_x_base_case():
         w_rule=bsc_model().w_rule,
         v_rule=bsc_model().v_rule,
     )
-    assert sc_probability_x(1, [], model, n=1) == pytest.approx(0.3, abs=1e-12)
+    leaf = np.full(1, model.x_prior.table[1])
+    assert prefix_conditional(leaf, []) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_sc_probability_x_posterior_oracle():
     # n=2, uniform X through BSC(0.1), y=(0,0): brute force over 4 sequences
     model = bsc_model(crossover=0.1)
-    got = sc_probability_x(1, [], model, y_obs=[0, 0])
-    assert got == pytest.approx(0.18, abs=1e-12)
+    leaf = model.x_posterior_given_y()[[0, 0]]
+    assert prefix_conditional(leaf, []) == pytest.approx(0.18, abs=1e-12)
 
 
 def test_sc_probability_w_independent_uniform():
@@ -210,8 +217,9 @@ def test_sc_probability_w_independent_uniform():
     w_rule = ConditionalPMF((X, U), (W,), np.full((2, 2, 2), 0.5))
     base = bsc_model()
     model = SourceModel(base.u_prior, base.x_prior, base.channel, w_rule, base.v_rule)
-    assert sc_probability_w(1, [], model, x=[0, 1]) == pytest.approx(0.5, abs=1e-12)
-    assert sc_probability_w(2, [1], model, x=[0, 1], u=[1, 0]) == pytest.approx(0.5, abs=1e-12)
+    x = [0, 1]
+    assert prefix_conditional(model.w_given_x()[x], []) == pytest.approx(0.5, abs=1e-12)
+    assert prefix_conditional(model.w_given_xu()[x, [1, 0]], [1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sc_probability_w_deterministic_copy():
@@ -223,12 +231,11 @@ def test_sc_probability_w_deterministic_copy():
                         ConditionalPMF((X, U), (W,), copy), base.v_rule)
     x = [0, 1, 1, 0]
     z_true = polar_transform(np.array(x, dtype=np.uint8))
-    prefix = []
-    for j in range(1, 5):
-        p = sc_probability_w(j, prefix, model, x=x, u=[0, 0, 0, 0])
+    leaf = model.w_given_xu()[x, [0, 0, 0, 0]]
+    for j in range(4):
+        p = prefix_conditional(leaf, z_true[:j])
         assert p in (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
-        assert int(round(p)) == z_true[j - 1]
-        prefix.append(int(z_true[j - 1]))
+        assert int(round(p)) == z_true[j]
 
 
 def test_sc_probability_w_enumeration_oracle():
@@ -237,10 +244,7 @@ def test_sc_probability_w_enumeration_oracle():
     base = bsc_model()
     model = SourceModel(base.u_prior, base.x_prior, base.channel,
                         ConditionalPMF((X, U), (W,), rows), base.v_rule)
-    x = [1, 0]
-    u = [0, 1]
-    leaf = model.w_given_xu()[x, u]
+    leaf = model.w_given_xu()[[1, 0], [0, 1]]
     for prefix in ([], [0], [1]):
-        j = len(prefix) + 1
-        got = sc_probability_w(j, prefix, model, x=x, u=u)
-        assert got == pytest.approx(enumerate_conditional(leaf, prefix, j), abs=1e-12)
+        got = prefix_conditional(leaf, prefix)
+        assert got == pytest.approx(enumerate_conditional(leaf, prefix, len(prefix) + 1), abs=1e-12)

@@ -16,6 +16,7 @@ from coordsim.probability import (
     condition,
     conditional_entropy,
     entropy,
+    inverse_cdf,
     kl_divergence,
     marginalize,
     mutual_information,
@@ -275,13 +276,66 @@ def test_sample_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def cdf_of(pmf):
+    """The CDF, 1 from the last cell with mass on."""
+    cdf = np.cumsum(pmf)
+    cdf[np.flatnonzero(pmf)[-1]:] = 1.0
+    return cdf
+
+
+def uniforms_with_boundaries(rng, cdfs, count):
+    """Random uniforms mixed with 0.0 and the CDF values below 1 themselves."""
+    edges = np.concatenate([[0.0]] + [c[c < 1.0] for c in cdfs])
+    u = rng.random(count)
+    pick = rng.random(count) < 0.5
+    u[pick] = rng.choice(edges, int(pick.sum()))
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=st.integers(1, 6), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_inverse_cdf_matches_searchsorted_right(cells, rows, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 3, (rows, cells)).astype(np.float64)  # zero cells on purpose
+    weights[np.arange(rows), rng.integers(0, cells, rows)] += 1.0
+    pmfs = weights / weights.sum(axis=1, keepdims=True)
+    cdfs = [cdf_of(row) for row in pmfs]
+
+    # one shared pmf, uniforms of any shape
+    u = uniforms_with_boundaries(rng, cdfs[:1], 24).reshape(2, 3, 4)
+    got = inverse_cdf(pmfs[0], u)
+    assert np.array_equal(got, np.searchsorted(cdfs[0], u, side="right"))
+    assert np.all(pmfs[0][got] > 0)
+    assert int(inverse_cdf(pmfs[0], float(u[0, 0, 0]))) == got[0, 0, 0]
+
+    # one pmf per uniform
+    which = rng.integers(0, rows, (3, 5))
+    u = uniforms_with_boundaries(rng, cdfs, 15).reshape(3, 5)
+    got = inverse_cdf(pmfs[which], u)
+    expect = np.vectorize(lambda r, x: np.searchsorted(cdfs[r], x, side="right"))(which, u)
+    assert np.array_equal(got, expect)
+    assert np.all(pmfs[which, got] > 0)
+
+
+def test_inverse_cdf_never_draws_a_zero_mass_cell_at_the_ends():
+    # a 0.0 uniform skips leading zero cells
+    assert inverse_cdf(np.array([0.0, 0.0, 1.0]), np.zeros(3)).tolist() == [2, 2, 2]
+    assert inverse_cdf(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2)).tolist() == [1, 0]
+    # a sum that rounds below 1 leaves no slack to a trailing zero cell
+    pmf = np.array([0.1] * 10 + [0.0])
+    assert np.cumsum(pmf)[-1] < 1.0
+    top = np.nextafter(1.0, 0.0)
+    assert inverse_cdf(pmf, top) == 9
+    assert inverse_cdf(np.stack([pmf, pmf]), np.array([top, 0.0])).tolist() == [9, 0]
+
+
 # -- serialization ---------------------------------------------------------------
 
 
 def test_joint_json_roundtrip_bit_exact():
     rng = np.random.default_rng(9)
     p = random_pmf(rng, (Alphabet("A", 3), Alphabet("B", 2)))
-    q = JointPMF.loads(p.dumps())
+    q = JointPMF.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
     assert q.axis_names == p.axis_names
     assert np.array_equal(q.table, p.table)  # bit-exact
 
@@ -289,14 +343,14 @@ def test_joint_json_roundtrip_bit_exact():
 def test_conditional_json_roundtrip_bit_exact():
     rng = np.random.default_rng(10)
     c = random_conditional(rng, (Alphabet("A", 2), Alphabet("B", 3)), (Alphabet("C", 2),))
-    c2 = ConditionalPMF.loads(c.dumps())
+    c2 = ConditionalPMF.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
     assert np.array_equal(c2.table, c.table)
     assert c2.given_names == c.given_names and c2.out_names == c.out_names
 
 
 def test_json_schema_shape():
     p = JointPMF.uniform((A,))
-    d = json.loads(p.dumps())
+    d = json.loads(json.dumps(p.to_json_dict()))
     assert d == {"axes": [{"name": "A", "size": 2}], "table": [0.5, 0.5]}
 
 
