@@ -161,13 +161,24 @@ class SourceModel:
 
     def sample_blocks(self, rng: np.random.Generator, count: int, n: int) -> dict[str, np.ndarray]:
         """``count`` i.i.d. blocks of length ``n`` of the 5-tuple, as a dict
-        of (count, n) int arrays keyed 'u','x','w','y','v'."""
+        of (count, n) uint8 arrays keyed 'u','x','w','y','v'.
+
+        The uniforms are drawn ``CHUNK_ROWS`` rows at a time: the same
+        stream as one (count, n) draw, but no (count, n) float or int64
+        array is made.  At n=1024 and 2048 rows those would be 32 MB of
+        short-lived heap per batch, and how much of it the allocator reuses
+        varies from one process to the next by a whole array.
+        """
         joint = self.single_letter_joint()
-        draws = inverse_cdf(joint.table.reshape(-1), rng.random((count, n)))
-        # per-axis uint8 lookups of the flat cell index: no int64 copy per axis
-        lookups = np.unravel_index(np.arange(joint.table.size), joint.table.shape)
-        return {name: lut.astype(np.uint8)[draws]
-                for name, lut in zip(("u", "x", "w", "y", "v"), lookups)}
+        flat = joint.table.reshape(-1)
+        # per-axis uint8 lookups of the flat cell index
+        lookups = [lut.astype(np.uint8) for lut in np.unravel_index(np.arange(flat.size), joint.table.shape)]
+        blocks = {name: np.empty((count, n), np.uint8) for name in ("u", "x", "w", "y", "v")}
+        for lo in range(0, count, CHUNK_ROWS):
+            draws = inverse_cdf(flat, rng.random((min(CHUNK_ROWS, count - lo), n)))
+            for block, lut in zip(blocks.values(), lookups):
+                np.take(lut, draws, out=block[lo:lo + len(draws)])
+        return blocks
 
     def to_json_dict(self) -> dict:
         return {

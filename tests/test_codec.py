@@ -151,8 +151,9 @@ def test_action_draw_zero_uniform_skips_zero_mass_action():
 
 
 def test_sampling_sites_take_one_random_call_each():
-    # each site draws its uniforms with one rng.random call of the draw
-    # shape, so the generator ends where that call alone leaves it
+    # each site draws the uniforms of one rng.random call of the draw shape
+    # (sample_blocks in row chunks of that stream), so the generator ends
+    # where that call alone leaves it
     def state_after(draw):
         rng = np.random.default_rng(21)
         draw(rng)

@@ -19,7 +19,8 @@ from coordsim.construction import (
     rate_report,
     save_index_cache,
 )
-from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, conditional_entropy, entropy
+from coordsim.polar import CHUNK_ROWS
+from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, conditional_entropy, entropy, inverse_cdf
 from coordsim.region import AuxiliaryDecomposition, evaluate, induced_joint
 
 
@@ -178,6 +179,21 @@ def test_profile_conditioning_reduces_entropy_within_noise():
     assert np.all(prof.h_s_y <= prof.h_s + slack)
     slack_z = 2.0 * (prof.se_z_xu + prof.se_z_x)
     assert np.all(prof.h_z_xu <= prof.h_z_x + slack_z)
+
+
+def test_sample_blocks_chunked_draw_is_one_draw():
+    # the uniforms come CHUNK_ROWS rows at a time; the blocks and the
+    # generator's end state are those of one (count, n) draw
+    model = chained_model()
+    joint = model.single_letter_joint()
+    for count in (0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        blocks = model.sample_blocks(rng, count, 16)
+        cells = inverse_cdf(joint.table.reshape(-1), ref.random((count, 16)))
+        for name, axis in zip("uxwyv", np.unravel_index(cells, joint.table.shape)):
+            assert blocks[name].dtype == np.uint8 and blocks[name].shape == (count, 16)
+            assert np.array_equal(blocks[name], axis)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_profile_deterministic_given_seed():
