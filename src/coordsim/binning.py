@@ -29,7 +29,6 @@ __all__ = [
     "RandomBinning",
     "BinningTrialStats",
     "dsbs",
-    "sw_decode",
     "sw_error_rate",
     "extraction_kl",
     "verify_lemma_regimes",
@@ -99,31 +98,6 @@ def _log_table(table: np.ndarray) -> np.ndarray:
 def _ab_table(joint: JointPMF) -> np.ndarray:
     """The single-letter table with axes ordered (A, B)."""
     return joint.table if joint.axis_names == ("A", "B") else joint.table.T
-
-
-def sw_decode(
-    bin_index: int, side_b, binning: RandomBinning, joint: JointPMF
-) -> tuple[np.ndarray, bool]:
-    """Maximum-posterior decoding of a^n from its bin and side information.
-
-    Scores every sequence in the bin and maximizes P(a^n | b^n) under
-    the memoryless ``joint`` over axes (A, B); ties break to the
-    lexicographically first sequence.  An empty bin (a legitimate random
-    event) returns the all-zeros sequence flagged as such.
-    """
-    side_b = np.asarray(side_b, dtype=np.int64)
-    n = binning.n
-    if len(side_b) != n:
-        raise ValueError(f"side information must have length {n}")
-    size_a = joint.axes[joint.axis_index("A")].size
-    if size_a != binning.alphabet_size:
-        raise ValueError("binning alphabet does not match the joint")
-    mask = binning.assignment == bin_index
-    if not mask.any():
-        return np.zeros(n, dtype=np.int64), True
-    scores = _posterior_scores(joint, side_b[None, :])[0]
-    scores[~mask] = -np.inf
-    return np.array(np.unravel_index(int(np.argmax(scores)), (size_a,) * n), dtype=np.int64), False
 
 
 def _posterior_scores(joint: JointPMF, side_b: np.ndarray) -> np.ndarray:

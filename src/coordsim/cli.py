@@ -153,8 +153,8 @@ def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
 
 def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> dict:
     """Validate a config document: defaults filled, unknown keys rejected
-    (errors carry JSON pointers), params checked for the power-of-two block
-    length, and referenced files checked for existence."""
+    (errors carry JSON pointers), params and the binning sweep checked for
+    values that cannot run, and referenced files checked for existence."""
     if subcommand not in _SCHEMAS:
         raise ConfigError("/", f"unknown subcommand {subcommand!r}")
     cfg = _apply_schema(doc, _SCHEMAS[subcommand])
@@ -167,6 +167,8 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
             raise ConfigError("/params/n", f"block length must be a power of 2, got {n}")
         if not (0.0 < params["beta"] < 0.5):
             raise ConfigError("/params/beta", "beta must lie in (0, 1/2)")
+        if params["mc_samples"] < 1:
+            raise ConfigError("/params/mc_samples", "mc_samples must be >= 1")
         cfg["params"] = params
     if cfg.get("trials") is not None and cfg["trials"] < 1:
         raise ConfigError("/trials", "trials must be >= 1")
@@ -176,6 +178,8 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
         for i, s in enumerate(cfg["seeds"]):
             if not isinstance(s, int) or isinstance(s, bool):
                 raise ConfigError(f"/seeds/{i}", "seeds must be integers")
+    if subcommand == "verify-binning":
+        _check_binning_sweep(cfg)
     if subcommand == "plotdata":
         for i, p in enumerate(cfg["reports"]):
             path = Path(cfg["base_dir"]) / p
@@ -190,6 +194,23 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
         if not path.exists():
             raise ConfigError("/sets_cache", f"no such cache file: {path}")
     return cfg
+
+
+def _check_binning_sweep(cfg):
+    for key in ("replicates", "samples"):
+        if cfg[key] < 1:
+            raise ConfigError(f"/{key}", f"{key} must be >= 1")
+    for i, n in enumerate(cfg["n_list"]):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ConfigError(f"/n_list/{i}", f"blocklengths must be integers >= 1, got {n!r}")
+    for i, rate in enumerate(cfg["rates"]):
+        if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 <= rate < math.inf:
+            raise ConfigError(f"/rates/{i}", f"rates must be finite numbers >= 0, got {rate!r}")
+    if not cfg["lemmas"]:
+        raise ConfigError("/lemmas", "lemma list must be nonempty")
+    for i, lemma in enumerate(cfg["lemmas"]):
+        if lemma not in ("sw", "extraction"):
+            raise ConfigError(f"/lemmas/{i}", f"lemmas are 'sw' and 'extraction', got {lemma!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +335,7 @@ def _run_construct(cfg) -> dict:
         "index_sets": sets.to_json_dict(),
         "profile": profile.to_json_dict(),
         "divergence_certificate": cert.to_json_dict(),
-        "set_sizes": {k: int(len(getattr(sets, k))) for k in
-                      ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "bp1", "ap3", "bp3", "ap2")},
+        "set_sizes": {k: int(len(getattr(sets, k))) for k in sets.NAMES},
     }
     if cfg["cache"] is not None:
         cache_path = Path(cfg["base_dir"]) / cfg["cache"]

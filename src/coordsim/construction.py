@@ -161,24 +161,11 @@ class SourceModel:
 
     def sample_blocks(self, rng: np.random.Generator, count: int, n: int) -> dict[str, np.ndarray]:
         """``count`` i.i.d. blocks of length ``n`` of the 5-tuple, as a dict
-        of (count, n) uint8 arrays keyed 'u','x','w','y','v'.
-
-        The uniforms are drawn ``CHUNK_ROWS`` rows at a time: the same
-        stream as one (count, n) draw, but no (count, n) float or int64
-        array is made.  At n=1024 and 2048 rows those would be 32 MB of
-        short-lived heap per batch, and how much of it the allocator reuses
-        varies from one process to the next by a whole array.
-        """
+        of (count, n) uint8 arrays keyed 'u','x','w','y','v'."""
         joint = self.single_letter_joint()
-        flat = joint.table.reshape(-1)
-        # per-axis uint8 lookups of the flat cell index
-        lookups = [lut.astype(np.uint8) for lut in np.unravel_index(np.arange(flat.size), joint.table.shape)]
-        blocks = {name: np.empty((count, n), np.uint8) for name in ("u", "x", "w", "y", "v")}
-        for lo in range(0, count, CHUNK_ROWS):
-            draws = inverse_cdf(flat, rng.random((min(CHUNK_ROWS, count - lo), n)))
-            for block, lut in zip(blocks.values(), lookups):
-                np.take(lut, draws, out=block[lo:lo + len(draws)])
-        return blocks
+        draws = inverse_cdf(joint.table.reshape(-1), rng.random((count, n)))
+        axes = np.unravel_index(draws, joint.table.shape)
+        return {name: axis.astype(np.uint8) for name, axis in zip(("u", "x", "w", "y", "v"), axes)}
 
     def to_json_dict(self) -> dict:
         return {
@@ -245,34 +232,18 @@ class PolarizedEntropyProfile:
         return cls(**kw)
 
 
-def _default_batch(n: int, mc_samples: int) -> int:
-    return max(1, min(mc_samples, (1 << 21) // n))
-
-
-def _carried_sum(carry: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """The axis-0 sum of ``rows`` with ``carry`` (if any) as the first row."""
-    if carry is not None:
-        rows = np.concatenate((carry[None], rows))
-    return np.add.reduce(rows, axis=0)
-
-
-def estimate_profile(
-    model: SourceModel,
-    params: PolarParams,
-    rng: np.random.Generator,
-    batch_size: int | None = None,
-) -> PolarizedEntropyProfile:
+def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Generator) -> PolarizedEntropyProfile:
     """Monte-Carlo estimates of the five per-index conditional entropies.
 
     Each sample draws a full i.i.d. block of (u, x, w, y, v), polarizes x
     and w, and evaluates the exact successive-cancellation conditional of
     every bit along the true path; h(p) averaged over samples estimates the
-    conditional entropy.  Rows are evaluated in chunks of ``CHUNK_ROWS``;
-    within a chunk the two families on the bits of s share one partial-sum
-    tree and the three families on the bits of z share another.
+    conditional entropy.  The rows are drawn and scored ``CHUNK_ROWS`` at a
+    time, one stream for the whole run; within a chunk the two families on
+    the bits of s share one partial-sum tree and the three families on the
+    bits of z share another.  Every h and h*h is summed in draw order.
     """
     n, total = params.n, params.mc_samples
-    batch = batch_size or _default_batch(n, total)
     xpost = model.x_posterior_given_y()
     wxu = model.w_given_xu()
     wx = model.w_given_x()
@@ -281,36 +252,24 @@ def estimate_profile(
 
     sums = {k: np.zeros(n) for k in PolarizedEntropyProfile.FAMILIES}
     sqs = {k: np.zeros(n) for k in PolarizedEntropyProfile.FAMILIES}
-    done = 0
-    while done < total:
-        b = min(batch, total - done)
-        blk = model.sample_blocks(rng, b, n)
-        u, x, w, y, v = blk["u"], blk["x"], blk["w"], blk["y"], blk["v"]
-        s = polar_transform(x)
-        z = polar_transform(w)
-        # Per-batch sums of h and h*h, folded in chunk by chunk.  numpy's
-        # axis-0 sum adds rows in order, so carrying the running sum as the
-        # first row of each chunk adds the batch's rows in the same order as
-        # one sum over the whole batch would.
-        batch_sums, batch_sqs = {}, {}
-        for lo in range(0, b, CHUNK_ROWS):
-            c = slice(lo, lo + CHUNK_ROWS)
-            s_tree, z_tree = known_path_tree(s[c]), known_path_tree(z[c])
-            families = {
-                "h_s": (np.full(s[c].shape, p_x1), s_tree),
-                "h_s_y": (xpost[y[c]], s_tree),
-                "h_z_xu": (wxu[x[c], u[c]], z_tree),
-                "h_z_x": (wx[x[c]], z_tree),
-                "h_z_all": (wfull[u[c], x[c], y[c], v[c]], z_tree),
-            }
-            for fam, (evidence, tree) in families.items():
-                h = binary_entropy(known_path_conditionals(evidence, tree))
-                batch_sums[fam] = _carried_sum(batch_sums.get(fam), h)
-                batch_sqs[fam] = _carried_sum(batch_sqs.get(fam), h * h)
-        for fam in PolarizedEntropyProfile.FAMILIES:
-            sums[fam] += batch_sums[fam]
-            sqs[fam] += batch_sqs[fam]
-        done += b
+    for lo in range(0, total, CHUNK_ROWS):
+        blk = model.sample_blocks(rng, min(CHUNK_ROWS, total - lo), n)
+        u, x, y, v = blk["u"], blk["x"], blk["y"], blk["v"]
+        s_tree = known_path_tree(polar_transform(x))
+        z_tree = known_path_tree(polar_transform(blk["w"]))
+        families = {
+            "h_s": (np.full(x.shape, p_x1), s_tree),
+            "h_s_y": (xpost[y], s_tree),
+            "h_z_xu": (wxu[x, u], z_tree),
+            "h_z_x": (wx[x], z_tree),
+            "h_z_all": (wfull[u, x, y, v], z_tree),
+        }
+        # numpy's axis-0 sum adds rows in order, so the running sum carried
+        # as the first row adds every row in draw order
+        for fam, (evidence, tree) in families.items():
+            h = binary_entropy(known_path_conditionals(evidence, tree))
+            sums[fam] = np.add.reduce(np.concatenate((sums[fam][None], h)))
+            sqs[fam] = np.add.reduce(np.concatenate((sqs[fam][None], h * h)))
 
     kw = {"n": n, "samples": total}
     for fam in PolarizedEntropyProfile.FAMILIES:
@@ -348,6 +307,9 @@ class PolarIndexSets:
     ap2: np.ndarray
     warnings: tuple[str, ...] = field(default=())
 
+    # the sets in the order of reports and cache files
+    NAMES = ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "bp1", "ap3", "bp3", "ap2")
+
     def __post_init__(self):
         full = np.arange(self.n)
         for name, parts in (("a", (self.a1, self.a2, self.a3, self.a4)),
@@ -369,7 +331,7 @@ class PolarIndexSets:
 
     def to_json_dict(self) -> dict:
         d = {"n": self.n, "delta_n": self.delta_n, "warnings": list(self.warnings)}
-        for name in ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "bp1", "ap3", "bp3", "ap2"):
+        for name in self.NAMES:
             d[name] = getattr(self, name).tolist()
         return d
 
@@ -377,7 +339,7 @@ class PolarIndexSets:
     def from_json_dict(cls, d: dict) -> "PolarIndexSets":
         kw = {"n": int(d["n"]), "delta_n": float(d["delta_n"]),
               "warnings": tuple(d.get("warnings", ()))}
-        for name in ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "bp1", "ap3", "bp3", "ap2"):
+        for name in cls.NAMES:
             kw[name] = np.array(d[name], dtype=np.int64)
         return cls(**kw)
 
@@ -529,7 +491,6 @@ def divergence_certificate(
 
 _CACHE_MAGIC = b"CSIX"
 _CACHE_VERSION = 1
-_SET_ORDER = ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "bp1", "ap3", "bp3", "ap2")
 
 
 def save_index_cache(path, sets: PolarIndexSets):
@@ -540,7 +501,7 @@ def save_index_cache(path, sets: PolarIndexSets):
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<II", _CACHE_VERSION, sets.n))
         fh.write(struct.pack("<d", sets.delta_n))
-        for name in _SET_ORDER:
+        for name in PolarIndexSets.NAMES:
             arr = np.asarray(getattr(sets, name), dtype="<u4")
             fh.write(struct.pack("<I", len(arr)))
             fh.write(arr.tobytes())
@@ -560,7 +521,7 @@ def load_index_cache(path) -> PolarIndexSets:
             raise ValueError(f"{path}: unsupported cache version {version}")
         (delta,) = struct.unpack("<d", fh.read(8))
         kw: dict = {"n": n, "delta_n": delta}
-        for name in _SET_ORDER:
+        for name in PolarIndexSets.NAMES:
             (count,) = struct.unpack("<I", fh.read(4))
             kw[name] = np.frombuffer(fh.read(4 * count), dtype="<u4").astype(np.int64)
         (nwarn,) = struct.unpack("<I", fh.read(4))

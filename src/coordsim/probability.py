@@ -8,7 +8,7 @@ Conventions used throughout the package:
   range [0, 2].  This is the convention under which the coupling inequality
   ``V(P_A, P_A') <= 2 P{A != A'}`` and the entropy-continuity bound
   ``|H(P) - H(P')| <= eps * log2(|A| / eps)`` (valid for eps <= 1/2) hold
-  simultaneously.  Use :func:`tv_halved` for the [0, 1] convention.
+  simultaneously.
 * KL divergence returns ``math.inf`` when the support of ``p`` is not
   contained in the support of ``q``.
 
@@ -37,7 +37,6 @@ __all__ = [
     "conditional_entropy",
     "mutual_information",
     "total_variation",
-    "tv_halved",
     "kl_divergence",
     "inverse_cdf",
     "sample",
@@ -335,11 +334,6 @@ def _align(p: JointPMF, q: JointPMF) -> np.ndarray:
 def total_variation(p: JointPMF, q: JointPMF) -> float:
     """Unnormalized L1 distance sum(|p - q|), in [0, 2]."""
     return float(np.abs(p.table - _align(p, q)).sum())
-
-
-def tv_halved(p: JointPMF, q: JointPMF) -> float:
-    """Total variation in the [0, 1] convention."""
-    return 0.5 * total_variation(p, q)
 
 
 def kl_divergence(p: JointPMF, q: JointPMF) -> float:

@@ -48,7 +48,6 @@ __all__ = [
     "witness_joint",
     "induced_joint",
     "evaluate",
-    "equivalent_constraint_check",
     "empirical_region_check",
     "search_auxiliary",
     "binning_rate_ledger",
@@ -256,19 +255,6 @@ def evaluate(
     inner, outer = _rates(ind)
     feasible = residual <= tol and info_slack >= -INFO_SLACK_TOL
     return RegionVerdict(feasible, residual, info_slack, inner, outer, aux)
-
-
-def equivalent_constraint_check(ind: JointPMF) -> tuple[float, float]:
-    """Return (I(W;U|X), I(X;Y)) on an induced joint and assert that the
-    sign of I(WX;Y) - I(WX;U) matches the sign of the difference."""
-    lhs = mutual_information(ind, ["W"], ["U"], ["X"])
-    rhs = mutual_information(ind, ["X"], ["Y"])
-    direct = mutual_information(ind, ["W", "X"], ["Y"]) - mutual_information(ind, ["W", "X"], ["U"])
-    if abs(direct - (rhs - lhs)) > 1e-9:
-        raise AssertionError(
-            f"constraint forms disagree: I(WX;Y)-I(WX;U)={direct!r} vs I(X;Y)-I(W;U|X)={rhs - lhs!r}"
-        )
-    return lhs, rhs
 
 
 def empirical_region_check(

@@ -14,7 +14,6 @@ from coordsim.binning import (
     _posterior_scores,
     dsbs,
     extraction_kl,
-    sw_decode,
     sw_error_rate,
     verify_lemma_regimes,
 )
@@ -71,26 +70,6 @@ def test_sw_decode_perfect_side_info_any_rate():
     binning = RandomBinning.draw(10, 0.2, 2, rng)
     err = sw_error_rate(binning, joint, rng, samples=200)
     assert err == 0.0
-
-
-def test_sw_decode_deterministic_and_lexicographic_ties():
-    joint = dsbs(0.1)
-    rng = np.random.default_rng(4)
-    binning = RandomBinning.draw(6, 0.5, 2, rng)
-    b = rng.integers(0, 2, 6)
-    first = sw_decode(3, b, binning, joint)
-    again = sw_decode(3, b, binning, joint)
-    assert np.array_equal(first[0], again[0]) and first[1] == again[1]
-
-
-def test_sw_decode_empty_bin_flagged():
-    # a one-sequence alphabet makes crafted empty bins easy: assign all to bin 1
-    joint = dsbs(0.1)
-    assignment = np.ones(2**6, dtype=np.int64)
-    binning = RandomBinning(6, 0.5, 2, assignment)
-    a_hat, empty = sw_decode(2, np.zeros(6, dtype=np.int64), binning, joint)
-    assert empty
-    assert np.array_equal(a_hat, np.zeros(6))
 
 
 def test_sw_feasible_rate_beats_infeasible_rate():

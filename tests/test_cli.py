@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -74,6 +75,16 @@ def test_construct_writes_report_and_cache(tmp_path):
 
     sets = load_index_cache(tmp_path / "sets.bin")
     assert sets.n == 32
+
+
+def test_construct_benchmark_op_pinned(tmp_path):
+    # one construct op of the benchmark: the digest pins the random stream,
+    # the order of every Monte-Carlo sum and the report's sets and sizes
+    doc = {"model": "bundled:chained", "params": {"n": 1024, "mc_samples": 2048}, "seed": 0}
+    report = cli.run("construct", parse_config("construct", doc, tmp_path))
+    keys = ("profile", "index_sets", "divergence_certificate", "set_sizes")
+    got = hashlib.sha256(json.dumps({k: report[k] for k in keys}, sort_keys=True).encode()).hexdigest()
+    assert got == "c2a90740e032e0e93904531440e95959ce6be0c4bc086da36b16b50ad35c47a8"
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -270,6 +281,34 @@ def test_plotdata_schema_mismatch():
 
 
 # -- process exit behavior -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("subcommand,over,pointer", [
+    ("verify-binning", {"replicates": 0}, "/replicates"),
+    ("verify-binning", {"samples": 0}, "/samples"),
+    ("verify-binning", {"n_list": [4, 0]}, "/n_list/1"),
+    ("verify-binning", {"n_list": [2.5]}, "/n_list/0"),
+    ("verify-binning", {"n_list": [True]}, "/n_list/0"),
+    ("verify-binning", {"rates": [-0.5]}, "/rates/0"),
+    ("verify-binning", {"rates": [0.3, float("nan")]}, "/rates/1"),
+    ("verify-binning", {"rates": [float("inf")]}, "/rates/0"),
+    ("verify-binning", {"rates": ["0.3"]}, "/rates/0"),
+    ("verify-binning", {"lemmas": []}, "/lemmas"),
+    ("verify-binning", {"lemmas": ["sw", "foo"]}, "/lemmas/1"),
+    ("construct", {"params": {"n": 32, "mc_samples": 0}}, "/params/mc_samples"),
+])
+def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
+    from coordsim.binning import dsbs
+
+    doc = {"model": dsbs(0.1).to_json_dict(), "n_list": [4], "rates": [0.3], "replicates": 2,
+           "samples": 10, "out": "bad"} if subcommand == "verify-binning" else {"model": "bundled:bsc"}
+    doc.update(over)
+    code = cli.main([subcommand, "--config", str(write_config(tmp_path, "bad.json", doc))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith(pointer + ": ")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_main_error_is_machine_readable(tmp_path, capsys):

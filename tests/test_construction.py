@@ -19,8 +19,16 @@ from coordsim.construction import (
     rate_report,
     save_index_cache,
 )
-from coordsim.polar import CHUNK_ROWS
-from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, conditional_entropy, entropy, inverse_cdf
+from coordsim.polar import CHUNK_ROWS, polar_transform, true_path_conditionals
+from coordsim.probability import (
+    Alphabet,
+    ConditionalPMF,
+    JointPMF,
+    binary_entropy,
+    conditional_entropy,
+    entropy,
+    inverse_cdf,
+)
 from coordsim.region import AuxiliaryDecomposition, evaluate, induced_joint
 
 
@@ -182,18 +190,22 @@ def test_profile_conditioning_reduces_entropy_within_noise():
 
 
 def test_sample_blocks_chunked_draw_is_one_draw():
-    # the uniforms come CHUNK_ROWS rows at a time; the blocks and the
-    # generator's end state are those of one (count, n) draw
+    # the profile draws its rows CHUNK_ROWS at a time, one sample_blocks
+    # call per chunk; the blocks and the generator's end state are those of
+    # one (count, n) draw, by one call or by chunks
     model = chained_model()
     joint = model.single_letter_joint()
     for count in (0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5):
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        rng, chunked, ref = (np.random.default_rng(3) for _ in range(3))
         blocks = model.sample_blocks(rng, count, 16)
+        parts = [model.sample_blocks(chunked, min(CHUNK_ROWS, count - lo), 16)
+                 for lo in range(0, count, CHUNK_ROWS)]
         cells = inverse_cdf(joint.table.reshape(-1), ref.random((count, 16)))
         for name, axis in zip("uxwyv", np.unravel_index(cells, joint.table.shape)):
             assert blocks[name].dtype == np.uint8 and blocks[name].shape == (count, 16)
             assert np.array_equal(blocks[name], axis)
-        assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(np.concatenate([blocks[name][:0]] + [p[name] for p in parts]), axis)
+        assert rng.bit_generator.state == chunked.bit_generator.state == ref.bit_generator.state
 
 
 def test_profile_deterministic_given_seed():
@@ -203,19 +215,39 @@ def test_profile_deterministic_given_seed():
     assert np.array_equal(a.h_s_y, b.h_s_y)
 
 
-@pytest.mark.parametrize("batch,digest", [
-    (None, "40e492cb23c91d9cf3ce98d15bd9a80e47b38a734ed3525a1b9b98a7664ae804"),
-    (100, "d84acddd08bfd30985e8da537917d57778de31e8c51ef9676a3eefa945aea228"),
-])
-def test_profile_pinned_digest(batch, digest):
-    # one 3000-row batch, then thirty 100-row batches: the digest pins the
-    # random stream and the order in which every h and h*h is summed
-    import hashlib
-    import json
-
-    prof = estimate_profile(chained_model(), small_params(n=64, mc=3000), np.random.default_rng(0), batch)
+def test_profile_pinned_digest():
+    # the digest pins the random stream and the order in which every h and
+    # h*h is summed
+    prof = estimate_profile(chained_model(), small_params(n=64, mc=3000), np.random.default_rng(0))
     got = hashlib.sha256(json.dumps(prof.to_json_dict(), sort_keys=True).encode()).hexdigest()
-    assert got == digest
+    assert got == "40e492cb23c91d9cf3ce98d15bd9a80e47b38a734ed3525a1b9b98a7664ae804"
+
+
+def test_profile_is_one_draw_summed_in_order():
+    # 69 rows at n=16, two full chunks and a partial one: the profile is
+    # that of one (69, 16) draw, every family scored on all rows at once
+    # and its rows summed in order; the generator ends where that draw does
+    model = chained_model()
+    rows = 2 * CHUNK_ROWS + 5
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    prof = estimate_profile(model, small_params(n=16, mc=rows), rng)
+    blk = model.sample_blocks(ref, rows, 16)
+    u, x, y, v = blk["u"], blk["x"], blk["y"], blk["v"]
+    s, z = polar_transform(x), polar_transform(blk["w"])
+    families = {
+        "h_s": (np.full(s.shape, float(model.x_prior.table[1])), s),
+        "h_s_y": (model.x_posterior_given_y()[y], s),
+        "h_z_xu": (model.w_given_xu()[x, u], z),
+        "h_z_x": (model.w_given_x()[x], z),
+        "h_z_all": (model.w_posterior_full()[u, x, y, v], z),
+    }
+    for fam, (evidence, bits) in families.items():
+        h = binary_entropy(true_path_conditionals(evidence, bits))
+        mean = np.add.reduce(h) / rows
+        var = np.maximum(np.add.reduce(h * h) / rows - mean * mean, 0.0)
+        assert np.array_equal(getattr(prof, fam), np.clip(mean, 0.0, 1.0)), fam
+        assert np.array_equal(getattr(prof, "se_" + fam[2:]), np.sqrt(var / rows)), fam
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_profile_json_roundtrip():

@@ -22,7 +22,6 @@ from coordsim.probability import (
     mutual_information,
     sample,
     total_variation,
-    tv_halved,
 )
 
 A = Alphabet("A", 2)
@@ -233,7 +232,6 @@ def test_total_variation_examples():
     assert total_variation(p, p) == 0.0
     assert total_variation(pmf1("A", [1, 0]), pmf1("A", [0, 1])) == 2.0
     assert total_variation(p, q) == pytest.approx(0.5, abs=1e-15)
-    assert tv_halved(p, q) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_total_variation_axis_mismatch():

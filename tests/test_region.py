@@ -32,7 +32,6 @@ from coordsim.region import (
     cardinality_bound,
     check_target_factorization,
     empirical_region_check,
-    equivalent_constraint_check,
     evaluate,
     induced_joint,
     search_auxiliary,
@@ -217,11 +216,21 @@ def test_evaluate_self_witness_residual():
 # -- equivalent constraint --------------------------------------------------------
 
 
+def equivalent_constraint(ind):
+    """(I(W;U|X), I(X;Y)) on an induced joint, after checking that
+    I(WX;Y) - I(WX;U) equals I(X;Y) - I(W;U|X)."""
+    lhs = mutual_information(ind, ["W"], ["U"], ["X"])
+    rhs = mutual_information(ind, ["X"], ["Y"])
+    direct = mutual_information(ind, ["W", "X"], ["Y"]) - mutual_information(ind, ["W", "X"], ["U"])
+    assert abs(direct - (rhs - lhs)) <= 1e-9
+    return lhs, rhs
+
+
 def test_equivalent_constraint_examples():
     rng = np.random.default_rng(6)
     t = rand_target(rng)
     aux = constant_w_aux(rand_rows(rng, (2,), 2))
-    lhs, _ = equivalent_constraint_check(induced_joint(t, aux))
+    lhs, _ = equivalent_constraint(induced_joint(t, aux))
     assert lhs == pytest.approx(0.0, abs=1e-10)
 
     noiseless = CoordinationTarget(
@@ -230,7 +239,7 @@ def test_equivalent_constraint_examples():
         channel=binary_symmetric_channel(0.0),
         action_rule=ConditionalPMF((U, X, Y), (V,), rand_rows(rng, (2, 2, 2), 2)),
     )
-    _, rhs = equivalent_constraint_check(induced_joint(noiseless, rand_aux(rng)))
+    _, rhs = equivalent_constraint(induced_joint(noiseless, rand_aux(rng)))
     assert rhs == pytest.approx(1.0, abs=1e-10)
 
 
@@ -238,7 +247,7 @@ def test_equivalent_constraint_chain_rule_oracle():
     rng = np.random.default_rng(7)
     for _ in range(20):
         ind = induced_joint(rand_target(rng), rand_aux(rng))
-        lhs, rhs = equivalent_constraint_check(ind)
+        lhs, rhs = equivalent_constraint(ind)
         lhs_oracle = conditional_entropy(ind, ["W"], ["X"]) - conditional_entropy(
             ind, ["W"], ["U", "X"]
         )
