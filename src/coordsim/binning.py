@@ -43,7 +43,7 @@ def _check_cells(what: str, shape: str, cells: int) -> int:
     if cells > ENUMERATION_CELL_CAP:
         raise ValueError(
             f"{what}: {shape} = {cells} cells exceeds the enumeration cap "
-            f"{ENUMERATION_CELL_CAP}; use a smaller n"
+            f"{ENUMERATION_CELL_CAP}; use a smaller n or rate"
         )
     return cells
 

@@ -164,8 +164,9 @@ class SourceModel:
         of (count, n) uint8 arrays keyed 'u','x','w','y','v'."""
         joint = self.single_letter_joint()
         draws = inverse_cdf(joint.table.reshape(-1), rng.random((count, n)))
-        axes = np.unravel_index(draws, joint.table.shape)
-        return {name: axis.astype(np.uint8) for name, axis in zip(("u", "x", "w", "y", "v"), axes)}
+        # row i of ``cells`` is the axis-i symbol of each flat cell
+        cells = np.indices(joint.table.shape, dtype=np.uint8).reshape(5, -1)
+        return {name: axis.take(draws) for name, axis in zip(("u", "x", "w", "y", "v"), cells)}
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,6 +15,11 @@ pairwise updates on a sub-block whose leaf probabilities have halves a, b:
                                         first half is known with partial
                                         sums x_a = T(first half)
 
+In g, P(first leaf = x_a ^ 1) is 1 - a where x_a = 1 and a where x_a = 0;
+it is computed without a select as |x_a - a|, which gives the same float64
+bits as the select: |0 - a| = a, and 1 - a is rounded as the 1 - a that f
+uses, with no sign to drop since a <= 1.
+
 Every update is clipped to [1e-20, 1].  Contradiction rule: the
 denominator of g is zero where both hypotheses for a second-half leaf have
 zero mass, that is, where a decided or frozen bit contradicts certain
@@ -104,9 +109,18 @@ def _f(a, b, not_a, not_b):
 
 def _g(a, b, not_a, not_b, x_a):
     """P(leaf = 1) for the second half of a sub-block, given the partial
-    sums ``x_a`` of its decided first half; 1/2 where both hypotheses have
-    zero mass (the contradiction rule)."""
-    a_match = np.where(x_a, not_a, a)  # P(first leaf = x_a ^ 1)
+    sums ``x_a`` (bool or 0/1 uint8) of its decided first half; 1/2 where
+    both hypotheses have zero mass (the contradiction rule).
+
+    P(first leaf = x_a ^ 1) is ``not_a`` where x_a = 1 and ``a`` where
+    x_a = 0, and it is computed without a select as |x_a - a|.  That is
+    exact: with x_a = 0 it is |-a| = a, and with x_a = 1 it is fl(1 - a),
+    the same rounding as ``not_a``; a lies in [1e-20, 1], so 1 - a >= 0 and
+    the absolute value does not change it.  g takes the same halves as f
+    but does not read ``not_a``.
+    """
+    a_match = np.subtract(x_a, a)  # P(first leaf = x_a ^ 1) = |x_a - a|
+    np.abs(a_match, out=a_match)
     num = a_match * b
     den = (_ONE - a_match) * not_b
     den += num

@@ -296,6 +296,7 @@ def test_plotdata_schema_mismatch():
     ("verify-binning", {"lemmas": []}, "/lemmas"),
     ("verify-binning", {"lemmas": ["sw", "foo"]}, "/lemmas/1"),
     ("construct", {"params": {"n": 32, "mc_samples": 0}}, "/params/mc_samples"),
+    ("verify-binning", {"n_list": [12], "rates": [10.0]}, "/rates/0"),
 ])
 def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
     from coordsim.binning import dsbs

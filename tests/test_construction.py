@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -189,13 +190,28 @@ def test_profile_conditioning_reduces_entropy_within_noise():
     assert np.all(prof.h_z_xu <= prof.h_z_x + slack_z)
 
 
+def _ternary_side_model():
+    # U, Y and V ternary: the 5-tuple table has shape (3, 2, 2, 3, 3)
+    rng = np.random.default_rng(8)
+    U3, Y3, V3 = Alphabet("U", 3), Alphabet("Y", 3), Alphabet("V", 3)
+    X, W = Alphabet("X", 2), Alphabet("W", 2)
+    return SourceModel(
+        u_prior=JointPMF((U3,), rng.dirichlet(np.ones(3))),
+        x_prior=JointPMF((X,), np.array([0.6, 0.4])),
+        channel=ConditionalPMF((X,), (Y3,), rng.dirichlet(np.ones(3), size=2)),
+        w_rule=ConditionalPMF((X, U3), (W,), rng.dirichlet(np.ones(2), size=(2, 3))),
+        v_rule=ConditionalPMF((W, Y3), (V3,), rng.dirichlet(np.ones(3), size=(2, 3))),
+    )
+
+
 def test_sample_blocks_chunked_draw_is_one_draw():
     # the profile draws its rows CHUNK_ROWS at a time, one sample_blocks
     # call per chunk; the blocks and the generator's end state are those of
-    # one (count, n) draw, by one call or by chunks
-    model = chained_model()
-    joint = model.single_letter_joint()
-    for count in (0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5):
+    # one (count, n) draw, by one call or by chunks, and the per-axis lookup
+    # gives the symbols of the np.unravel_index form
+    for model, count in itertools.product((chained_model(), _ternary_side_model()),
+                                          (0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5)):
+        joint = model.single_letter_joint()
         rng, chunked, ref = (np.random.default_rng(3) for _ in range(3))
         blocks = model.sample_blocks(rng, count, 16)
         parts = [model.sample_blocks(chunked, min(CHUNK_ROWS, count - lo), 16)

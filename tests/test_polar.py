@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from coordsim.bundled import binary_symmetric_channel, bsc_model
 from coordsim.construction import SourceModel
+from coordsim import polar
 from coordsim.polar import (
+    CHUNK_ROWS,
     SuccessiveCancellation,
+    known_path_conditionals,
+    known_path_tree,
     polar_transform,
     sc_pass,
     true_path_conditionals,
@@ -146,6 +150,52 @@ def test_contradiction_rule():
                    lambda j, p: decided.append(p) or p > 0.5)
     assert decided[0][0] == 0.5
     assert np.array_equal(sums, [[1, 0]])
+
+
+def g_select(a, b, not_a, not_b, x_a):
+    """The g update in its select form, P(first leaf = x_a ^ 1) taken by
+    np.where: the reference for the select-free kernel."""
+    a_match = np.where(x_a, not_a, a)
+    num = a_match * b
+    den = (1.0 - a_match) * not_b
+    den += num
+    zero = den == 0.0
+    num[zero] = 0.5
+    den[zero] = 1.0
+    return np.maximum(num / den, 1e-20)
+
+
+# probabilities as the drivers clip them: [1e-20, 1], with the ends and 1/2
+clipped_p = st.one_of(st.sampled_from([1e-20, 0.5, 1.0]), st.floats(1e-20, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(clipped_p, clipped_p, st.booleans()), min_size=1, max_size=16),
+       st.sampled_from([bool, np.uint8]))
+def test_g_matches_select_form_bit_for_bit(cells, x_dtype):
+    a, b, x_a = (np.array(col) for col in zip(*cells))
+    x_a = x_a.astype(x_dtype)
+    got = polar._g(a, b, 1.0 - a, 1.0 - b, x_a)
+    assert got.tobytes() == g_select(a, b, 1.0 - a, 1.0 - b, x_a).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x_dtype", [bool, np.uint8])
+def test_g_contradiction_cell(x_dtype):
+    one = np.ones(3)
+    x_a = np.array([1, 1, 0], dtype=x_dtype)
+    assert np.array_equal(polar._g(one, one, 0.0 * one, 0.0 * one, x_a), [0.5, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_known_path_conditionals_match_select_form(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    leaf = rng.choice([0.0, 1e-20, 0.5, 1.0, 0.3, 0.9], (CHUNK_ROWS, n))
+    leaf[::2] = rng.random((CHUNK_ROWS // 2, n))
+    tree = known_path_tree(rng.integers(0, 2, (CHUNK_ROWS, n), dtype=np.uint8))
+    got = known_path_conditionals(leaf, tree)
+    monkeypatch.setattr(polar, "_g", g_select)
+    assert got.tobytes() == known_path_conditionals(leaf, tree).tobytes()
 
 
 def test_batched_matches_sequential():
