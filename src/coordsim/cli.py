@@ -203,13 +203,13 @@ def _check_binning_sweep(cfg):
     for i, n in enumerate(cfg["n_list"]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"/n_list/{i}", f"blocklengths must be integers >= 1, got {n!r}")
+    n_max = max(cfg["n_list"], default=0)
     for i, rate in enumerate(cfg["rates"]):
         if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 <= rate < math.inf:
             raise ConfigError(f"/rates/{i}", f"rates must be finite numbers >= 0, got {rate!r}")
         # a binning has 2^ceil(n*rate) bins, drawn as int64 labels
-        n = max(cfg["n_list"], default=0)
-        if math.ceil(n * rate) >= 63:
-            raise ConfigError(f"/rates/{i}", f"2^ceil(n*rate) bins overflow int64 at n={n}, rate={rate!r}")
+        if math.ceil(n_max * rate) >= 63:
+            raise ConfigError(f"/rates/{i}", f"2^ceil(n*rate) bins overflow int64 at n={n_max}, rate={rate!r}")
     if not cfg["lemmas"]:
         raise ConfigError("/lemmas", "lemma list must be nonempty")
     for i, lemma in enumerate(cfg["lemmas"]):

@@ -144,7 +144,8 @@ def sc_pass(leaf_p1, bits: np.ndarray, known, decide) -> np.ndarray:
     array holding the known bits at the positions where ``known`` (shape
     (n,), shared by all trials) is true; the other positions are filled in
     place with the results of ``decide(j, p)``, called in increasing ``j``
-    with ``p`` = P(bit_j = 1 | bits before j, evidence) of shape (trials,).
+    with ``p`` = P(bit_j = 1 | bits before j, evidence) of shape (trials,);
+    it returns the bits as a bool or 0/1 integer array.
     Sub-blocks whose bits are all known are not evaluated.  Returns the
     partial sums ``polar_transform(bits)``.
     """
@@ -163,15 +164,16 @@ def sc_pass(leaf_p1, bits: np.ndarray, known, decide) -> np.ndarray:
         p = probabilities()
         if hi - lo == 1:
             sums[:, lo] = decide(lo, p[:, 0])
-        elif hi - lo == 2:  # decide both bits here rather than in two visits
-            halves = p[:, 0], p[:, 1], _ONE - p[:, 0], _ONE - p[:, 1]
+            return
+        not_p = _ONE - p
+        if hi - lo == 2:  # decide both bits here rather than in two visits
+            halves = p[:, 0], p[:, 1], not_p[:, 0], not_p[:, 1]
             first = bits[:, lo] if is_known[lo] else decide(lo, _f(*halves))
             second = bits[:, hi - 1] if is_known[hi - 1] else decide(hi - 1, _g(*halves, first))
             sums[:, lo] = first ^ second
             sums[:, hi - 1] = second
         else:
             half = (hi - lo) // 2
-            not_p = _ONE - p
             halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
             visit(lo, lo + half, lambda: _f(*halves))
             x_a = sums[:, lo : lo + half]
