@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordsim import polar
 from coordsim.bundled import binary_symmetric_channel, bsc_model
 from coordsim.construction import SourceModel
-from coordsim import polar
 from coordsim.polar import (
     CHUNK_ROWS,
     SuccessiveCancellation,
