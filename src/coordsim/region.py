@@ -17,10 +17,9 @@ optimality of the bilinear search is not claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .probability import (
     Alphabet,
@@ -165,15 +164,22 @@ class AuxiliaryDecomposition:
 
 @dataclass(frozen=True)
 class RegionVerdict:
+    """The score of one witness.  A verdict returned by
+    :func:`search_auxiliary` also says how far its rate depends on the
+    witness: how many restarts ended feasible, and the least and largest
+    inner rate among them (None when none did)."""
+
     feasible: bool
     residual: float
     info_slack: float
     inner_rate: float
     outer_rate: float
     witness: AuxiliaryDecomposition
+    feasible_restarts: int | None = None
+    inner_rate_range: tuple[float, float] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        d = {
             "feasible": self.feasible,
             "residual": self.residual,
             "info_slack": self.info_slack,
@@ -181,6 +187,10 @@ class RegionVerdict:
             "outer_rate": self.outer_rate,
             "witness": self.witness.to_json_dict(),
         }
+        if self.feasible_restarts is not None:
+            d["feasible_restarts"] = self.feasible_restarts
+            d["inner_rate_range"] = None if self.inner_rate_range is None else list(self.inner_rate_range)
+        return d
 
 
 def check_target_factorization(
@@ -370,24 +380,108 @@ def _logits(rows: np.ndarray) -> np.ndarray:
     return np.log(p[..., 1:]) - np.log(p[..., :1])
 
 
-def _polish(pu, px, ch, tgt, q, r):
-    """Joint Gauss-Newton refinement of both blocks in logit space; the
-    simplex constraints disappear under the row-softmax parameterization."""
-    qshape, rshape = q.shape, r.shape
-    nq = q[..., 1:].size
+POLISH_EVALS = 400  # residual evaluations per restart in the polish
 
-    def unpack(theta):
-        zq = theta[:nq].reshape(qshape[:-1] + (qshape[-1] - 1,))
-        zr = theta[nq:].reshape(rshape[:-1] + (rshape[-1] - 1,))
-        return _softmax_rows(zq), _softmax_rows(zr)
 
-    def resid(theta):
-        qq, rr = unpack(theta)
-        return (_induced_table(pu, px, ch, qq, rr) - tgt).reshape(-1)
+def _softmax_fit(c, tgt, zq, zr):
+    """Residual and Jacobian of the row-softmax fit for a batch of restarts.
 
-    theta0 = np.concatenate([_logits(q).reshape(-1), _logits(r).reshape(-1)])
-    sol = least_squares(resid, theta0, method="trf", max_nfev=400)
-    return unpack(sol.x)
+    ``zq`` (restarts, u, x, w-1) and ``zr`` (restarts, w, y, v-1) hold the
+    free logits of P_{W|UX} and P_{V|WY}.  The residual M - target, with
+    M[u,x,y,v] = c[u,x,y] sum_k q[u,x,k] r[k,y,v] and c = P_U P_X P_{Y|X},
+    is flattened to (restarts, cells); the Jacobian (restarts, cells,
+    params) takes the parameters in the order of the flattened ``zq`` and
+    then ``zr``.  Every entry is computed per restart.
+    """
+    q, r = _softmax_rows(zq), _softmax_rows(zr)
+    restarts, nu, nx, _ = q.shape
+    ny, nv = r.shape[2:]
+    cv = c[:, :, :, None, None]
+    mix = (q[..., None, None] * r[:, None, None]).sum(axis=3)  # (restarts, u, x, y, v)
+    resid = (cv[..., 0] * mix - tgt).reshape(restarts, -1)
+    cells = resid.shape[1]
+    # dM[u,x,y,v]/dzq[u,x,j] = c q_j (r[j,y,v] - mix[u,x,y,v]); zero off row (u, x)
+    r_j = np.moveaxis(r[:, 1:], 1, -1)[:, None, None]  # (restarts, 1, 1, y, v, w-1)
+    dq = cv * q[:, :, :, None, None, 1:] * (r_j - mix[..., None])
+    eye_ux = np.eye(nu * nx).reshape(nu, nx, 1, 1, nu, nx, 1)
+    jq = dq[:, :, :, :, :, None, None, :] * eye_ux
+    # dM[u,x,y,v]/dzr[w,y,j] = c q_w r[w,y,v] (delta_vj - r[w,y,j]); zero off column y
+    soft = r[..., None] * (np.eye(nv)[:, 1:] - r[:, :, :, None, 1:])  # (restarts, w, y, v, v-1)
+    dr = cv[..., None] * q[:, :, :, None, None, :, None] * np.moveaxis(soft, 1, 3)[:, None, None]
+    jr = dr[..., None, :] * np.eye(ny).reshape(ny, 1, 1, ny, 1)
+    jac = np.concatenate([jq.reshape(restarts, cells, -1), jr.reshape(restarts, cells, -1)], axis=2)
+    return resid, jac
+
+
+def least_squares(pu, px, ch, tgt, q, r):
+    """Levenberg-Marquardt polish of a batch of witnesses in logit space.
+
+    ``q`` (restarts, u, x, w) and ``r`` (restarts, w, y, v) are rows on the
+    simplex; the row-softmax parameterization removes the simplex
+    constraints, and the closed-form Jacobian of :func:`_softmax_fit` gives
+    the damped Gauss-Newton step (J^T J + lam I) d = -J^T f, one
+    ``np.linalg.solve`` on the stacked normal equations per iteration.
+    Each restart keeps its own damping lam (the gain-ratio update of Madsen,
+    Nielsen and Tingleff, "Methods for non-linear least squares problems",
+    2004), accepts a step only if it lowers ||f||, and stops at a zero
+    gradient, a step below ``1e-10`` relative to its parameters, a relative
+    cost decrease below ``1e-10``, or after ``POLISH_EVALS`` residual
+    evaluations.  Each restart's arithmetic is that of a batch of one, so
+    its result does not depend on the rest of the batch.  Returns the
+    polished (q, r) rows.
+    """
+    restarts = len(q)
+    zq, zr = _logits(q), _logits(r)
+    qshape, rshape = zq.shape[1:], zr.shape[1:]
+    nq = int(np.prod(qshape))
+    c = pu[:, None, None] * px[None, :, None] * ch[None]
+
+    def fit(theta):
+        # the residual f with the normal-equation terms J^T J and J^T f
+        zq = theta[:, :nq].reshape((len(theta),) + qshape)
+        zr = theta[:, nq:].reshape((len(theta),) + rshape)
+        f, jac = _softmax_fit(c, tgt, zq, zr)
+        jt = np.swapaxes(jac, 1, 2)
+        return f, jt @ jac, (jt @ f[..., None])[..., 0]
+
+    theta = np.concatenate([zq.reshape(restarts, -1), zr.reshape(restarts, -1)], axis=1)
+    f, a, g = fit(theta)
+    cost = (f * f).sum(axis=1)
+    eye = np.eye(theta.shape[1])
+    lam = 1e-3 * np.diagonal(a, axis1=1, axis2=2).max(axis=1, initial=0.0)
+    nu = np.full(restarts, 2.0)
+    live = np.arange(restarts)
+    for _ in range(POLISH_EVALS - 1):
+        live = live[np.any(g[live] != 0.0, axis=1)]  # a zero gradient is stationary
+        if not live.size:
+            break
+        th, al, gl = theta[live], a[live], g[live]
+        # the floor keeps the damped matrix definite where lam has shrunk below rounding
+        lam_l = np.maximum(lam[live], 1e-12 * np.diagonal(al, axis1=1, axis2=2).max(axis=1))
+        step = -np.linalg.solve(al + lam_l[:, None, None] * eye, gl[..., None])[..., 0]
+        trial = th + step
+        f_new, a_new, g_new = fit(trial)
+        cost_new = (f_new * f_new).sum(axis=1)
+        gain = cost[live] - cost_new
+        predicted = (step * (lam_l[:, None] * step - gl)).sum(axis=1)
+        accept = gain > 0.0
+        rho = np.ones_like(gain)
+        np.divide(gain, predicted, out=rho, where=accept & (predicted > 0.0))
+        nu_l = nu[live]
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        lam[live] = np.where(accept, lam_l * shrink, lam_l * nu_l)
+        nu[live] = np.where(accept, 2.0, 2.0 * nu_l)
+        step_norm, theta_norm = np.sqrt((step * step).sum(axis=1)), np.sqrt((th * th).sum(axis=1))
+        done = (step_norm <= 1e-10 * (theta_norm + 1e-10)) | (accept & (gain <= 1e-10 * cost[live]))
+        took = live[accept]
+        theta[took], cost[took] = trial[accept], cost_new[accept]
+        a[took], g[took] = a_new[accept], g_new[accept]
+        live = live[~done]
+        if not live.size:
+            break
+    zq = theta[:, :nq].reshape((restarts,) + qshape)
+    zr = theta[:, nq:].reshape((restarts,) + rshape)
+    return _softmax_rows(zq), _softmax_rows(zr)
 
 
 def search_auxiliary(
@@ -400,20 +494,22 @@ def search_auxiliary(
 ) -> RegionVerdict:
     """Search for a witness at fixed |W| with random restarts, each running
     alternating projected-gradient descent on the two conditional blocks
-    followed by a joint least-squares polish.
+    followed by a joint Levenberg-Marquardt polish (:func:`least_squares`).
 
-    The restarts descend in lockstep, as one batch with a leading restart
-    axis.  Each keeps its own stopping rules: a block's descent ends for a
-    restart at its first step without descent, and its outer iterations end
-    once its L1 residual is at most ``0.05 * tol``; a stopped restart's
-    blocks are left as they are.  Restart i draws its start from the i-th
-    child of ``SeedSequence(seed)``, so the result equals that of running
-    the restarts one after another.  The polish and the scoring run per
+    The restarts descend and are polished in lockstep, as one batch with a
+    leading restart axis.  Each keeps its own stopping rules: a block's
+    descent ends for a restart at its first step without descent, and its
+    outer iterations end once its L1 residual is at most ``0.05 * tol``; a
+    stopped restart's blocks are left as they are.  The polish keeps a
+    damping factor and a stop rule per restart.  Restart i draws its start
+    from the i-th child of ``SeedSequence(seed)``, so the result equals
+    that of running the restarts one after another.  The scoring runs per
     restart.
 
     Returns the best verdict found: among feasible witnesses the one with
-    the smallest inner rate, otherwise the one with the smallest residual.
-    An infeasible verdict means "not found within budget".
+    the smallest inner rate, otherwise the one with the smallest residual,
+    with the number of feasible restarts and the range of their inner
+    rates.  An infeasible verdict means "not found within budget".
     """
     if w_size < 1:
         raise ValueError("w_size must be >= 1")
@@ -438,14 +534,14 @@ def search_auxiliary(
         live = live[~(np.abs(m - tgt).sum(axis=_CELLS) <= 0.05 * tol)]
         if not live.size:
             break
-    verdicts = []
-    for qi, ri in zip(q, r):
-        qi, ri = _polish(pu, px, ch, tgt, qi, ri)
-        verdicts.append(evaluate(target, _as_aux(target, w_size, qi, ri), tol))
+    q, r = least_squares(pu, px, ch, tgt, q, r)
+    verdicts = [evaluate(target, _as_aux(target, w_size, qi, ri), tol) for qi, ri in zip(q, r)]
     feasible = [v for v in verdicts if v.feasible]
     if feasible:
-        return min(feasible, key=lambda v: (v.inner_rate, v.residual))
-    return min(verdicts, key=lambda v: (v.residual, v.inner_rate))
+        best = min(feasible, key=lambda v: (v.inner_rate, v.residual))
+        rates = [v.inner_rate for v in feasible]
+        return replace(best, feasible_restarts=len(feasible), inner_rate_range=(min(rates), max(rates)))
+    return replace(min(verdicts, key=lambda v: (v.residual, v.inner_rate)), feasible_restarts=0)
 
 
 # ---------------------------------------------------------------------------

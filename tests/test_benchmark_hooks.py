@@ -64,6 +64,7 @@ def test_tracer_patches_existing_names_and_restores_them():
         ("coordsim.construction", "estimate_profile"),
         ("coordsim.binning", "extraction_kl"),
         ("coordsim.region", "search_auxiliary"),
+        ("coordsim.region", "least_squares"),
         ("coordsim.cli", "run"),
         ("SourceModel", "sample_blocks"),
         ("CommonRandomness", "draw"),

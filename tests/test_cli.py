@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,7 @@ def test_simulate_attach_region_verdict(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "rv" / "report.json").read_text())
     verdict = report["region_verdict"]
     assert verdict["feasible"] is True
+    assert "feasible_restarts" not in verdict  # one witness scored, not a search
     # cross-module consistency: simulated CR rate within slack of the bound
     cr = report["rate_report"]["common_randomness_rate"]
     assert cr >= verdict["inner_rate"] - 0.1
@@ -183,6 +188,9 @@ def test_region_cli_planted_target(tmp_path, capsys):
     report = json.loads((tmp_path / "reg" / "report.json").read_text())
     assert report["region_verdict"]["feasible"] is True
     assert report["region_verdict"]["residual"] <= 1e-6
+    assert 1 <= report["region_verdict"]["feasible_restarts"] <= 6
+    low, high = report["region_verdict"]["inner_rate_range"]
+    assert low == report["region_verdict"]["inner_rate"] <= high
     assert "rate_ledger" in report
     out = capsys.readouterr().out
     assert "R0 lower bound" in out
@@ -197,6 +205,15 @@ def test_region_cli_w_sweep_stops_at_first_feasible(tmp_path):
     report = json.loads((tmp_path / "reg2" / "report.json").read_text())
     assert report["region_verdict"]["feasible"] is True
     assert report["region_verdict"]["witness"]["w_size"] == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.optimize alone adds about 0.6 s and 48 MB to a run
+    code = "import sys, coordsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # -- verify-binning -----------------------------------------------------------------
