@@ -449,7 +449,7 @@ def least_squares(pu, px, ch, tgt, q, r):
     cost = (f * f).sum(axis=1)
     eye = np.eye(theta.shape[1])
     lam = 1e-3 * np.diagonal(a, axis1=1, axis2=2).max(axis=1, initial=0.0)
-    nu = np.full(restarts, 2.0)
+    growth = np.full(restarts, 2.0)  # lam's factor after a rejected step
     live = np.arange(restarts)
     for _ in range(POLISH_EVALS - 1):
         live = live[np.any(g[live] != 0.0, axis=1)]  # a zero gradient is stationary
@@ -463,14 +463,15 @@ def least_squares(pu, px, ch, tgt, q, r):
         f_new, a_new, g_new = fit(trial)
         cost_new = (f_new * f_new).sum(axis=1)
         gain = cost[live] - cost_new
+        # the decrease of ||f||^2 that the damped linear model predicts
         predicted = (step * (lam_l[:, None] * step - gl)).sum(axis=1)
         accept = gain > 0.0
         rho = np.ones_like(gain)
         np.divide(gain, predicted, out=rho, where=accept & (predicted > 0.0))
-        nu_l = nu[live]
+        growth_l = growth[live]
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        lam[live] = np.where(accept, lam_l * shrink, lam_l * nu_l)
-        nu[live] = np.where(accept, 2.0, 2.0 * nu_l)
+        lam[live] = np.where(accept, lam_l * shrink, lam_l * growth_l)
+        growth[live] = np.where(accept, 2.0, 2.0 * growth_l)
         step_norm, theta_norm = np.sqrt((step * step).sum(axis=1)), np.sqrt((th * th).sum(axis=1))
         done = (step_norm <= 1e-10 * (theta_norm + 1e-10)) | (accept & (gain <= 1e-10 * cost[live]))
         took = live[accept]

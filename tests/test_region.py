@@ -484,22 +484,17 @@ def test_block_descent_lockstep_matches_one_restart_at_a_time(monkeypatch):
             assert np.array_equal(batch_q[i], one_q[0]) and np.array_equal(batch_r[i], one_r[0])
 
 
-def softmax_fit_inputs(target, w_size, restarts, seed):
-    s = target.sizes
-    pu, px, ch, tgt = region._raw_factors(target)
-    rng = np.random.default_rng(seed)
-    zq = rng.normal(size=(restarts, s["U"], s["X"], w_size - 1))
-    zr = rng.normal(size=(restarts, w_size, s["Y"], s["V"] - 1))
-    return pu[:, None, None] * px[None, :, None] * ch[None], tgt, zq, zr
-
-
 @pytest.mark.parametrize("name", sorted(PINNED_TARGETS))
 @pytest.mark.parametrize("w_size", [1, 2, 3])
 def test_softmax_fit_jacobian_matches_central_differences(name, w_size):
     # |W| = 1 leaves the q block without free logits: its Jacobian block is empty
     target = PINNED_TARGETS[name]()
-    c, tgt, zq, zr = softmax_fit_inputs(target, w_size, 3, 41 + w_size)
-    pu, px, ch, _ = region._raw_factors(target)
+    s = target.sizes
+    pu, px, ch, tgt = region._raw_factors(target)
+    c = pu[:, None, None] * px[None, :, None] * ch[None]
+    rng = np.random.default_rng(41 + w_size)
+    zq = rng.normal(size=(3, s["U"], s["X"], w_size - 1))
+    zr = rng.normal(size=(3, w_size, s["Y"], s["V"] - 1))
     resid, jac = region._softmax_fit(c, tgt, zq, zr)
     induced = region._induced_table(pu, px, ch, region._softmax_rows(zq), region._softmax_rows(zr))
     assert np.allclose(resid, (induced - tgt).reshape(3, -1), rtol=0.0, atol=1e-15)
