@@ -478,8 +478,6 @@ def least_squares(pu, px, ch, tgt, q, r):
         theta[took], cost[took] = trial[accept], cost_new[accept]
         a[took], g[took] = a_new[accept], g_new[accept]
         live = live[~done]
-        if not live.size:
-            break
     zq = theta[:, :nq].reshape((restarts,) + qshape)
     zr = theta[:, nq:].reshape((restarts,) + rshape)
     return _softmax_rows(zq), _softmax_rows(zr)
