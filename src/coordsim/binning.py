@@ -12,7 +12,11 @@ scores are a Kronecker sum of per-symbol log-likelihoods, and P(a^n, k) is
 contracted from the bin indicator one symbol at a time.
 
 Blocklengths are capped hard; the module exists to be an oracle, not a
-codec.
+codec.  The decoder holds samples x |A|^n scores.  The extraction KL takes
+O(n |A| |B|^n bins) time but streams the occupied bin columns in chunks of
+at most ``CHUNK_CELLS`` cells (or one column), so its memory is bounded by
+the chunk, not by the bin count; ``ENUMERATION_CELL_CAP`` bounds every
+array either allocates.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
 ]
 
 ENUMERATION_CELL_CAP = 1 << 24  # max cells of one array an exact oracle allocates
+CHUNK_CELLS = 1 << 18  # cells of one streamed extraction chunk (2 MiB of float64)
 
 
 def _check_cells(what: str, shape: str, cells: int) -> int:
@@ -43,7 +48,7 @@ def _check_cells(what: str, shape: str, cells: int) -> int:
     if cells > ENUMERATION_CELL_CAP:
         raise ValueError(
             f"{what}: {shape} = {cells} cells exceeds the enumeration cap "
-            f"{ENUMERATION_CELL_CAP}; use a smaller n or rate"
+            f"{ENUMERATION_CELL_CAP}; use a smaller n"
         )
     return cells
 
@@ -131,14 +136,14 @@ def sw_error_rate(
 ) -> float:
     """Empirical P{decoded != true} over i.i.d. draws."""
     size_a, n = binning.alphabet_size, binning.n
-    # the score and in-bin arrays are samples x |A|^n
+    # the score and out-of-bin arrays are samples x |A|^n
     _check_cells("SW decoding", f"{samples} x {size_a}^{n}", samples * size_a**n)
     a, b = _sample_pairs(joint, rng, samples, n)
     codes = np.ravel_multi_index(tuple(a.T), (size_a,) * n)
     scores = _posterior_scores(joint, b)
     # each draw's own bin holds its true sequence, so no queried bin is empty
-    in_bin = binning.assignment[None, :] == binning.assignment[codes][:, None]
-    decoded = np.argmax(np.where(in_bin, scores, -np.inf), axis=1)
+    scores[binning.assignment[None, :] != binning.assignment[codes][:, None]] = -np.inf
+    decoded = np.argmax(scores, axis=1)
     return int(np.count_nonzero(decoded != codes)) / samples
 
 
@@ -148,8 +153,14 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
 
     P(a^n, k) is contracted from the one-hot bin indicator over b^n, one
     symbol at a time: step t replaces the t-th B axis by an A axis through
-    the single-letter table.  That costs O(n |A| |B|^n bins) and never
-    builds the |A|^n x |B|^n pair table.
+    the single-letter table.  The bin columns are independent, and an
+    empty bin adds nothing, so the m <= min(bins, |B|^n) occupied bins are
+    contracted in chunks of at most ``CHUNK_CELLS // max(|A|, |B|)^n``
+    columns (at least one), and each chunk's share of the KL sum is added
+    to a running total in chunk order.  That costs O(n |A| |B|^n m) time
+    (O(n |B| |A|^n m) when |A| > |B|), never builds the |A|^n x |B|^n pair
+    table, and holds at most a few arrays of one chunk's size, whatever the
+    bin count.
     """
     if n != binning.n:
         raise ValueError("n must match the binning")
@@ -159,25 +170,37 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
         raise ValueError("binning alphabet does not match the joint's B axis")
     states_a, states_b = size_a**n, size_b**n
     bins = binning.num_bins
-    # no array of the contraction exceeds max(|A|, |B|)^n x bins cells
-    widest = max(size_a, size_b)
-    _check_cells("extraction", f"{widest}^{n} x {bins}", widest**n * bins)
+    # no array of the contraction exceeds max(|A|, |B|)^n x chunk cells
+    widest = max(size_a, size_b) ** n
+    chunk = min(bins, max(1, CHUNK_CELLS // widest))
+    _check_cells("extraction", f"{max(size_a, size_b)}^{n} x {chunk}", widest * chunk)
     table = _ab_table(joint)
-    cur = np.zeros((states_b, bins))
-    cur[np.arange(states_b), binning.assignment - 1] = 1.0
-    for t in range(n):
-        cur = np.matmul(table, cur.reshape(size_a**t, size_b, -1))
-    joint_ak = cur.reshape(states_a, bins)
-    del cur
-    pa_seq = _sequence_product(table.sum(axis=1), n)
-
-    mask = joint_ak > 0
-    p = joint_ak[mask]
-    del joint_ak  # the contraction's table is freed before the ratio is built
-    ratio = np.broadcast_to(pa_seq[:, None] / bins, mask.shape)[mask]
-    np.divide(p, ratio, out=ratio)
-    np.log2(ratio, out=ratio)
-    return float(np.multiply(p, ratio, out=ratio).sum())
+    ref = _sequence_product(table.sum(axis=1), n)[:, None] / bins
+    # the states sorted by bin, and the occupied bins numbered in that order:
+    # an empty bin adds nothing to the sum, and a chunk's rows are one slice
+    order = np.argsort(binning.assignment, kind="stable")
+    cols = np.unique(binning.assignment[order], return_inverse=True)[1]
+    occupied = int(cols[-1]) + 1
+    starts = range(0, occupied, chunk)
+    edges = np.searchsorted(cols, [*starts, occupied])
+    total = 0.0
+    for i, lo in enumerate(starts):
+        rows = slice(edges[i], edges[i + 1])
+        width = min(chunk, occupied - lo)
+        cur = np.zeros((states_b, width))
+        cur[order[rows], cols[rows] - lo] = 1.0
+        for t in range(n):
+            cur = np.matmul(table, cur.reshape(size_a**t, size_b, -1))
+        cur = cur.reshape(states_a, width)
+        mask = cur > 0
+        p = cur[mask]
+        del cur  # the chunk's table is freed before the ratio is built
+        ratio = np.broadcast_to(ref, mask.shape)[mask]
+        np.divide(p, ratio, out=ratio)
+        np.log2(ratio, out=ratio)
+        total += float(np.multiply(p, ratio, out=ratio).sum())
+        del p, ratio  # freed before the next chunk is contracted
+    return total
 
 
 def dsbs(p: float) -> JointPMF:

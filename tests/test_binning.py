@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from coordsim import binning as binning_module
 from coordsim.binning import (
     ENUMERATION_CELL_CAP,
     RandomBinning,
@@ -17,15 +18,24 @@ from coordsim.binning import (
     sw_error_rate,
     verify_lemma_regimes,
 )
-from coordsim.probability import Alphabet, JointPMF, mutual_information
+from coordsim.probability import Alphabet, JointPMF, entropy, mutual_information
+
+
+def _wide_a_joint():
+    # |A| = 3 > |B| = 2: one streamed extraction column is 3^n cells
+    table = np.array([[0.2, 0.1], [0.05, 0.3], [0.15, 0.2]])
+    return JointPMF((Alphabet("A", 3), Alphabet("B", 2)), table)
 
 
 def test_cap_enforced():
-    # one cell guard: a binning past ENUMERATION_CELL_CAP and SW score arrays of
-    # samples x |A|^n past it both raise before anything is allocated
+    # one cell guard: a binning past ENUMERATION_CELL_CAP, SW score arrays of
+    # samples x |A|^n past it and an extraction chunk of one 3^16-cell column
+    # all raise before anything is allocated
     rng = np.random.default_rng(0)
     assert 2**25 > ENUMERATION_CELL_CAP and 257 * 2**16 > ENUMERATION_CELL_CAP
+    assert 3**16 > ENUMERATION_CELL_CAP
     binning = RandomBinning.draw(16, 0.5, 2, rng)
+    wide = _wide_a_joint()
     state = rng.bit_generator.state
     tracemalloc.start()
     try:
@@ -35,6 +45,8 @@ def test_cap_enforced():
             RandomBinning.identity(25, 2)
         with pytest.raises(ValueError, match="cap"):
             sw_error_rate(binning, dsbs(0.1), rng, samples=257)
+        with pytest.raises(ValueError, match="cap"):
+            extraction_kl(binning, wide, 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -233,17 +245,76 @@ def test_extraction_identity_binning_closed_form():
     # closed form via single-letter quantities: I(A^n;B^n) = n I(A;B),
     # D(P_{B^n} || uniform) = n (log2|B| - H(B))
     i_ab = mutual_information(joint, ["A"], ["B"])
-    from coordsim.probability import entropy
-
     h_b = entropy(joint, ["B"])
     expect = n * i_ab + n * (1.0 - h_b)
     assert got == pytest.approx(expect, abs=1e-9)
 
 
 def test_extraction_guards_oversized_table():
-    joint = dsbs(0.1)
+    # streamed, the bin count no longer sizes any array; a single column of
+    # 3^16 cells still exceeds the cap
+    binning = RandomBinning.draw(16, 0.2, 2, np.random.default_rng(14))
     with pytest.raises(ValueError, match="cells"):
-        extraction_kl(RandomBinning.identity(14, 2), joint, 14)
+        extraction_kl(binning, _wide_a_joint(), 16)
+
+
+def test_extraction_identity_binning_closed_form_multi_chunk():
+    # 2^10 x 2^10 cells: the bin columns are contracted in several chunks
+    n = 10
+    joint = dsbs(0.1)
+    assert 2**n * 2**n > binning_module.CHUNK_CELLS
+    got = extraction_kl(RandomBinning.identity(n, 2), joint, n)
+    expect = n * mutual_information(joint, ["A"], ["B"]) + n * (1.0 - entropy(joint, ["B"]))
+    assert got == pytest.approx(expect, abs=1e-9)
+
+
+def test_extraction_multi_chunk_matches_enumeration():
+    # |A| = 2, |B| = 3 at n = 6 and rate 1.5: the 729 states fill more of the
+    # 512 bins than one chunk of 2^18 // 729 columns holds
+    n = 6
+    rng = np.random.default_rng(23)
+    joint = _ab_joint(_random_table(rng, 2, 3), "AB")
+    binning = RandomBinning.draw(n, 1.5, 3, rng)
+    assert np.unique(binning.assignment).size > binning_module.CHUNK_CELLS // 3**n
+    assert extraction_kl(binning, joint, n) == pytest.approx(_naive_extraction_kl(binning, joint, n), abs=1e-12)
+
+
+def test_extraction_rate_far_past_log_alphabet():
+    # 2^48 bins for 2^8 states: the cost is that of the occupied bins, and K
+    # is one-to-one on B^n, so the KL is n I(A;B) + 48 - n H(B)
+    n = 8
+    joint = dsbs(0.1)
+    binning = RandomBinning.draw(n, 6.0, 2, np.random.default_rng(48))
+    assert np.unique(binning.assignment).size == 2**n
+    expect = n * mutual_information(joint, ["A"], ["B"]) + 48 - n * entropy(joint, ["B"])
+    assert extraction_kl(binning, joint, n) == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 5, 64])
+def test_extraction_chunk_boundaries_match_enumeration(chunk_cells, monkeypatch):
+    # budgets down to one column per chunk, so chunks without any state occur
+    monkeypatch.setattr(binning_module, "CHUNK_CELLS", chunk_cells)
+    for seed in range(6):
+        rng = np.random.default_rng([chunk_cells, seed])
+        size_a, size_b = (int(v) for v in rng.integers(2, 4, 2))
+        n = int(rng.integers(1, 5))
+        joint = _ab_joint(_random_table(rng, size_a, size_b), "BA" if seed % 2 else "AB")
+        binning = RandomBinning.draw(n, rng.random() * (math.log2(size_b) + 0.5), size_b, rng)
+        expect = _naive_extraction_kl(binning, joint, n)
+        assert extraction_kl(binning, joint, n) == pytest.approx(expect, abs=1e-12)
+
+
+def test_extraction_memory_bounded_by_chunk():
+    # the benchmark's n = 12, rate 0.8: 1024 bins, 4096 x 1024 cells unstreamed
+    binning = RandomBinning.draw(12, 0.8, 2, np.random.default_rng(12))
+    joint = dsbs(0.1)
+    tracemalloc.start()
+    try:
+        extraction_kl(binning, joint, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -269,6 +270,23 @@ def test_verify_binning_pinned_csv(tmp_path):
         assert got[(n, rate, "error_rate")] == err
     for (n, rate), kl in expect_kl.items():
         assert got[(n, rate, "kl_to_uniform")] == pytest.approx(kl, abs=1e-12)
+
+
+def test_verify_binning_extraction_n16(tmp_path):
+    # past the old unstreamed cap: 2^16 states, 16 bins streamed one column per chunk
+    from coordsim.binning import dsbs
+
+    cfg = write_config(
+        tmp_path, "b16.json",
+        {"model": dsbs(0.1).to_json_dict(), "n_list": [16], "rates": [0.2],
+         "replicates": 2, "lemmas": ["extraction"], "out": "bin16"},
+    )
+    assert cli.main(["verify-binning", "--config", str(cfg)]) == 0
+    with open(tmp_path / "bin16" / "binning.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:4] for row in rows[1:]] == [["16", "0.2", "extraction", "kl_to_uniform"]]
+    kl = float(rows[1][4])
+    assert math.isfinite(kl) and kl >= 0.0
 
 
 # -- plotdata -----------------------------------------------------------------------
