@@ -172,14 +172,15 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     bins = binning.num_bins
     # no array of the contraction exceeds max(|A|, |B|)^n x chunk cells
     widest = max(size_a, size_b) ** n
-    chunk = min(bins, max(1, CHUNK_CELLS // widest))
+    chunk = max(1, CHUNK_CELLS // widest)
     _check_cells("extraction", f"{max(size_a, size_b)}^{n} x {chunk}", widest * chunk)
     table = _ab_table(joint)
     ref = _sequence_product(table.sum(axis=1), n)[:, None] / bins
     # the states sorted by bin, and the occupied bins numbered in that order:
     # an empty bin adds nothing to the sum, and a chunk's rows are one slice
     order = np.argsort(binning.assignment, kind="stable")
-    cols = np.unique(binning.assignment[order], return_inverse=True)[1]
+    first = binning.assignment[order[0]]
+    cols = np.cumsum(np.diff(binning.assignment[order], prepend=first) != 0)
     occupied = int(cols[-1]) + 1
     starts = range(0, occupied, chunk)
     edges = np.searchsorted(cols, [*starts, occupied])
