@@ -292,7 +292,7 @@ def test_extraction_rate_far_past_log_alphabet():
 
 @pytest.mark.parametrize("chunk_cells", [1, 5, 64])
 def test_extraction_chunk_boundaries_match_enumeration(chunk_cells, monkeypatch):
-    # budgets down to one column per chunk, so chunks without any state occur
+    # budgets down to one column per chunk, so a chunk edge falls between any two bins
     monkeypatch.setattr(binning_module, "CHUNK_CELLS", chunk_cells)
     for seed in range(6):
         rng = np.random.default_rng([chunk_cells, seed])

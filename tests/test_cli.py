@@ -273,7 +273,7 @@ def test_verify_binning_pinned_csv(tmp_path):
 
 
 def test_verify_binning_extraction_n16(tmp_path):
-    # past the old unstreamed cap: 2^16 states, 16 bins streamed one column per chunk
+    # 2^16 states and 16 bins at rate 0.2, contracted in chunks of 4 bin columns
     from coordsim.binning import dsbs
 
     cfg = write_config(
