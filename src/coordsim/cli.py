@@ -81,7 +81,6 @@ _SCHEMAS: dict[str, dict] = {
         **_COMMON,
         "w_size": ((int, type(None)), None),
         "restarts": (int, 32),
-        "iterations": (int, 30),
         "tol": (float, 1e-6),
     },
     "construct": {
@@ -153,8 +152,9 @@ def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
 
 def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> dict:
     """Validate a config document: defaults filled, unknown keys rejected
-    (errors carry JSON pointers), params and the binning sweep checked for
-    values that cannot run, and referenced files checked for existence."""
+    (errors carry JSON pointers), params, the region search and the binning
+    sweep checked for values that cannot run, and referenced files checked
+    for existence."""
     if subcommand not in _SCHEMAS:
         raise ConfigError("/", f"unknown subcommand {subcommand!r}")
     cfg = _apply_schema(doc, _SCHEMAS[subcommand])
@@ -178,6 +178,8 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
         for i, s in enumerate(cfg["seeds"]):
             if not isinstance(s, int) or isinstance(s, bool):
                 raise ConfigError(f"/seeds/{i}", "seeds must be integers")
+    if subcommand == "region":
+        _check_region_search(cfg)
     if subcommand == "verify-binning":
         _check_binning_sweep(cfg)
     if subcommand == "plotdata":
@@ -194,6 +196,16 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
         if not path.exists():
             raise ConfigError("/sets_cache", f"no such cache file: {path}")
     return cfg
+
+
+def _check_region_search(cfg):
+    if cfg["restarts"] < 1:
+        raise ConfigError("/restarts", "restarts must be >= 1")
+    if cfg["w_size"] is not None and cfg["w_size"] < 1:
+        raise ConfigError("/w_size", "w_size must be >= 1")
+    # a NaN or negative tol makes every witness infeasible; an infinite one waives the fit
+    if not 0 <= cfg["tol"] < math.inf:
+        raise ConfigError("/tol", f"tol must be a finite number >= 0, got {cfg['tol']!r}")
 
 
 def _check_binning_sweep(cfg):
@@ -298,10 +310,7 @@ def _run_region(cfg) -> dict:
         sizes = [cfg["w_size"]]
     verdict = None
     for w in sizes:
-        verdict = search_auxiliary(
-            target, w, restarts=cfg["restarts"], iterations=cfg["iterations"],
-            tol=cfg["tol"], seed=cfg["seed"],
-        )
+        verdict = search_auxiliary(target, w, restarts=cfg["restarts"], tol=cfg["tol"], seed=cfg["seed"])
         if verdict.feasible:
             break
     report = {

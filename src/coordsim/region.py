@@ -288,69 +288,6 @@ def _raw_factors(target: CoordinationTarget):
     return pu, px, ch, tgt
 
 
-def _induced_table(pu, px, ch, q, r):
-    # q: [..., u, x, w], r: [..., w, y, v]; a leading restart axis is kept
-    return np.einsum("u,x,xy,...uxw,...wyv->...uxyv", pu, px, ch, q, r)
-
-
-def _project_rows(mat: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    flat = mat.reshape(-1, mat.shape[-1])
-    srt = -np.sort(-flat, axis=1)
-    css = np.cumsum(srt, axis=1) - 1.0
-    denom = np.arange(1, flat.shape[1] + 1)
-    cond = srt - css / denom > 0
-    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(flat.shape[0]), rho] / (rho + 1)
-    out = np.maximum(flat - theta[:, None], 0.0)
-    return out.reshape(mat.shape)
-
-
-_CELLS = (1, 2, 3, 4)  # the (u, x, y, v) axes of a batch of tables
-
-
-def _block_descent(pu, px, ch, tgt, q, r, which: str, steps: int, base_step: float):
-    """Projected gradient steps on 0.5*||induced - target||^2 for one block,
-    with exact line search along the feasible direction (the objective is
-    quadratic in each block).
-
-    ``q`` (restarts, u, x, w) and ``r`` (restarts, w, y, v) hold a batch of
-    restarts run in lockstep.  A restart stops at its first step with no
-    descent (a zero direction or a zero step); its blocks are then left as
-    they are while the others go on.  Returns new arrays.  Each restart's
-    sums run over its own cells in the same order as for a batch of one, so
-    its result does not depend on the rest of the batch.
-    """
-    q, r = q.copy(), r.copy()
-    live = np.arange(len(q))
-    for _ in range(steps):
-        ql, rl = q[live], r[live]
-        resid = _induced_table(pu, px, ch, ql, rl) - tgt
-        if which == "q":
-            grad = np.einsum("...uxyv,u,x,xy,...wyv->...uxw", resid, pu, px, ch, rl)
-            direction = _project_rows(ql - base_step * grad) - ql
-            dm = _induced_table(pu, px, ch, direction, rl)
-        else:
-            grad = np.einsum("...uxyv,u,x,xy,...uxw->...wyv", resid, pu, px, ch, ql)
-            direction = _project_rows(rl - base_step * grad) - rl
-            dm = _induced_table(pu, px, ch, ql, direction)
-        denom = (dm * dm).sum(axis=_CELLS)
-        num = -(resid * dm).sum(axis=_CELLS)
-        t = np.zeros_like(denom)
-        np.divide(num, denom, out=t, where=~(denom <= 0.0))
-        t = np.minimum(np.maximum(t, 0.0), 1.0)
-        moving = t != 0.0  # also false where denom <= 0
-        live, t, direction = live[moving], t[moving], direction[moving]
-        if not live.size:
-            break
-        step = t[:, None, None, None] * direction
-        if which == "q":
-            q[live] = ql[moving] + step
-        else:
-            r[live] = rl[moving] + step
-    return q, r
-
-
 def _as_aux(target: CoordinationTarget, w_size: int, q: np.ndarray, r: np.ndarray) -> AuxiliaryDecomposition:
     s = target.sizes
     W = Alphabet("W", w_size)
@@ -358,7 +295,7 @@ def _as_aux(target: CoordinationTarget, w_size: int, q: np.ndarray, r: np.ndarra
     X = Alphabet("X", s["X"])
     Y = Alphabet("Y", s["Y"])
     V = Alphabet("V", s["V"])
-    # renormalize rows exactly (projection keeps them on the simplex up to fp error)
+    # renormalize rows exactly (the softmax rows sum to 1 only up to fp error)
     q = q / q.sum(axis=-1, keepdims=True)
     r = r / r.sum(axis=-1, keepdims=True)
     return AuxiliaryDecomposition(
@@ -380,7 +317,7 @@ def _logits(rows: np.ndarray) -> np.ndarray:
     return np.log(p[..., 1:]) - np.log(p[..., :1])
 
 
-POLISH_EVALS = 400  # residual evaluations per restart in the polish
+FIT_EVALS = 400  # residual evaluations per restart in the fit
 
 
 def _softmax_fit(c, tgt, zq, zr):
@@ -414,21 +351,23 @@ def _softmax_fit(c, tgt, zq, zr):
 
 
 def least_squares(pu, px, ch, tgt, q, r):
-    """Levenberg-Marquardt polish of a batch of witnesses in logit space.
+    """Levenberg-Marquardt fit of a batch of witnesses to the target, in
+    logit space.
 
-    ``q`` (restarts, u, x, w) and ``r`` (restarts, w, y, v) are rows on the
-    simplex; the row-softmax parameterization removes the simplex
-    constraints, and the closed-form Jacobian of :func:`_softmax_fit` gives
-    the damped Gauss-Newton step (J^T J + lam I) d = -J^T f, one
-    ``np.linalg.solve`` on the stacked normal equations per iteration.
+    ``q`` (restarts, u, x, w) and ``r`` (restarts, w, y, v) are the start
+    rows, in the interior of the simplex; the row-softmax parameterization
+    removes the simplex constraints, and the closed-form Jacobian of
+    :func:`_softmax_fit` gives the damped Gauss-Newton step
+    (J^T J + lam I) d = -J^T f, one ``np.linalg.solve`` on the stacked
+    normal equations per iteration.
     Each restart keeps its own damping lam (the gain-ratio update of Madsen,
     Nielsen and Tingleff, "Methods for non-linear least squares problems",
     2004), accepts a step only if it lowers ||f||, and stops at a zero
     gradient, a step below ``1e-10`` relative to its parameters, a relative
-    cost decrease below ``1e-10``, or after ``POLISH_EVALS`` residual
+    cost decrease below ``1e-10``, or after ``FIT_EVALS`` residual
     evaluations.  Each restart's arithmetic is that of a batch of one, so
     its result does not depend on the rest of the batch.  Returns the
-    polished (q, r) rows.
+    fitted (q, r) rows.
     """
     restarts = len(q)
     zq, zr = _logits(q), _logits(r)
@@ -451,7 +390,7 @@ def least_squares(pu, px, ch, tgt, q, r):
     lam = 1e-3 * np.diagonal(a, axis1=1, axis2=2).max(axis=1, initial=0.0)
     growth = np.full(restarts, 2.0)  # lam's factor after a rejected step
     live = np.arange(restarts)
-    for _ in range(POLISH_EVALS - 1):
+    for _ in range(FIT_EVALS - 1):
         live = live[np.any(g[live] != 0.0, axis=1)]  # a zero gradient is stationary
         if not live.size:
             break
@@ -487,23 +426,18 @@ def search_auxiliary(
     target: CoordinationTarget,
     w_size: int,
     restarts: int = 32,
-    iterations: int = 30,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> RegionVerdict:
-    """Search for a witness at fixed |W| with random restarts, each running
-    alternating projected-gradient descent on the two conditional blocks
-    followed by a joint Levenberg-Marquardt polish (:func:`least_squares`).
+    """Search for a witness at fixed |W| with random restarts, each a
+    Levenberg-Marquardt fit (:func:`least_squares`) of (P_{W|UX}, P_{V|WY})
+    to the target from a uniform Dirichlet start.
 
-    The restarts descend and are polished in lockstep, as one batch with a
-    leading restart axis.  Each keeps its own stopping rules: a block's
-    descent ends for a restart at its first step without descent, and its
-    outer iterations end once its L1 residual is at most ``0.05 * tol``; a
-    stopped restart's blocks are left as they are.  The polish keeps a
-    damping factor and a stop rule per restart.  Restart i draws its start
-    from the i-th child of ``SeedSequence(seed)``, so the result equals
-    that of running the restarts one after another.  The scoring runs per
-    restart.
+    Restart i draws its start from the i-th child of ``SeedSequence(seed)``.
+    The restarts are fitted in lockstep, as one batch with a leading restart
+    axis, each with its own damping factor and stop rule, so the result
+    equals that of fitting the restarts one after another.  Each fitted
+    witness is then scored with :func:`evaluate`.
 
     Returns the best verdict found: among feasible witnesses the one with
     the smallest inner rate, otherwise the one with the smallest residual,
@@ -523,17 +457,7 @@ def search_auxiliary(
         rng = np.random.default_rng(ss)
         q.append(rng.dirichlet(np.ones(w_size), size=(s["U"], s["X"])))
         r.append(rng.dirichlet(np.ones(s["V"]), size=(w_size, s["Y"])))
-    q, r = np.array(q), np.array(r)
-    live = np.arange(restarts)
-    for _ in range(iterations):
-        ql, rl = _block_descent(pu, px, ch, tgt, q[live], r[live], "q", 6, 4.0)
-        ql, rl = _block_descent(pu, px, ch, tgt, ql, rl, "r", 6, 4.0)
-        q[live], r[live] = ql, rl
-        m = _induced_table(pu, px, ch, ql, rl)
-        live = live[~(np.abs(m - tgt).sum(axis=_CELLS) <= 0.05 * tol)]
-        if not live.size:
-            break
-    q, r = least_squares(pu, px, ch, tgt, q, r)
+    q, r = least_squares(pu, px, ch, tgt, np.array(q), np.array(r))
     verdicts = [evaluate(target, _as_aux(target, w_size, qi, ri), tol) for qi, ri in zip(q, r)]
     feasible = [v for v in verdicts if v.feasible]
     if feasible:

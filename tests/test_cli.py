@@ -44,6 +44,31 @@ def test_parse_config_rejects_unknown_key():
         parse_config("construct", {"model": "bundled:bsc", "params": {"n": 64, "foo": 2}})
 
 
+@pytest.mark.parametrize("over,pointer", [
+    ({"tol": -1.0}, "/tol"),
+    ({"tol": float("nan")}, "/tol"),
+    ({"tol": float("inf")}, "/tol"),
+    ({"restarts": 0}, "/restarts"),
+    ({"w_size": 0}, "/w_size"),
+], ids=["tol-negative", "tol-nan", "tol-inf", "restarts-0", "w_size-0"])
+def test_parse_config_rejects_region_search_that_cannot_run(over, pointer):
+    with pytest.raises(ConfigError) as err:
+        parse_config("region", {"model": "bundled:planted-target", **over})
+    assert err.value.pointer == pointer
+
+
+def test_region_config_rejects_removed_iterations_key(tmp_path, capsys):
+    doc = {"model": "bundled:planted-target", "iterations": 30, "out": "bad"}
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        parse_config("region", doc)
+    assert err.value.pointer == "/iterations"
+    code = cli.main(["region", "--config", str(write_config(tmp_path, "bad.json", doc))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "/iterations: unknown key", "type": "ConfigError"}
+    assert not (tmp_path / "bad").exists()
+
+
 def test_parse_config_requires_model():
     with pytest.raises(ConfigError, match="/model"):
         parse_config("construct", {"params": {"n": 64}})
@@ -206,6 +231,21 @@ def test_region_cli_w_sweep_stops_at_first_feasible(tmp_path):
     report = json.loads((tmp_path / "reg2" / "report.json").read_text())
     assert report["region_verdict"]["feasible"] is True
     assert report["region_verdict"]["witness"]["w_size"] == 1
+
+
+def test_region_planted_target_feasible_with_ledger_over_seeds():
+    # the region benchmark op's check: at the CLI's default restarts the
+    # planted target has a feasible witness at |W| = 2 with nonempty windows
+    from coordsim.bundled import planted_target
+    from coordsim.region import binning_rate_ledger, search_auxiliary
+
+    cfg = parse_config("region", {"model": "bundled:planted-target"})
+    target = planted_target()
+    for seed in range(50):
+        verdict = search_auxiliary(target, 2, restarts=cfg["restarts"], tol=cfg["tol"], seed=seed)
+        assert verdict.feasible, seed
+        assert verdict.inner_rate >= verdict.outer_rate
+        binning_rate_ledger(target, verdict.witness)  # raises EmptyWindow if a window is empty
 
 
 def test_cli_import_loads_no_scipy():
