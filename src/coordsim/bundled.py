@@ -1,12 +1,15 @@
 """Bundled example models used by tests, the CLI, and documentation.
 
-Two models ship with the package:
+Each model is a :class:`~coordsim.construction.SourceModel`; a target is
+its ``.target`` view.
 
-* :func:`bsc_target` / (see :mod:`coordsim.construction` for the source-model
-  form) -- uniform binary signal over a BSC(0.1) with a constant auxiliary
-  variable and an action that is a noisy copy of the channel output.
-* :func:`planted_target` -- the target of a source model that holds a
-  known binary-auxiliary witness, used to exercise witness recovery.
+* :func:`bsc_model` -- uniform binary signal over a BSC(0.1) with a
+  constant auxiliary variable and an action that is a noisy copy of the
+  channel output.
+* :func:`chained_model` -- an auxiliary that is a noisy copy of U, so the
+  chained positions and the one-time pads are exercised.
+* :func:`planted_model` -- holds a known binary-auxiliary witness,
+  :func:`planted_witness`, used to exercise witness recovery.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "bsc_model",
     "chained_model",
     "planted_witness",
+    "planted_model",
     "planted_target",
 ]
 
@@ -38,22 +42,9 @@ def binary_symmetric_channel(p: float, in_axis: Alphabet = X, out_axis: Alphabet
     return ConditionalPMF((in_axis,), (out_axis,), t)
 
 
-def bsc_target(crossover: float = 0.1, action_noise: float = 0.1) -> CoordinationTarget:
-    """Uniform X over BSC(crossover); V is a BSC(action_noise) copy of Y,
-    ignoring U and X.  The natural witness is a constant W."""
-    flip = np.array([[1.0 - action_noise, action_noise], [action_noise, 1.0 - action_noise]])
-    act = np.broadcast_to(flip[None, None, :, :], (2, 2, 2, 2))
-    return CoordinationTarget(
-        p_u=JointPMF.uniform((U,)),
-        p_x=JointPMF.uniform((X,)),
-        channel=binary_symmetric_channel(crossover),
-        action_rule=ConditionalPMF((U, X, Y), (V,), np.array(act)),
-    )
-
-
 def bsc_model(crossover: float = 0.1, action_noise: float = 0.1) -> SourceModel:
-    """Source-model form of :func:`bsc_target`: constant auxiliary W = 0,
-    the action a noisy copy of the channel output."""
+    """Uniform X over BSC(crossover); constant auxiliary W = 0, and V a
+    BSC(action_noise) copy of Y, ignoring U and X."""
     w_rule = np.zeros((2, 2, 2))
     w_rule[..., 0] = 1.0
     flip = np.array([[1.0 - action_noise, action_noise], [action_noise, 1.0 - action_noise]])
@@ -62,9 +53,14 @@ def bsc_model(crossover: float = 0.1, action_noise: float = 0.1) -> SourceModel:
         u_prior=JointPMF.uniform((U,)),
         x_prior=JointPMF.uniform((X,)),
         channel=binary_symmetric_channel(crossover),
-        w_rule=ConditionalPMF((X, Alphabet("U", 2)), (W,), w_rule),
+        w_rule=ConditionalPMF((X, U), (W,), w_rule),
         v_rule=ConditionalPMF((W, Y), (V,), np.array(v_rule)),
     )
+
+
+def bsc_target(crossover: float = 0.1, action_noise: float = 0.1) -> CoordinationTarget:
+    """The target of :func:`bsc_model`; its natural witness is a constant W."""
+    return bsc_model(crossover, action_noise).target
 
 
 def chained_model(crossover: float = 0.05, w_noise: float = 0.35) -> SourceModel:
@@ -83,13 +79,13 @@ def chained_model(crossover: float = 0.05, w_noise: float = 0.35) -> SourceModel
         u_prior=JointPMF.uniform((U,)),
         x_prior=JointPMF((X,), np.array([0.7, 0.3])),
         channel=binary_symmetric_channel(crossover),
-        w_rule=ConditionalPMF((X, Alphabet("U", 2)), (W,), w_rule),
+        w_rule=ConditionalPMF((X, U), (W,), w_rule),
         v_rule=ConditionalPMF((W, Y), (V,), v_rule),
     )
 
 
 def planted_witness() -> AuxiliaryDecomposition:
-    """The binary-auxiliary witness behind :func:`planted_target`."""
+    """The binary-auxiliary witness of :func:`planted_model`."""
     w_given_ux = np.empty((2, 2, 2))
     w_given_ux[0, 0] = [0.9, 0.1]
     w_given_ux[0, 1] = [0.8, 0.2]
@@ -107,9 +103,9 @@ def planted_witness() -> AuxiliaryDecomposition:
     )
 
 
-def planted_target(crossover: float = 0.05) -> CoordinationTarget:
-    """The target induced by :func:`planted_witness` through a
-    BSC(crossover); the witness is feasible by construction."""
+def planted_model(crossover: float = 0.05) -> SourceModel:
+    """The source model that holds :func:`planted_witness`, through a
+    BSC(crossover)."""
     witness = planted_witness()
     return SourceModel(
         u_prior=JointPMF.uniform((U,)),
@@ -117,4 +113,10 @@ def planted_target(crossover: float = 0.05) -> CoordinationTarget:
         channel=binary_symmetric_channel(crossover),
         w_rule=witness.p_w_given_ux,
         v_rule=witness.p_v_given_wy,
-    ).target
+    )
+
+
+def planted_target(crossover: float = 0.05) -> CoordinationTarget:
+    """The target of :func:`planted_model`; the planted witness is
+    feasible by construction."""
+    return planted_model(crossover).target

@@ -6,11 +6,13 @@ Subcommands: ``region`` (witness search on a coordination target),
 small-blocklength binning sweeps) and ``plotdata`` (merge report JSONs
 into one long-format CSV).
 
-Every run writes a schema-versioned ``report.json`` plus the subcommand's
-CSV into the output directory.  Configs are strict JSON: unknown keys are
-rejected with a JSON-pointer path.  Models are given inline, as a path to
-a model JSON, or as one of the bundled names (``bundled:bsc``,
-``bundled:bsc-noiseless``, ``bundled:chained``, ``bundled:planted-target``).
+Every run writes a ``report.json`` that starts with ``schema_version``,
+``subcommand`` and ``config``, plus the subcommand's CSV, into the output
+directory.  Configs are strict JSON: unknown keys are rejected with a
+JSON-pointer path.  Models are given inline, as a path to a model JSON, or
+as one of the bundled source models (``bundled:bsc``,
+``bundled:bsc-noiseless``, ``bundled:chained``, ``bundled:planted-target``);
+``region`` reads a bundled model through its target view.
 The worker pool for simulation trials is capped by COORDSIM_THREADS; each
 worker runs one contiguous chunk of the seeds in lockstep.
 """
@@ -158,6 +160,8 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
     if subcommand not in _SCHEMAS:
         raise ConfigError("/", f"unknown subcommand {subcommand!r}")
     cfg = _apply_schema(doc, _SCHEMAS[subcommand])
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError("/schema_version", f"schema_version {cfg['schema_version']} is not {SCHEMA_VERSION}")
     cfg["subcommand"] = subcommand
     cfg["base_dir"] = str(base_dir or Path.cwd())
     if "params" in cfg:
@@ -170,6 +174,8 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
         if params["mc_samples"] < 1:
             raise ConfigError("/params/mc_samples", "mc_samples must be >= 1")
         cfg["params"] = params
+    if "k" in cfg and cfg["k"] < 2:
+        raise ConfigError("/k", "the chaining construction needs k >= 2 blocks")
     if cfg.get("trials") is not None and cfg["trials"] < 1:
         raise ConfigError("/trials", "trials must be >= 1")
     if cfg.get("seeds") is not None:
@@ -232,50 +238,47 @@ def _check_binning_sweep(cfg):
 # ---------------------------------------------------------------------------
 # model loading
 
-_BUNDLED_SOURCE_MODELS = {
+_BUNDLED = {
     "bundled:bsc": bundled.bsc_model,
-    "bundled:bsc-noiseless": lambda: bundled.bsc_model(crossover=0.0),
+    "bundled:bsc-noiseless": functools.partial(bundled.bsc_model, crossover=0.0),
     "bundled:chained": bundled.chained_model,
-}
-_BUNDLED_TARGETS = {
-    "bundled:bsc": bundled.bsc_target,
-    "bundled:planted-target": bundled.planted_target,
+    "bundled:planted-target": bundled.planted_model,
 }
 
 
-def _load_model_doc(cfg) -> dict | str:
+def _load(cfg, parse, what: str):
+    """The config's model: a bundled :class:`SourceModel`, or the inline or
+    file JSON document read by ``parse``.  An unknown bundled name or a
+    document that ``parse`` rejects raises ConfigError at /model."""
     model = cfg["model"]
     if isinstance(model, str):
         if model.startswith("bundled:"):
-            return model
-        return json.loads((Path(cfg["base_dir"]) / model).read_text())
-    return model
+            if model not in _BUNDLED:
+                raise ConfigError("/model", f"unknown bundled model {model!r}")
+            return _BUNDLED[model]()
+        model = json.loads((Path(cfg["base_dir"]) / model).read_text())
+    try:
+        return parse(model)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError("/model", f"invalid {what}: {err}") from None
 
 
 def _source_model(cfg) -> SourceModel:
-    doc = _load_model_doc(cfg)
-    if isinstance(doc, str):
-        try:
-            return _BUNDLED_SOURCE_MODELS[doc]()
-        except KeyError:
-            raise ConfigError("/model", f"unknown bundled source model {doc!r}") from None
-    try:
-        return SourceModel.from_json_dict(doc)
-    except (KeyError, ValueError) as err:
-        raise ConfigError("/model", f"invalid source model: {err}") from None
+    return _load(cfg, SourceModel.from_json_dict, "source model")
 
 
 def _target(cfg) -> CoordinationTarget:
-    doc = _load_model_doc(cfg)
-    if isinstance(doc, str):
-        try:
-            return _BUNDLED_TARGETS[doc]()
-        except KeyError:
-            raise ConfigError("/model", f"unknown bundled target {doc!r}") from None
-    try:
-        return CoordinationTarget.from_json_dict(doc)
-    except (KeyError, ValueError) as err:
-        raise ConfigError("/model", f"invalid coordination target: {err}") from None
+    """A bundled model's target view, or an inline or file target."""
+    model = _load(cfg, CoordinationTarget.from_json_dict, "coordination target")
+    return model.target if isinstance(model, SourceModel) else model
+
+
+def _joint(cfg) -> JointPMF:
+    """The joint pmf over axes A and B that verify-binning sweeps."""
+    joint = _load(cfg, JointPMF.from_json_dict, "joint pmf")
+    if not isinstance(joint, JointPMF) or sorted(joint.axis_names) != ["A", "B"]:
+        raise ConfigError("/model", "verify-binning needs an inline or file joint pmf over axes A and B")
+    return joint
 
 
 def _target_and_witness_of(model: SourceModel) -> tuple[CoordinationTarget, AuxiliaryDecomposition]:
@@ -287,15 +290,15 @@ def _target_and_witness_of(model: SourceModel) -> tuple[CoordinationTarget, Auxi
 # runners
 
 
-def _write_report(out_dir: Path, report: dict) -> Path:
+def _out_dir(cfg) -> Path:
+    """The run's output directory, made on first use."""
+    out_dir = Path(cfg["base_dir"]) / cfg["out"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(report, indent=2))
-    return path
+    return out_dir
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
+def _write_csv(cfg, name: str, header, rows):
+    with open(_out_dir(cfg) / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -313,12 +316,7 @@ def _run_region(cfg) -> dict:
         verdict = search_auxiliary(target, w, restarts=cfg["restarts"], tol=cfg["tol"], seed=cfg["seed"])
         if verdict.feasible:
             break
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "region",
-        "config": _echo(cfg),
-        "region_verdict": verdict.to_json_dict(),
-    }
+    report = {"region_verdict": verdict.to_json_dict()}
     if verdict.feasible:
         try:
             ledger = binning_rate_ledger(target, verdict.witness)
@@ -334,20 +332,20 @@ def _run_region(cfg) -> dict:
     return report
 
 
-def _run_construct(cfg) -> dict:
-    model = _source_model(cfg)
+def _profile_and_sets(cfg, model: SourceModel):
+    """The Monte-Carlo entropy profile of ``model`` and its index sets."""
     params = PolarParams(**cfg["params"])
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0]))
     profile = estimate_profile(model, params, rng)
-    sets = build_index_sets(profile, params)
-    cert = divergence_certificate(profile, sets)
+    return profile, build_index_sets(profile, params)
+
+
+def _run_construct(cfg) -> dict:
+    profile, sets = _profile_and_sets(cfg, _source_model(cfg))
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "construct",
-        "config": _echo(cfg),
         "index_sets": sets.to_json_dict(),
         "profile": profile.to_json_dict(),
-        "divergence_certificate": cert.to_json_dict(),
+        "divergence_certificate": divergence_certificate(profile, sets).to_json_dict(),
         "set_sizes": {k: int(len(getattr(sets, k))) for k in sets.NAMES},
     }
     if cfg["cache"] is not None:
@@ -359,24 +357,18 @@ def _run_construct(cfg) -> dict:
     return report
 
 
-def _simulate_chunk(model_doc, sets, k, seeds) -> list[TrialResult]:
-    return run_trials(SourceModel.from_json_dict(model_doc), sets, k, seeds)
-
-
 def _run_simulate(cfg) -> dict:
     model = _source_model(cfg)
-    params = PolarParams(**cfg["params"])
     if cfg["sets_cache"] is not None:
         sets = load_index_cache(Path(cfg["base_dir"]) / cfg["sets_cache"])
-        if sets.n != params.n:
-            raise ConfigError("/sets_cache", f"cache is for n={sets.n}, config says n={params.n}")
+        n = cfg["params"]["n"]
+        if sets.n != n:
+            raise ConfigError("/sets_cache", f"cache is for n={sets.n}, config says n={n}")
         profile = None
     else:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0]))
-        profile = estimate_profile(model, params, rng)
-        sets = build_index_sets(profile, params)
+        profile, sets = _profile_and_sets(cfg, model)
     seeds = cfg["seeds"] if cfg["seeds"] is not None else [cfg["seed"] + t for t in range(cfg["trials"])]
-    results = _parallel_map(functools.partial(_simulate_chunk, model.to_json_dict(), sets, cfg["k"]), seeds)
+    results = _parallel_map(functools.partial(run_trials, model, sets, cfg["k"]), seeds)
     results.sort(key=lambda r: r.seed)
 
     rows = [r.csv_row() for r in results]
@@ -389,9 +381,6 @@ def _run_simulate(cfg) -> dict:
             "stderr": float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
         }
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "simulate",
-        "config": _echo(cfg),
         "rows": [dict(zip(TrialResult.CSV_FIELDS, row)) for row in rows],
         "aggregates": aggregates,
         "rate_report": rate_report(sets, cfg["k"]).to_json_dict(),
@@ -401,36 +390,24 @@ def _run_simulate(cfg) -> dict:
         report["divergence_certificate"] = divergence_certificate(profile, sets).to_json_dict()
     if cfg["attach_region_verdict"]:
         report["region_verdict"] = evaluate(model.target, model.witness).to_json_dict()
-    out_dir = Path(cfg["base_dir"]) / cfg["out"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "trials.csv", TrialResult.CSV_FIELDS, rows)
+    _write_csv(cfg, "trials.csv", TrialResult.CSV_FIELDS, rows)
     agg = aggregates["tv_estimate"]
     print(f"trials={len(rows)} tv_estimate={agg['mean']:.4f}±{agg['stderr']:.4f}")
     return report
 
 
 def _run_verify_binning(cfg) -> dict:
-    doc = _load_model_doc(cfg)
-    if isinstance(doc, str):
-        raise ConfigError("/model", "verify-binning needs an inline or file joint pmf over (A, B)")
-    joint = JointPMF.from_json_dict(doc)
+    joint = _joint(cfg)
     rng = np.random.default_rng(cfg["seed"])
     stats = verify_lemma_regimes(
         joint, cfg["n_list"], cfg["rates"], cfg["replicates"], rng,
         samples=cfg["samples"], lemmas=tuple(cfg["lemmas"]),
     )
     rows = [r for s in stats for r in s.csv_rows()]
-    out_dir = Path(cfg["base_dir"]) / cfg["out"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "binning.csv", ("n", "rate", "lemma", "statistic", "value"), rows)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "verify-binning",
-        "config": _echo(cfg),
-        "rows": [dict(zip(("n", "rate", "lemma", "statistic", "value"), r)) for r in rows],
-    }
+    header = ("n", "rate", "lemma", "statistic", "value")
+    _write_csv(cfg, "binning.csv", header, rows)
     print(f"wrote {len(rows)} sweep rows")
-    return report
+    return {"rows": [dict(zip(header, r)) for r in rows]}
 
 
 def emit_plotdata(report_docs: list[dict]) -> list[tuple]:
@@ -453,20 +430,9 @@ def emit_plotdata(report_docs: list[dict]) -> list[tuple]:
 def _run_plotdata(cfg) -> dict:
     docs = [json.loads((Path(cfg["base_dir"]) / p).read_text()) for p in cfg["reports"]]
     rows = emit_plotdata(docs)
-    out_dir = Path(cfg["base_dir"]) / cfg["out"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "plotdata.csv", ("n", "k", "seed", "metric", "value"), rows)
+    _write_csv(cfg, "plotdata.csv", ("n", "k", "seed", "metric", "value"), rows)
     print(f"wrote {len(rows)} plot rows")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "plotdata",
-        "config": _echo(cfg),
-        "rows_written": len(rows),
-    }
-
-
-def _echo(cfg) -> dict:
-    return {k: v for k, v in cfg.items() if k not in ("base_dir",)}
+    return {"rows_written": len(rows)}
 
 
 def _parallel_map(fn, items):
@@ -494,9 +460,16 @@ _RUNNERS = {
 
 def run(subcommand: str, cfg: dict) -> dict:
     """Dispatch a validated config; returns the report dict (also written
-    to <out>/report.json)."""
-    report = _RUNNERS[subcommand](cfg)
-    _write_report(Path(cfg["base_dir"]) / cfg["out"], report)
+    to <out>/report.json): the header keys ``schema_version``,
+    ``subcommand`` and ``config``, then the runner's body."""
+    body = _RUNNERS[subcommand](cfg)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": subcommand,
+        "config": {k: v for k, v in cfg.items() if k != "base_dir"},
+        **body,
+    }
+    (_out_dir(cfg) / "report.json").write_text(json.dumps(report, indent=2))
     return report
 
 

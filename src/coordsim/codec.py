@@ -398,13 +398,6 @@ class TrialResult:
         return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
-def _tuple_codes(u, x, y, v, sizes) -> np.ndarray:
-    code = u.astype(np.intp)
-    for arr, s in ((x, sizes["X"]), (y, sizes["Y"]), (v, sizes["V"])):
-        code = code * s + arr.astype(np.intp)
-    return code
-
-
 def _source_blocks(model: SourceModel, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """The uniform dummy block and k source blocks, shape (k+1, n)."""
     u_blocks = np.empty((k + 1, n), dtype=np.uint8)
@@ -439,9 +432,8 @@ def run_trials(
     s_ok = (s_hat == s).all(axis=2)
     z_ok = (z_hat == z).all(axis=2)
 
-    sizes = model.sizes
-    tuple_size = sizes["U"] * sizes["X"] * sizes["Y"] * sizes["V"]
-    target = marginalize(model.single_letter_joint(), ["U", "X", "Y", "V"]).table.reshape(-1)
+    target = marginalize(model.single_letter_joint(), ["U", "X", "Y", "V"]).table
+    tuple_size = target.size
     rates = rate_report(sets, k)
     results = []
     for t, seed in enumerate(seeds):
@@ -453,16 +445,12 @@ def run_trials(
             for i in range(k)
         ]
         # coordinated single letters: source block i-1 with signal block i, i = 2..k
-        codes = [_tuple_codes(u_blocks[t, i], x[t, i], y[t, i], v[t, i], sizes) for i in range(1, k)]
-        counts = np.zeros(tuple_size)
-        np.add.at(counts, np.concatenate(codes), 1.0)
-        hist = counts / counts.sum()
-        tv = float(np.abs(hist - target).sum())
+        codes = np.ravel_multi_index((u_blocks[t, 1:k], x[t, 1:k], y[t, 1:k], v[t, 1:k]), target.shape)
+        hist = np.bincount(codes.ravel(), minlength=tuple_size) / codes.size
+        tv = float(np.abs(hist - target.reshape(-1)).sum())
 
         if len(codes) >= 2:
-            a = np.concatenate(codes[:-1])
-            b = np.concatenate(codes[1:])
-            mi = empirical_mutual_information(a, b, tuple_size, tuple_size)
+            mi = empirical_mutual_information(codes[:-1].ravel(), codes[1:].ravel(), tuple_size, tuple_size)
         else:
             mi = 0.0
 

@@ -71,13 +71,6 @@ class PolarParams:
     def delta_n(self) -> float:
         return 2.0 ** (-(self.n**self.beta))
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "beta": self.beta, "mc_samples": self.mc_samples}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PolarParams":
-        return cls(int(d["n"]), float(d.get("beta", 0.25)), int(d.get("mc_samples", 20000)))
-
 
 class SourceModel:
     """A coordination target plus the witness that induces it: the

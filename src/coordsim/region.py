@@ -153,14 +153,6 @@ class AuxiliaryDecomposition:
             "p_v_given_wy": self.p_v_given_wy.to_json_dict(),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AuxiliaryDecomposition":
-        return cls(
-            int(d["w_size"]),
-            ConditionalPMF.from_json_dict(d["p_w_given_ux"]),
-            ConditionalPMF.from_json_dict(d["p_v_given_wy"]),
-        )
-
 
 @dataclass(frozen=True)
 class RegionVerdict:

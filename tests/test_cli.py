@@ -44,6 +44,18 @@ def test_parse_config_rejects_unknown_key():
         parse_config("construct", {"model": "bundled:bsc", "params": {"n": 64, "foo": 2}})
 
 
+@pytest.mark.parametrize("subcommand,doc", [
+    ("region", {"model": "bundled:planted-target"}),
+    ("plotdata", {"reports": []}),
+])
+def test_parse_config_rejects_other_schema_version(subcommand, doc):
+    assert parse_config(subcommand, {**doc, "schema_version": cli.SCHEMA_VERSION})
+    for version in (0, 7):
+        with pytest.raises(ConfigError) as err:
+            parse_config(subcommand, {**doc, "schema_version": version})
+        assert err.value.pointer == "/schema_version"
+
+
 @pytest.mark.parametrize("over,pointer", [
     ({"tol": -1.0}, "/tol"),
     ({"tol": float("nan")}, "/tol"),
@@ -85,6 +97,62 @@ def test_malformed_pmf_row_cites_normalization(tmp_path):
     cfg = parse_config("construct", {"model": doc, "params": {"n": 32, "mc_samples": 100}}, tmp_path)
     with pytest.raises(ConfigError, match="sum"):
         cli._source_model(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(cli._BUNDLED))
+def test_every_bundled_name_loads_as_source_model_and_target(name):
+    from coordsim.construction import SourceModel
+    from coordsim.region import CoordinationTarget
+
+    model = cli._source_model(parse_config("construct", {"model": name, "params": {"n": 8}}))
+    target = cli._target(parse_config("region", {"model": name}))
+    assert isinstance(model, SourceModel) and isinstance(target, CoordinationTarget)
+    assert target.to_json_dict() == model.target.to_json_dict()
+
+
+def test_bundled_targets_are_model_views():
+    from coordsim import bundled
+
+    assert bundled.bsc_target(0.2, 0.3).to_json_dict() == bundled.bsc_model(0.2, 0.3).target.to_json_dict()
+    assert bundled.planted_target(0.1).to_json_dict() == bundled.planted_model(0.1).target.to_json_dict()
+
+
+@pytest.mark.parametrize("subcommand,doc", [
+    ("region", {}),
+    ("simulate", {"params": {"n": 32}, "k": 2}),
+])
+def test_main_rejects_unknown_bundled_name(tmp_path, capsys, subcommand, doc):
+    doc = {**doc, "model": "bundled:nope", "out": "bad"}
+    code = cli.main([subcommand, "--config", str(write_config(tmp_path, "bad.json", doc))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "/model: unknown bundled model 'bundled:nope'", "type": "ConfigError"}
+    assert not (tmp_path / "bad").exists()
+
+
+# -- report header -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("subcommand,doc", [
+    ("region", {"model": "bundled:bsc", "w_size": 1, "restarts": 2}),
+    ("construct", {"model": "bundled:bsc", "params": {"n": 8, "mc_samples": 50}}),
+    ("simulate", {"model": "bundled:bsc", "params": {"n": 32, "mc_samples": 400}, "k": 2}),
+    ("verify-binning", {"model": {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}],
+                                  "table": [0.45, 0.05, 0.05, 0.45]},
+                        "n_list": [4], "rates": [0.3], "replicates": 1, "samples": 10}),
+    ("plotdata", {"reports": []}),
+])
+def test_every_report_starts_with_the_header(tmp_path, monkeypatch, subcommand, doc):
+    monkeypatch.setenv("COORDSIM_THREADS", "1")
+    cfg = parse_config(subcommand, {**doc, "out": "hdr"}, tmp_path)
+    report = cli.run(subcommand, cfg)
+    written = json.loads((tmp_path / "hdr" / "report.json").read_text())
+    assert written == report
+    assert list(written)[:3] == ["schema_version", "subcommand", "config"]
+    assert written["schema_version"] == cli.SCHEMA_VERSION
+    assert written["subcommand"] == subcommand
+    assert written["config"] == {k: v for k, v in cfg.items() if k != "base_dir"}
+    assert len(written) > 3  # the runner's body follows the header
 
 
 # -- construct ------------------------------------------------------------------
@@ -329,6 +397,25 @@ def test_verify_binning_extraction_n16(tmp_path):
     assert math.isfinite(kl) and kl >= 0.0
 
 
+@pytest.mark.parametrize("model", [
+    {"axes": [{"name": "X", "size": 2}, {"name": "Y", "size": 2}], "table": [0.25] * 4},
+    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}, {"name": "C", "size": 2}],
+     "table": [0.125] * 8},
+    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [0.5, 0.5]},
+    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}]},
+    {"axes": "AB", "table": [0.25] * 4},
+    "bundled:bsc",
+], ids=["axes-XY", "axes-ABC", "table-length", "no-table", "axes-not-a-list", "bundled"])
+def test_verify_binning_rejects_joint_not_over_a_b(tmp_path, capsys, model):
+    doc = {"model": model, "n_list": [4], "rates": [0.3], "replicates": 1, "samples": 10, "out": "bad"}
+    code = cli.main(["verify-binning", "--config", str(write_config(tmp_path, "bad.json", doc))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith("/model: ")
+    assert not (tmp_path / "bad").exists()
+
+
 # -- plotdata -----------------------------------------------------------------------
 
 
@@ -372,6 +459,7 @@ def test_plotdata_schema_mismatch():
     ("verify-binning", {"lemmas": ["sw", "foo"]}, "/lemmas/1"),
     ("construct", {"params": {"n": 32, "mc_samples": 0}}, "/params/mc_samples"),
     ("verify-binning", {"n_list": [12], "rates": [10.0]}, "/rates/0"),
+    ("simulate", {"params": {"n": 32}, "k": 1}, "/k"),
 ])
 def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
     from coordsim.binning import dsbs
