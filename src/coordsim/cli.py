@@ -135,9 +135,14 @@ def _check_type(pointer, value, types):
     return value
 
 
-def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
+def _object(doc, pointer: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(pointer or "/", "expected a JSON object")
+    return doc
+
+
+def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
+    _object(doc, pointer)
     out = {}
     for key, value in doc.items():
         if key not in schema:
@@ -249,18 +254,19 @@ _BUNDLED = {
 def _load(cfg, parse, what: str):
     """The config's model: a bundled :class:`SourceModel`, or the inline or
     file JSON document read by ``parse``.  An unknown bundled name or a
-    document that ``parse`` rejects raises ConfigError at /model."""
+    document that ``parse`` rejects, or a model file that cannot be read as
+    JSON, raises ConfigError at /model."""
     model = cfg["model"]
-    if isinstance(model, str):
-        if model.startswith("bundled:"):
-            if model not in _BUNDLED:
-                raise ConfigError("/model", f"unknown bundled model {model!r}")
-            return _BUNDLED[model]()
-        model = json.loads((Path(cfg["base_dir"]) / model).read_text())
+    if isinstance(model, str) and model.startswith("bundled:"):
+        if model not in _BUNDLED:
+            raise ConfigError("/model", f"unknown bundled model {model!r}")
+        return _BUNDLED[model]()
+    path = None if isinstance(model, dict) else Path(cfg["base_dir"]) / model
     try:
-        return parse(model)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError("/model", f"invalid {what}: {err}") from None
+        return parse(model if path is None else json.loads(path.read_text()))
+    except (KeyError, TypeError, ValueError, OSError) as err:
+        source = what if path is None else f"{what} file {path}"
+        raise ConfigError("/model", f"invalid {source}: {err}") from None
 
 
 def _source_model(cfg) -> SourceModel:
@@ -360,7 +366,10 @@ def _run_construct(cfg) -> dict:
 def _run_simulate(cfg) -> dict:
     model = _source_model(cfg)
     if cfg["sets_cache"] is not None:
-        sets = load_index_cache(Path(cfg["base_dir"]) / cfg["sets_cache"])
+        try:
+            sets = load_index_cache(Path(cfg["base_dir"]) / cfg["sets_cache"])
+        except (OSError, ValueError) as err:
+            raise ConfigError("/sets_cache", str(err)) from None
         n = cfg["params"]["n"]
         if sets.n != n:
             raise ConfigError("/sets_cache", f"cache is for n={sets.n}, config says n={n}")
@@ -412,23 +421,34 @@ def _run_verify_binning(cfg) -> dict:
 
 def emit_plotdata(report_docs: list[dict]) -> list[tuple]:
     """Merge simulate reports into long-format rows (n, k, seed, metric,
-    value); raises on schema-version mismatch."""
+    value).  Report i raises ConfigError at /reports/i if it is not a JSON
+    object, has another schema version, or has a row that is not an object
+    or lacks n, k or seed next to its metrics."""
     rows = []
     for i, doc in enumerate(report_docs):
-        version = doc.get("schema_version")
+        pointer = f"/reports/{i}"
+        version = _object(doc, pointer).get("schema_version")
         if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"report {i}: schema_version {version!r} does not match {SCHEMA_VERSION}"
-            )
-        for row in doc.get("rows", []):
-            for metric in TrialResult.CSV_FIELDS[3:]:
-                if metric in row:
-                    rows.append((row["n"], row["k"], row["seed"], metric, row[metric]))
+            raise ConfigError(pointer, f"schema_version {version!r} does not match {SCHEMA_VERSION}")
+        doc_rows = doc.get("rows", [])
+        if not isinstance(doc_rows, list) or not all(isinstance(row, dict) for row in doc_rows):
+            raise ConfigError(pointer, "rows must be a list of JSON objects")
+        for row in doc_rows:
+            metrics = [m for m in TrialResult.CSV_FIELDS[3:] if m in row]
+            if metrics and not {"n", "k", "seed"} <= row.keys():
+                raise ConfigError(pointer, "a row with trial metrics needs keys n, k and seed")
+            rows += [(row["n"], row["k"], row["seed"], m, row[m]) for m in metrics]
     return rows
 
 
 def _run_plotdata(cfg) -> dict:
-    docs = [json.loads((Path(cfg["base_dir"]) / p).read_text()) for p in cfg["reports"]]
+    docs = []
+    for i, name in enumerate(cfg["reports"]):
+        path = Path(cfg["base_dir"]) / name
+        try:
+            docs.append(json.loads(path.read_text()))
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"/reports/{i}", f"unreadable report {path}: {err}") from None
     rows = emit_plotdata(docs)
     _write_csv(cfg, "plotdata.csv", ("n", "k", "seed", "metric", "value"), rows)
     print(f"wrote {len(rows)} plot rows")
@@ -497,6 +517,7 @@ def main(argv=None) -> int:
         else:
             doc = json.loads(Path(args.config).read_text())
             base = Path(args.config).resolve().parent
+        _object(doc, "/")
         for key in ("seed", "out", "k", "trials", "restarts", "tol", "replicates"):
             value = getattr(args, key)
             if value is not None:
@@ -504,7 +525,7 @@ def main(argv=None) -> int:
         if args.w_size is not None:
             doc["w_size"] = args.w_size
         if args.n is not None:
-            doc.setdefault("params", {})["n"] = args.n
+            _object(doc.setdefault("params", {}), "/params")["n"] = args.n
         if args.n_list is not None:
             doc["n_list"] = [int(v) for v in args.n_list.split(",")]
         if args.rates is not None:

@@ -401,7 +401,7 @@ class TrialResult:
 def _source_blocks(model: SourceModel, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """The uniform dummy block and k source blocks, shape (k+1, n)."""
     u_blocks = np.empty((k + 1, n), dtype=np.uint8)
-    u_blocks[0] = rng.integers(0, model.sizes["U"], n)
+    u_blocks[0] = rng.integers(0, model.u_prior.axes[0].size, n)
     u_blocks[1:] = inverse_cdf(model.u_prior.table, rng.random((k, n)))
     return u_blocks
 

@@ -21,7 +21,7 @@ estimates.  All index sets are 0-based.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,6 +81,15 @@ class SourceModel:
     P_{V|WY}) the :attr:`witness`; the polar scheme runs on the whole law.
     """
 
+    # the JSON keys in order, each an attribute and constructor argument of its pmf type
+    JSON_FIELDS = {
+        "u_prior": JointPMF,
+        "x_prior": JointPMF,
+        "channel": ConditionalPMF,
+        "w_rule": ConditionalPMF,
+        "v_rule": ConditionalPMF,
+    }
+
     def __init__(
         self,
         u_prior: JointPMF,
@@ -100,16 +109,6 @@ class SourceModel:
         self.v_rule = v_rule
         # composing checks that the factors agree on every shared axis size
         self._joint = witness_joint(u_prior, x_prior, channel, w_rule, v_rule)
-
-    @property
-    def sizes(self) -> dict[str, int]:
-        return {
-            "U": self.u_prior.axes[0].size,
-            "X": 2,
-            "W": 2,
-            "Y": self.channel.out_axes[0].size,
-            "V": self.v_rule.out_axes[0].size,
-        }
 
     def single_letter_joint(self) -> JointPMF:
         """The i.i.d. per-symbol joint over (U, X, W, Y, V)."""
@@ -162,23 +161,11 @@ class SourceModel:
         return {name: axis.take(draws) for name, axis in zip(("u", "x", "w", "y", "v"), cells)}
 
     def to_json_dict(self) -> dict:
-        return {
-            "u_prior": self.u_prior.to_json_dict(),
-            "x_prior": self.x_prior.to_json_dict(),
-            "channel": self.channel.to_json_dict(),
-            "w_rule": self.w_rule.to_json_dict(),
-            "v_rule": self.v_rule.to_json_dict(),
-        }
+        return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SourceModel":
-        return cls(
-            JointPMF.from_json_dict(d["u_prior"]),
-            JointPMF.from_json_dict(d["x_prior"]),
-            ConditionalPMF.from_json_dict(d["channel"]),
-            ConditionalPMF.from_json_dict(d["w_rule"]),
-            ConditionalPMF.from_json_dict(d["v_rule"]),
-        )
+        return cls(**{key: kind.from_json_dict(d[key]) for key, kind in cls.JSON_FIELDS.items()})
 
 
 @dataclass(frozen=True)
@@ -408,14 +395,7 @@ class RateReport:
     common_randomness_rate_limit: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "common_randomness_rate": self.common_randomness_rate,
-            "side_channel_rate": self.side_channel_rate,
-            "local_randomness_rate": self.local_randomness_rate,
-            "common_randomness_rate_limit": self.common_randomness_rate_limit,
-        }
+        return asdict(self)
 
 
 def rate_report(sets: PolarIndexSets, k: int) -> RateReport:
@@ -464,7 +444,7 @@ class DivergenceCertificate:
         return self.d1 + self.d2
 
     def to_json_dict(self) -> dict:
-        return {"d1": self.d1, "d2": self.d2, "bound": self.bound, "stderr": self.stderr}
+        return asdict(self)
 
 
 def divergence_certificate(
@@ -507,21 +487,32 @@ def save_index_cache(path, sets: PolarIndexSets):
 
 
 def load_index_cache(path) -> PolarIndexSets:
+    """Index sets written by :func:`save_index_cache`.  A file that is not
+    one, is cut short or holds a count past its end raises ValueError
+    naming ``path``; the file is read whole, so no count sizes a read."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not an index cache file")
-        version, n = struct.unpack("<II", fh.read(8))
+        data = fh.read()
+    try:
+        if data[:4] != _CACHE_MAGIC:
+            raise ValueError("not an index cache file")
+        version, n, delta = struct.unpack_from("<IId", data, 4)
         if version != _CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        (delta,) = struct.unpack("<d", fh.read(8))
+            raise ValueError(f"unsupported cache version {version}")
         kw: dict = {"n": n, "delta_n": delta}
+        pos = 20
         for name in PolarIndexSets.NAMES:
-            (count,) = struct.unpack("<I", fh.read(4))
-            kw[name] = np.frombuffer(fh.read(4 * count), dtype="<u4").astype(np.int64)
-        (nwarn,) = struct.unpack("<I", fh.read(4))
+            (count,) = struct.unpack_from("<I", data, pos)
+            kw[name] = np.frombuffer(data, dtype="<u4", count=count, offset=pos + 4).astype(np.int64)
+            pos += 4 + 4 * count
+        (nwarn,) = struct.unpack_from("<I", data, pos)
+        pos += 4
         warnings = []
         for _ in range(nwarn):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            warnings.append(fh.read(ln).decode("utf-8"))
+            (ln,) = struct.unpack_from("<I", data, pos)
+            (text,) = struct.unpack_from(f"{ln}s", data, pos + 4)
+            warnings.append(text.decode("utf-8"))
+            pos += 4 + ln
         kw["warnings"] = tuple(warnings)
-    return PolarIndexSets(**kw)
+        return PolarIndexSets(**kw)
+    except (struct.error, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -13,7 +13,9 @@ Conventions used throughout the package:
   contained in the support of ``q``.
 
 Tables are dense; the product of alphabet sizes is capped at ``CELL_CAP``
-cells.
+cells.  :class:`JointPMF` (a table with no given axes) and
+:class:`ConditionalPMF` pass one check, which also rejects a NaN or
+infinite entry, and one pair of helpers reads and writes their JSON.
 """
 
 from __future__ import annotations
@@ -63,38 +65,57 @@ class Alphabet:
             raise ValueError(f"alphabet {self.name!r} must have size >= 1, got {self.size}")
 
 
-def _check_cells(axes: Sequence[Alphabet]):
-    cells = math.prod(a.size for a in axes) if axes else 1
-    if cells > CELL_CAP:
-        raise ValueError(f"table would have {cells} cells, exceeding the cap of {CELL_CAP}")
-
-
-def _check_unique(names: Iterable[str]):
-    names = list(names)
+def _checked_table(given: tuple[Alphabet, ...], out: tuple[Alphabet, ...], table) -> np.ndarray:
+    """The one check of every pmf table: a read-only float64 array over
+    ``given + out`` (unique labels, at most ``CELL_CAP`` cells) whose
+    entries are nonnegative and whose ``out`` block sums to 1 within
+    ``NORMALIZATION_TOL`` for each ``given`` assignment.  A NaN or infinite
+    entry fails the sum test."""
+    axes = given + out
+    names = [a.name for a in axes]
     if len(set(names)) != len(names):
         raise ValueError(f"axis labels must be unique, got {names}")
+    shape = tuple([a.size for a in axes])
+    cells = math.prod(shape)
+    if cells > CELL_CAP:
+        raise ValueError(f"table would have {cells} cells, exceeding the cap of {CELL_CAP}")
+    table = np.asarray(table, dtype=np.float64)
+    if table.shape != shape:
+        raise ValueError(f"table shape {table.shape} does not match axes {[(a.name, a.size) for a in axes]}")
+    if table.min() < 0:
+        raise ValueError("pmf entries must be nonnegative")
+    worst = np.abs(table.sum(axis=tuple(range(len(given), len(axes)))) - 1.0).max()
+    if not worst <= NORMALIZATION_TOL:
+        raise ValueError(f"pmf rows must sum to 1 within {NORMALIZATION_TOL}; worst |err|={float(worst)!r}")
+    table.flags.writeable = False
+    return table
+
+
+def _pmf_to_json(table: np.ndarray, **axes: tuple[Alphabet, ...]) -> dict:
+    """A pmf's JSON: one ``[{"name", "size"}]`` list per keyword, then the
+    row-major table."""
+    doc = {key: [{"name": a.name, "size": a.size} for a in group] for key, group in axes.items()}
+    return {**doc, "table": table.reshape(-1).tolist()}
+
+
+def _pmf_from_json(d: dict, *keys: str) -> list:
+    """The alphabet tuple under each of ``keys`` in a pmf's JSON, then the
+    table in their shape.  A size must be an int (not a bool) >= 1."""
+    groups = []
+    for key in keys:
+        for a in d[key]:
+            if type(a["size"]) is not int:
+                raise ValueError(f"alphabet size must be an integer, got {a['size']!r}")
+        groups.append(tuple(Alphabet(a["name"], a["size"]) for a in d[key]))
+    return groups + [np.array(d["table"], dtype=np.float64).reshape([a.size for g in groups for a in g])]
 
 
 class JointPMF:
     """A joint pmf over an ordered product of labeled alphabets."""
 
     def __init__(self, axes: Sequence[Alphabet], table: np.ndarray):
-        axes = tuple(axes)
-        _check_unique(a.name for a in axes)
-        _check_cells(axes)
-        table = np.asarray(table, dtype=np.float64)
-        if table.shape != tuple(a.size for a in axes):
-            raise ValueError(
-                f"table shape {table.shape} does not match axes {[(a.name, a.size) for a in axes]}"
-            )
-        if np.any(table < 0):
-            raise ValueError("pmf entries must be nonnegative")
-        total = float(table.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"pmf must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
-        self.axes = axes
-        self.table = table
-        self.table.flags.writeable = False
+        self.axes = tuple(axes)
+        self.table = _checked_table((), self.axes, table)
 
     # -- constructors ------------------------------------------------------
 
@@ -134,16 +155,11 @@ class JointPMF:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "axes": [{"name": a.name, "size": a.size} for a in self.axes],
-            "table": self.table.reshape(-1).tolist(),
-        }
+        return _pmf_to_json(self.table, axes=self.axes)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "JointPMF":
-        axes = tuple(Alphabet(a["name"], int(a["size"])) for a in d["axes"])
-        shape = tuple(a.size for a in axes)
-        return cls(axes, np.array(d["table"], dtype=np.float64).reshape(shape))
+        return cls(*_pmf_from_json(d, "axes"))
 
 
 class ConditionalPMF:
@@ -162,25 +178,9 @@ class ConditionalPMF:
         table: np.ndarray,
         zero_rows: frozenset[tuple[int, ...]] = frozenset(),
     ):
-        given_axes = tuple(given_axes)
-        out_axes = tuple(out_axes)
-        _check_unique([a.name for a in given_axes] + [a.name for a in out_axes])
-        _check_cells(given_axes + out_axes)
-        table = np.asarray(table, dtype=np.float64)
-        shape = tuple(a.size for a in given_axes) + tuple(a.size for a in out_axes)
-        if table.shape != shape:
-            raise ValueError(f"table shape {table.shape} does not match {shape}")
-        if np.any(table < 0):
-            raise ValueError("conditional pmf entries must be nonnegative")
-        out_dims = tuple(range(len(given_axes), len(shape)))
-        sums = table.sum(axis=out_dims)
-        if not np.allclose(sums, 1.0, rtol=0.0, atol=NORMALIZATION_TOL):
-            worst = float(np.abs(sums - 1.0).max())
-            raise ValueError(f"conditional rows must sum to 1 within {NORMALIZATION_TOL}; worst |err|={worst!r}")
-        self.given_axes = given_axes
-        self.out_axes = out_axes
-        self.table = table
-        self.table.flags.writeable = False
+        self.given_axes = tuple(given_axes)
+        self.out_axes = tuple(out_axes)
+        self.table = _checked_table(self.given_axes, self.out_axes, table)
         self.zero_rows = frozenset(zero_rows)
 
     @property
@@ -206,18 +206,11 @@ class ConditionalPMF:
         return self.table.transpose(perm)
 
     def to_json_dict(self) -> dict:
-        return {
-            "given_axes": [{"name": a.name, "size": a.size} for a in self.given_axes],
-            "out_axes": [{"name": a.name, "size": a.size} for a in self.out_axes],
-            "table": self.table.reshape(-1).tolist(),
-        }
+        return _pmf_to_json(self.table, given_axes=self.given_axes, out_axes=self.out_axes)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConditionalPMF":
-        given = tuple(Alphabet(a["name"], int(a["size"])) for a in d["given_axes"])
-        out = tuple(Alphabet(a["name"], int(a["size"])) for a in d["out_axes"])
-        shape = tuple(a.size for a in given) + tuple(a.size for a in out)
-        return cls(given, out, np.array(d["table"], dtype=np.float64).reshape(shape))
+        return cls(*_pmf_from_json(d, "given_axes", "out_axes"))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,9 @@ def check_source_axes(p_u: JointPMF, p_x: JointPMF, channel: ConditionalPMF):
 class CoordinationTarget:
     """The coordination problem (P_U, P_X, P_{Y|X}, P_{V|UXY})."""
 
+    # the JSON keys in order, each a field of its pmf type
+    JSON_FIELDS = {"p_u": JointPMF, "p_x": JointPMF, "channel": ConditionalPMF, "action_rule": ConditionalPMF}
+
     p_u: JointPMF
     p_x: JointPMF
     channel: ConditionalPMF
@@ -108,21 +111,11 @@ class CoordinationTarget:
         return j
 
     def to_json_dict(self) -> dict:
-        return {
-            "p_u": self.p_u.to_json_dict(),
-            "p_x": self.p_x.to_json_dict(),
-            "channel": self.channel.to_json_dict(),
-            "action_rule": self.action_rule.to_json_dict(),
-        }
+        return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CoordinationTarget":
-        return cls(
-            JointPMF.from_json_dict(d["p_u"]),
-            JointPMF.from_json_dict(d["p_x"]),
-            ConditionalPMF.from_json_dict(d["channel"]),
-            ConditionalPMF.from_json_dict(d["action_rule"]),
-        )
+        return cls(**{key: kind.from_json_dict(d[key]) for key, kind in cls.JSON_FIELDS.items()})
 
 
 def cardinality_bound(target: CoordinationTarget) -> int:
@@ -281,19 +274,14 @@ def _raw_factors(target: CoordinationTarget):
 
 
 def _as_aux(target: CoordinationTarget, w_size: int, q: np.ndarray, r: np.ndarray) -> AuxiliaryDecomposition:
-    s = target.sizes
     W = Alphabet("W", w_size)
-    U = Alphabet("U", s["U"])
-    X = Alphabet("X", s["X"])
-    Y = Alphabet("Y", s["Y"])
-    V = Alphabet("V", s["V"])
     # renormalize rows exactly (the softmax rows sum to 1 only up to fp error)
     q = q / q.sum(axis=-1, keepdims=True)
     r = r / r.sum(axis=-1, keepdims=True)
     return AuxiliaryDecomposition(
         w_size,
-        ConditionalPMF((U, X), (W,), q),
-        ConditionalPMF((W, Y), (V,), r),
+        ConditionalPMF(target.p_u.axes + target.p_x.axes, (W,), q),
+        ConditionalPMF((W,) + target.channel.out_axes, target.action_rule.out_axes, r),
     )
 
 

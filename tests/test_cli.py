@@ -405,7 +405,10 @@ def test_verify_binning_extraction_n16(tmp_path):
     {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}]},
     {"axes": "AB", "table": [0.25] * 4},
     "bundled:bsc",
-], ids=["axes-XY", "axes-ABC", "table-length", "no-table", "axes-not-a-list", "bundled"])
+    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [math.nan, 0.5, 0.25, 0.25]},
+    {"axes": [{"name": "A", "size": 2.9}, {"name": "B", "size": 2}], "table": [0.25] * 4},
+], ids=["axes-XY", "axes-ABC", "table-length", "no-table", "axes-not-a-list", "bundled", "table-nan",
+        "size-not-int"])
 def test_verify_binning_rejects_joint_not_over_a_b(tmp_path, capsys, model):
     doc = {"model": model, "n_list": [4], "rates": [0.3], "replicates": 1, "samples": 10, "out": "bad"}
     code = cli.main(["verify-binning", "--config", str(write_config(tmp_path, "bad.json", doc))])
@@ -435,6 +438,24 @@ def test_plotdata_empty_input(tmp_path):
     assert cli.main(["plotdata", "--config", str(pcfg)]) == 0
     lines = (tmp_path / "plot0" / "plotdata.csv").read_text().splitlines()
     assert lines == ["n,k,seed,metric,value"]
+
+
+@pytest.mark.parametrize("report", [
+    "[1, 2]",
+    json.dumps({"schema_version": 1, "rows": [1]}),
+    json.dumps({"schema_version": 1, "rows": [{"tv_estimate": 0.1}]}),
+    "{not json",
+], ids=["list", "row-not-object", "row-without-seed", "not-json"])
+def test_plotdata_rejects_malformed_report(tmp_path, monkeypatch, capsys, report):
+    monkeypatch.setenv("COORDSIM_THREADS", "1")
+    assert cli.main(["simulate", "--config", str(simulate_config(tmp_path, trials=1))]) == 0
+    (tmp_path / "bad.json").write_text(report)
+    pcfg = write_config(tmp_path, "p.json", {"reports": ["sim/report.json", "bad.json"], "out": "plot"})
+    assert cli.main(["plotdata", "--config", str(pcfg)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith("/reports/1: ")
+    assert not (tmp_path / "plot").exists()
 
 
 def test_plotdata_schema_mismatch():
@@ -472,6 +493,45 @@ def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, 
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["type"] == "ConfigError"
     assert err["error"].startswith(pointer + ": ")
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("doc,flags,pointer", [
+    ([1, 2], ["--seed", "1"], "/"),
+    ({"model": "bundled:bsc", "params": 5}, ["--n", "16"], "/params"),
+], ids=["list-seed", "params-int-n"])
+def test_main_rejects_config_that_is_not_an_object(tmp_path, capsys, doc, flags, pointer):
+    code = cli.main(["construct", "--config", str(write_config(tmp_path, "bad.json", doc))] + flags)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": pointer + ": expected a JSON object", "type": "ConfigError"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_text("{not json"),
+    lambda path: path.mkdir(),
+], ids=["not-json", "directory"])
+def test_main_rejects_unreadable_model_file(tmp_path, capsys, make):
+    make(tmp_path / "m.json")
+    doc = {"model": "m.json", "params": {"n": 32, "mc_samples": 100}, "out": "bad"}
+    code = cli.main(["construct", "--config", str(write_config(tmp_path, "bad.json", doc))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith("/model: ")
+    assert str(tmp_path / "m.json") in err["error"]
+    assert not (tmp_path / "bad").exists()
+
+
+def test_main_rejects_truncated_sets_cache(tmp_path, capsys):
+    # the first 10 bytes of an n=1024 cache: magic, version and half of n
+    (tmp_path / "cut.idx").write_bytes(b"CSIX\x01\x00\x00\x00\x00\x04")
+    cfg = simulate_config(tmp_path, sets_cache="cut.idx", out="bad")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith("/sets_cache: ")
+    assert str(tmp_path / "cut.idx") in err["error"]
     assert not (tmp_path / "bad").exists()
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from coordsim.bundled import bsc_model, chained_model, planted_target
+from coordsim.bundled import bsc_model, bsc_target, chained_model, planted_target
 from coordsim.cli import ConfigError, _source_model, _target_and_witness_of
 from coordsim.construction import (
     CapacityError,
@@ -123,6 +123,16 @@ def test_target_and_witness_views_pinned():
         views = [v.to_json_dict() for v in _target_and_witness_of(model)]
         assert views == [model.target.to_json_dict(), model.witness.to_json_dict()]
         assert hashlib.sha256(json.dumps(views).encode()).hexdigest() == digest
+
+
+def test_model_and_target_json_pinned():
+    # the key order and bytes of the two law types' JSON
+    pinned = {
+        chained_model: "12b04c37ca03896a9e161a5a5a1d8ff0cbbe4a51d580f8451af7b87527b7cc84",
+        bsc_target: "54a5c0e6ee8a396f362bbcd99434ac05588d17ef78a2fceea1667c9e8844d2da",
+    }
+    for make, digest in pinned.items():
+        assert hashlib.sha256(json.dumps(make().to_json_dict()).encode()).hexdigest() == digest
 
 
 def test_planted_target_pinned():
@@ -390,6 +400,22 @@ def test_cache_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="not an index cache"):
         load_index_cache(path)
+
+
+def test_cache_rejects_truncated_or_garbled_file(tmp_path):
+    _, _, sets = bundled_sets(seed=13)
+    whole = tmp_path / "sets.bin"
+    save_index_cache(whole, sets)
+    data = whole.read_bytes()
+    # cut in the header, in a set count, in an index array and at the end; then
+    # a set count past the end of the file
+    garbled = data[:20] + b"\xff\xff\xff\x7f" + data[24:]
+    cases = [data[:10], data[:22], data[:40], data[:-2], garbled]
+    for i, case in enumerate(cases):
+        path = tmp_path / f"bad{i}.bin"
+        path.write_bytes(case)
+        with pytest.raises(ValueError, match="bad" + str(i)):
+            load_index_cache(path)
 
 
 def test_sets_json_roundtrip():

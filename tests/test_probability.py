@@ -62,6 +62,15 @@ def test_pmf_validation():
         JointPMF((A, Alphabet("A", 3)), np.full((2, 3), 1 / 6))  # duplicate label
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pmf_types_reject_non_finite_entry_with_one_message(bad):
+    with pytest.raises(ValueError, match="sum to 1") as joint_err:
+        JointPMF((A,), np.array([bad, 0.5]))
+    with pytest.raises(ValueError, match="sum to 1") as cond_err:
+        ConditionalPMF((A,), (Alphabet("B", 2),), np.array([[0.5, 0.5], [bad, 0.5]]))
+    assert str(joint_err.value) == str(cond_err.value)
+
+
 def test_cell_cap():
     axes = tuple(Alphabet(f"Z{i}", 101) for i in range(3))
     assert 101**3 > CELL_CAP
@@ -344,6 +353,15 @@ def test_conditional_json_roundtrip_bit_exact():
     c2 = ConditionalPMF.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
     assert np.array_equal(c2.table, c.table)
     assert c2.given_names == c.given_names and c2.out_names == c.out_names
+
+
+@pytest.mark.parametrize("size", [2.9, True, "2", 0])
+def test_json_rejects_alphabet_size_that_is_not_an_int_of_at_least_1(size):
+    with pytest.raises(ValueError, match="alphabet"):
+        JointPMF.from_json_dict({"axes": [{"name": "A", "size": size}], "table": [1.0]})
+    with pytest.raises(ValueError, match="alphabet"):
+        ConditionalPMF.from_json_dict({"given_axes": [{"name": "A", "size": size}],
+                                       "out_axes": [{"name": "B", "size": 1}], "table": [1.0]})
 
 
 def test_json_schema_shape():
