@@ -37,9 +37,9 @@ V = Alphabet("V", 2)
 W = Alphabet("W", 2)
 
 
-def binary_symmetric_channel(p: float, in_axis: Alphabet = X, out_axis: Alphabet = Y) -> ConditionalPMF:
+def binary_symmetric_channel(p: float) -> ConditionalPMF:
     t = np.array([[1.0 - p, p], [p, 1.0 - p]])
-    return ConditionalPMF((in_axis,), (out_axis,), t)
+    return ConditionalPMF((X,), (Y,), t)
 
 
 def bsc_model(crossover: float = 0.1, action_noise: float = 0.1) -> SourceModel:

@@ -46,7 +46,6 @@ from .construction import (
 )
 from .probability import JointPMF
 from .region import (
-    AuxiliaryDecomposition,
     CoordinationTarget,
     EmptyWindow,
     binning_rate_ledger,
@@ -95,7 +94,6 @@ _SCHEMAS: dict[str, dict] = {
         "params": (dict, None),
         "k": (int, None),
         "trials": (int, 1),
-        "seeds": ((list, type(None)), None),
         "sets_cache": ((str, type(None)), None),
         "attach_region_verdict": (bool, False),
     },
@@ -183,12 +181,6 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
         raise ConfigError("/k", "the chaining construction needs k >= 2 blocks")
     if cfg.get("trials") is not None and cfg["trials"] < 1:
         raise ConfigError("/trials", "trials must be >= 1")
-    if cfg.get("seeds") is not None:
-        if len(cfg["seeds"]) == 0:
-            raise ConfigError("/seeds", "seed list must be nonempty")
-        for i, s in enumerate(cfg["seeds"]):
-            if not isinstance(s, int) or isinstance(s, bool):
-                raise ConfigError(f"/seeds/{i}", "seeds must be integers")
     if subcommand == "region":
         _check_region_search(cfg)
     if subcommand == "verify-binning":
@@ -287,11 +279,6 @@ def _joint(cfg) -> JointPMF:
     return joint
 
 
-def _target_and_witness_of(model: SourceModel) -> tuple[CoordinationTarget, AuxiliaryDecomposition]:
-    """The model's target and witness views, as one pair."""
-    return model.target, model.witness
-
-
 # ---------------------------------------------------------------------------
 # runners
 
@@ -313,8 +300,11 @@ def _write_csv(cfg, name: str, header, rows):
 
 def _run_region(cfg) -> dict:
     target = _target(cfg)
+    bound = cardinality_bound(target)
     if cfg["w_size"] is None:
-        sizes = range(1, cardinality_bound(target) + 1)
+        sizes = range(1, bound + 1)
+    elif cfg["w_size"] > bound:
+        raise ConfigError("/w_size", f"w_size {cfg['w_size']} exceeds the cardinality bound {bound}")
     else:
         sizes = [cfg["w_size"]]
     verdict = None
@@ -376,7 +366,7 @@ def _run_simulate(cfg) -> dict:
         profile = None
     else:
         profile, sets = _profile_and_sets(cfg, model)
-    seeds = cfg["seeds"] if cfg["seeds"] is not None else [cfg["seed"] + t for t in range(cfg["trials"])]
+    seeds = [cfg["seed"] + t for t in range(cfg["trials"])]
     results = _parallel_map(functools.partial(run_trials, model, sets, cfg["k"]), seeds)
     results.sort(key=lambda r: r.seed)
 
@@ -422,14 +412,17 @@ def _run_verify_binning(cfg) -> dict:
 def emit_plotdata(report_docs: list[dict]) -> list[tuple]:
     """Merge simulate reports into long-format rows (n, k, seed, metric,
     value).  Report i raises ConfigError at /reports/i if it is not a JSON
-    object, has another schema version, or has a row that is not an object
-    or lacks n, k or seed next to its metrics."""
+    object, has another schema version, is not a simulate report, or has a
+    row that is not an object or lacks n, k or seed next to its metrics."""
     rows = []
     for i, doc in enumerate(report_docs):
         pointer = f"/reports/{i}"
         version = _object(doc, pointer).get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(pointer, f"schema_version {version!r} does not match {SCHEMA_VERSION}")
+        subcommand = doc.get("subcommand")
+        if subcommand != "simulate":
+            raise ConfigError(pointer, f"plotdata merges simulate reports, got subcommand {subcommand!r}")
         doc_rows = doc.get("rows", [])
         if not isinstance(doc_rows, list) or not all(isinstance(row, dict) for row in doc_rows):
             raise ConfigError(pointer, "rows must be a list of JSON objects")

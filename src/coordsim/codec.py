@@ -130,7 +130,6 @@ class DecodedBlock:
     x_hat: np.ndarray
     w_hat: np.ndarray
     v: np.ndarray
-    flags: dict
 
 
 @dataclass(frozen=True)
@@ -287,10 +286,11 @@ def decode(
     cr: CommonRandomness,
     model: SourceModel,
     rng: np.random.Generator,
-    truth: list[EncodedBlock] | None = None,
 ) -> list[DecodedBlock]:
-    """Reverse-order decoder; per-block success flags are filled against
-    ``truth`` when available (instrumentation only)."""
+    """Run the reverse-order decoder over the k channel-output blocks
+    ``y_blocks`` (shape (k, n)), with the final block's chained bits from
+    ``payload``.  Returns each block's decoded polarized vectors and
+    actions; whether a block decoded correctly is not checked here."""
     y_blocks = np.asarray(y_blocks, dtype=np.uint8)
     k = y_blocks.shape[0]
     cr.validate(sets, k)
@@ -304,14 +304,9 @@ def decode(
             y_blocks[None], payload.s_last_a3[None], payload.z_last_b3[None], sets, [cr], model, [rng]
         )
     )
-    out = []
-    for i in range(k):
-        flags = {}
-        if truth is not None:
-            flags["s_ok"] = bool(np.array_equal(s_hat[i], truth[i].s))
-            flags["z_ok"] = bool(np.array_equal(z_hat[i], truth[i].z))
-        out.append(DecodedBlock(s_hat=s_hat[i], z_hat=z_hat[i], x_hat=x_hat[i], w_hat=w_hat[i], v=v[i], flags=flags))
-    return out
+    return [
+        DecodedBlock(s_hat=s_hat[i], z_hat=z_hat[i], x_hat=x_hat[i], w_hat=w_hat[i], v=v[i]) for i in range(k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +314,11 @@ def decode(
 
 
 def empirical_mutual_information(
-    codes_a: np.ndarray, codes_b: np.ndarray, size_a: int, size_b: int, corrected: bool = True
+    codes_a: np.ndarray, codes_b: np.ndarray, size_a: int, size_b: int
 ) -> float:
     """Plug-in mutual information (bits) of two paired integer code arrays,
-    with the first-order (Miller-Madow) bias correction subtracted by
-    default and the result clamped at zero."""
+    with the first-order (Miller-Madow) bias correction subtracted and the
+    result clamped at zero."""
     counts = np.zeros((size_a, size_b))
     np.add.at(counts, (np.asarray(codes_a, dtype=np.intp), np.asarray(codes_b, dtype=np.intp)), 1.0)
     total = counts.sum()
@@ -331,11 +326,10 @@ def empirical_mutual_information(
         return 0.0
     joint = JointPMF((Alphabet("A", size_a), Alphabet("B", size_b)), counts / total)
     value = mutual_information(joint, ["A"], ["B"])
-    if corrected:
-        occ_a = int((counts.sum(axis=1) > 0).sum())
-        occ_b = int((counts.sum(axis=0) > 0).sum())
-        occ_ab = int((counts > 0).sum())
-        value -= max(occ_ab - occ_a - occ_b + 1, 0) / (2.0 * float(total) * math.log(2.0))
+    occ_a = int((counts.sum(axis=1) > 0).sum())
+    occ_b = int((counts.sum(axis=0) > 0).sum())
+    occ_ab = int((counts > 0).sum())
+    value -= max(occ_ab - occ_a - occ_b + 1, 0) / (2.0 * float(total) * math.log(2.0))
     return max(float(value), 0.0)
 
 

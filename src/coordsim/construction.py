@@ -147,7 +147,7 @@ class SourceModel:
 
     def w_posterior_full(self) -> np.ndarray:
         """P(W=1 | u, x, y, v), indexed [u, x, y, v]; zero-mass cells are
-        filled uniformly (flagged upstream by the conditioning op)."""
+        filled uniformly by the conditioning op."""
         c = condition(self.single_letter_joint(), ["W"], ["U", "X", "Y", "V"])
         return c.table[..., 1].copy()
 
@@ -203,14 +203,6 @@ class PolarizedEntropyProfile:
             d[name] = getattr(self, name).tolist()
             d["se_" + name[2:]] = getattr(self, "se_" + name[2:]).tolist()
         return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PolarizedEntropyProfile":
-        kw = {"n": int(d["n"]), "samples": int(d["samples"])}
-        for name in cls.FAMILIES:
-            kw[name] = np.array(d[name], dtype=np.float64)
-            kw["se_" + name[2:]] = np.array(d["se_" + name[2:]], dtype=np.float64)
-        return cls(**kw)
 
 
 def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Generator) -> PolarizedEntropyProfile:
@@ -315,14 +307,6 @@ class PolarIndexSets:
         for name in self.NAMES:
             d[name] = getattr(self, name).tolist()
         return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PolarIndexSets":
-        kw = {"n": int(d["n"]), "delta_n": float(d["delta_n"]),
-              "warnings": tuple(d.get("warnings", ()))}
-        for name in cls.NAMES:
-            kw[name] = np.array(d[name], dtype=np.int64)
-        return cls(**kw)
 
 
 def build_index_sets(profile: PolarizedEntropyProfile, params: PolarParams) -> PolarIndexSets:

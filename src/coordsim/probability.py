@@ -100,14 +100,19 @@ def _pmf_to_json(table: np.ndarray, **axes: tuple[Alphabet, ...]) -> dict:
 
 def _pmf_from_json(d: dict, *keys: str) -> list:
     """The alphabet tuple under each of ``keys`` in a pmf's JSON, then the
-    table in their shape.  A size must be an int (not a bool) >= 1."""
+    table in their shape.  A size must be an int (not a bool) >= 1, and a
+    table entry a JSON number (an int or a float, not a bool or a string)."""
     groups = []
     for key in keys:
         for a in d[key]:
             if type(a["size"]) is not int:
                 raise ValueError(f"alphabet size must be an integer, got {a['size']!r}")
         groups.append(tuple(Alphabet(a["name"], a["size"]) for a in d[key]))
-    return groups + [np.array(d["table"], dtype=np.float64).reshape([a.size for g in groups for a in g])]
+    entries = np.array(d["table"], dtype=object).ravel()
+    for v in entries:
+        if type(v) not in (int, float):
+            raise ValueError(f"pmf table entries must be JSON numbers, got {v!r}")
+    return groups + [entries.astype(np.float64).reshape([a.size for g in groups for a in g])]
 
 
 class JointPMF:
@@ -164,24 +169,17 @@ class JointPMF:
 
 class ConditionalPMF:
     """A conditional pmf: one unit-normalized row over ``out_axes`` per
-    assignment of ``given_axes``.
-
-    Rows whose conditioning assignment had zero mass in the source joint are
-    filled uniformly and recorded in ``zero_rows`` (tuples of given-axis
-    symbols) so that downstream composition stays well-defined.
-    """
+    assignment of ``given_axes``."""
 
     def __init__(
         self,
         given_axes: Sequence[Alphabet],
         out_axes: Sequence[Alphabet],
         table: np.ndarray,
-        zero_rows: frozenset[tuple[int, ...]] = frozenset(),
     ):
         self.given_axes = tuple(given_axes)
         self.out_axes = tuple(out_axes)
         self.table = _checked_table(self.given_axes, self.out_axes, table)
-        self.zero_rows = frozenset(zero_rows)
 
     @property
     def given_names(self) -> tuple[str, ...]:
@@ -257,8 +255,8 @@ def compose(p: JointPMF, c: ConditionalPMF) -> JointPMF:
 
 
 def condition(p: JointPMF, out: Sequence[str], given: Sequence[str]) -> ConditionalPMF:
-    """Conditional pmf p(out | given).  Zero-mass conditioning rows are
-    filled uniformly and flagged, never fatal."""
+    """Conditional pmf p(out | given).  A row whose conditioning assignment
+    has zero mass is filled uniformly, so composing with it stays defined."""
     out = list(out)
     given = list(given)
     if set(out) & set(given):
@@ -273,8 +271,7 @@ def condition(p: JointPMF, out: Sequence[str], given: Sequence[str]) -> Conditio
     zero = mass == 0.0
     n_out = math.prod(a.size for a in out_axes)
     rows = np.where(zero, 1.0 / n_out, table / np.where(zero, 1.0, mass))
-    zero_rows = frozenset(map(tuple, np.argwhere(zero.reshape(tuple(a.size for a in given_axes)))))
-    return ConditionalPMF(given_axes, out_axes, rows, zero_rows)
+    return ConditionalPMF(given_axes, out_axes, rows)
 
 
 def _entropy_of_table(table: np.ndarray) -> float:

@@ -97,11 +97,13 @@ class CoordinationTarget:
         check_source_axes(self.p_u, self.p_x, self.channel)
         if set(self.action_rule.given_names) != {"U", "X", "Y"} or self.action_rule.out_names != ("V",):
             raise ValueError("action_rule must be V|UXY")
+        # composing checks that the factors agree on every shared axis size
+        joint = compose(compose(JointPMF.product(self.p_u, self.p_x), self.channel), self.action_rule)
+        object.__setattr__(self, "_joint", joint)
 
     def joint(self) -> JointPMF:
-        """The target joint over (U, X, Y, V)."""
-        j = compose(compose(JointPMF.product(self.p_u, self.p_x), self.channel), self.action_rule)
-        return j
+        """The target joint over (U, X, Y, V), composed once at construction."""
+        return self._joint
 
     @property
     def sizes(self) -> dict[str, int]:
@@ -257,8 +259,7 @@ def empirical_region_check(
 ) -> bool:
     """Membership test for the empirical-coordination region: identical to
     :func:`evaluate` feasibility but with no common-randomness bound."""
-    v = evaluate(target, aux, tol)
-    return v.residual <= tol and v.info_slack >= -INFO_SLACK_TOL
+    return evaluate(target, aux, tol).feasible
 
 
 # ---------------------------------------------------------------------------

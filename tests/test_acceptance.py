@@ -324,12 +324,12 @@ def test_criterion_9_divergence_certificate(bundled_1024):
 
 
 def test_criterion_10_rate_consistency(bundled_1024):
-    from coordsim.cli import _target_and_witness_of
     from coordsim.construction import rate_report
 
     _, sets, _, _ = bundled_1024
     cr16 = rate_report(sets, 16).common_randomness_rate
-    target, aux = _target_and_witness_of(bsc_model())
+    model = bsc_model()
+    target, aux = model.target, model.witness
     r0 = binning_rate_ledger(target, aux).r0_bound
     gap = abs(cr16 - r0)
     ok = gap <= 0.08

@@ -81,6 +81,33 @@ def test_region_config_rejects_removed_iterations_key(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_simulate_config_rejects_removed_seeds_key(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        parse_config("simulate", {"model": "bundled:bsc", "params": {"n": 32}, "k": 2, "seeds": [1, 1]})
+    assert err.value.pointer == "/seeds"
+    cfg = simulate_config(tmp_path, seeds=[1, 1], out="bad")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "/seeds: unknown key", "type": "ConfigError"}
+    assert not (tmp_path / "bad").exists()
+
+
+def test_main_rejects_target_whose_factors_disagree_on_an_axis_size(tmp_path, capsys):
+    from coordsim.bundled import bsc_target
+
+    doc = bsc_target().to_json_dict()
+    rule = doc["action_rule"]
+    assert rule["given_axes"][0] == {"name": "U", "size": 2}
+    rule["given_axes"][0]["size"] = 3  # |U| = 3 against a p_u of size 2
+    rule["table"] = [0.5] * 24
+    code = cli.main(["region", "--config", str(write_config(tmp_path, "bad.json", {"model": doc, "out": "bad"}))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith("/model: ") and "shape mismatch on axis 'U'" in err["error"]
+    assert not (tmp_path / "bad").exists()
+
+
 def test_parse_config_requires_model():
     with pytest.raises(ConfigError, match="/model"):
         parse_config("construct", {"params": {"n": 64}})
@@ -407,8 +434,10 @@ def test_verify_binning_extraction_n16(tmp_path):
     "bundled:bsc",
     {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [math.nan, 0.5, 0.25, 0.25]},
     {"axes": [{"name": "A", "size": 2.9}, {"name": "B", "size": 2}], "table": [0.25] * 4},
+    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": ["0.45", "0.05", "0.05", "0.45"]},
+    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [True, False, False, False]},
 ], ids=["axes-XY", "axes-ABC", "table-length", "no-table", "axes-not-a-list", "bundled", "table-nan",
-        "size-not-int"])
+        "size-not-int", "table-strings", "table-bools"])
 def test_verify_binning_rejects_joint_not_over_a_b(tmp_path, capsys, model):
     doc = {"model": model, "n_list": [4], "rates": [0.3], "replicates": 1, "samples": 10, "out": "bad"}
     code = cli.main(["verify-binning", "--config", str(write_config(tmp_path, "bad.json", doc))])
@@ -442,10 +471,12 @@ def test_plotdata_empty_input(tmp_path):
 
 @pytest.mark.parametrize("report", [
     "[1, 2]",
-    json.dumps({"schema_version": 1, "rows": [1]}),
-    json.dumps({"schema_version": 1, "rows": [{"tv_estimate": 0.1}]}),
+    json.dumps({"schema_version": 1, "subcommand": "simulate", "rows": [1]}),
+    json.dumps({"schema_version": 1, "subcommand": "simulate", "rows": [{"tv_estimate": 0.1}]}),
     "{not json",
-], ids=["list", "row-not-object", "row-without-seed", "not-json"])
+    json.dumps({"schema_version": 1, "subcommand": "verify-binning",
+                "rows": [{"n": 4, "rate": 0.3, "lemma": "sw", "statistic": "error_rate", "value": 0.5}]}),
+], ids=["list", "row-not-object", "row-without-seed", "not-json", "verify-binning-report"])
 def test_plotdata_rejects_malformed_report(tmp_path, monkeypatch, capsys, report):
     monkeypatch.setenv("COORDSIM_THREADS", "1")
     assert cli.main(["simulate", "--config", str(simulate_config(tmp_path, trials=1))]) == 0
@@ -481,6 +512,7 @@ def test_plotdata_schema_mismatch():
     ("construct", {"params": {"n": 32, "mc_samples": 0}}, "/params/mc_samples"),
     ("verify-binning", {"n_list": [12], "rates": [10.0]}, "/rates/0"),
     ("simulate", {"params": {"n": 32}, "k": 1}, "/k"),
+    ("region", {"w_size": 25}, "/w_size"),  # the cardinality bound of bundled:bsc is 20
 ])
 def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
     from coordsim.binning import dsbs

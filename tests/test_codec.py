@@ -276,11 +276,11 @@ def test_payload_corruption_propagates_to_final_block():
     cr = CommonRandomness.draw(sets, k, np.random.default_rng(10))
     blocks, payload = encode(u_blocks, sets, cr, model, np.random.default_rng(11))
     y = np.stack([transmit(b.x, model.channel, np.random.default_rng(12 + i)) for i, b in enumerate(blocks)])
-    clean = decode(y, payload, sets, cr, model, np.random.default_rng(13), truth=blocks)
+    clean = decode(y, payload, sets, cr, model, np.random.default_rng(13))
     bad_payload = SideChannelPayload(
         s_last_a3=payload.s_last_a3 ^ 1, z_last_b3=payload.z_last_b3.copy()
     )
-    dirty = decode(y, bad_payload, sets, cr, model, np.random.default_rng(13), truth=blocks)
+    dirty = decode(y, bad_payload, sets, cr, model, np.random.default_rng(13))
     # the corrupted chain bit lands verbatim in the final block's a3 position
     assert dirty[-1].s_hat[sets.a3[0]] == clean[-1].s_hat[sets.a3[0]] ^ 1
     # encoder-side transcripts are untouched by construction

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,12 +7,10 @@ import numpy as np
 import pytest
 
 from coordsim.bundled import bsc_model, bsc_target, chained_model, planted_target
-from coordsim.cli import ConfigError, _source_model, _target_and_witness_of
+from coordsim.cli import ConfigError, _source_model
 from coordsim.construction import (
     CapacityError,
-    PolarIndexSets,
     PolarParams,
-    PolarizedEntropyProfile,
     SourceModel,
     build_index_sets,
     divergence_certificate,
@@ -120,7 +119,7 @@ def test_target_and_witness_views_pinned():
     }
     for make, digest in pinned.items():
         model = make()
-        views = [v.to_json_dict() for v in _target_and_witness_of(model)]
+        views = [v.to_json_dict() for v in (model.target, model.witness)]
         assert views == [model.target.to_json_dict(), model.witness.to_json_dict()]
         assert hashlib.sha256(json.dumps(views).encode()).hexdigest() == digest
 
@@ -276,19 +275,12 @@ def test_profile_is_one_draw_summed_in_order():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_profile_json_roundtrip():
-    model = bsc_model()
-    prof = estimate_profile(model, small_params(n=32, mc=500), np.random.default_rng(8))
-    back = PolarizedEntropyProfile.from_json_dict(prof.to_json_dict())
-    assert np.array_equal(back.h_z_all, prof.h_z_all)
-    assert back.samples == prof.samples
-
-
 def test_profile_rejects_non_finite_entries():
-    doc = estimate_profile(bsc_model(), small_params(n=8, mc=50), np.random.default_rng(9)).to_json_dict()
-    doc["h_s_y"][3] = float("nan")  # NaN fails every threshold comparison
+    prof = estimate_profile(bsc_model(), small_params(n=8, mc=50), np.random.default_rng(9))
+    h_s_y = prof.h_s_y.copy()
+    h_s_y[3] = float("nan")  # NaN fails every threshold comparison
     with pytest.raises(ValueError, match="h_s_y estimates must be finite"):
-        PolarizedEntropyProfile.from_json_dict(doc)
+        dataclasses.replace(prof, h_s_y=h_s_y)
 
 
 # -- index sets -----------------------------------------------------------------------
@@ -416,10 +408,3 @@ def test_cache_rejects_truncated_or_garbled_file(tmp_path):
         path.write_bytes(case)
         with pytest.raises(ValueError, match="bad" + str(i)):
             load_index_cache(path)
-
-
-def test_sets_json_roundtrip():
-    _, _, sets = bundled_sets(seed=14)
-    back = PolarIndexSets.from_json_dict(sets.to_json_dict())
-    assert np.array_equal(back.a2, sets.a2)
-    assert back.delta_n == sets.delta_n

