@@ -254,30 +254,20 @@ def verify_lemma_regimes(
     size_b = joint.axes[joint.axis_index("B")].size
     anchor = int(rng.integers(0, 2**62))
     rates = list(rates)
+
+    def stream(*key):  # keyed by its own indices, so the loop order moves no draw
+        return np.random.default_rng(np.random.SeedSequence([anchor, *key]))
+
     for n in n_list:
-        errs = np.empty((len(rates), replicates))
-        kls = np.empty((len(rates), replicates))
-        for rep in range(replicates):
-            for ri, rate in enumerate(rates):
-                if "sw" in lemmas:
-                    bin_a = RandomBinning.draw(
-                        n, rate, size_a,
-                        np.random.default_rng(np.random.SeedSequence([anchor, n, rep, ri, 0])),
-                    )
-                    # the source draws depend only on (n, rep): paired across rates
-                    sample_rng = np.random.default_rng(np.random.SeedSequence([anchor, n, rep, 1]))
-                    errs[ri, rep] = sw_error_rate(bin_a, joint, sample_rng, samples)
-                if "extraction" in lemmas:
-                    bin_b = RandomBinning.draw(
-                        n, rate, size_b,
-                        np.random.default_rng(np.random.SeedSequence([anchor, n, rep, ri, 2])),
-                    )
-                    kls[ri, rep] = extraction_kl(bin_b, joint, n)
         for ri, rate in enumerate(rates):
             if "sw" in lemmas:
-                results.append(BinningTrialStats(n, rate, "sw", float(errs[ri].mean()), None,
-                                                 replicates))
+                # the source draws depend only on (n, rep): paired across rates
+                errs = [sw_error_rate(RandomBinning.draw(n, rate, size_a, stream(n, rep, ri, 0)), joint,
+                                      stream(n, rep, 1), samples) for rep in range(replicates)]
+                results.append(BinningTrialStats(n, rate, "sw", float(np.mean(errs)), None, replicates))
             if "extraction" in lemmas:
-                results.append(BinningTrialStats(n, rate, "extraction", None, float(kls[ri].mean()),
-                                                 replicates))
+                kls = [extraction_kl(RandomBinning.draw(n, rate, size_b, stream(n, rep, ri, 2)), joint, n)
+                       for rep in range(replicates)]
+                kl = float(np.mean(kls))
+                results.append(BinningTrialStats(n, rate, "extraction", None, kl, replicates))
     return results

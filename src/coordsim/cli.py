@@ -70,18 +70,20 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config schemas
 
+# key: (types, default) or (types, default, least value); a default of None
+# marks a required key unless None is one of the types
 _COMMON = {
     "schema_version": (int, SCHEMA_VERSION),
     "model": ((str, dict), None),
-    "seed": (int, 0),
+    "seed": (int, 0, 0),
     "out": (str, "."),
 }
 
 _SCHEMAS: dict[str, dict] = {
     "region": {
         **_COMMON,
-        "w_size": ((int, type(None)), None),
-        "restarts": (int, 32),
+        "w_size": ((int, type(None)), None, 1),
+        "restarts": (int, 32, 1),
         "tol": (float, 1e-6),
     },
     "construct": {
@@ -92,8 +94,8 @@ _SCHEMAS: dict[str, dict] = {
     "simulate": {
         **_COMMON,
         "params": (dict, None),
-        "k": (int, None),
-        "trials": (int, 1),
+        "k": (int, None, 2),  # the chaining construction needs two blocks
+        "trials": (int, 1, 1),
         "sets_cache": ((str, type(None)), None),
         "attach_region_verdict": (bool, False),
     },
@@ -101,14 +103,14 @@ _SCHEMAS: dict[str, dict] = {
         **_COMMON,
         "n_list": (list, [4, 8, 12]),
         "rates": (list, [0.3, 0.8]),
-        "replicates": (int, 100),
-        "samples": (int, 200),
+        "replicates": (int, 100, 1),
+        "samples": (int, 200, 1),
         "lemmas": (list, ["sw", "extraction"]),
     },
     "plotdata": {
         "schema_version": (int, SCHEMA_VERSION),
         "reports": (list, None),
-        "seed": (int, 0),
+        "seed": (int, 0, 0),
         "out": (str, "."),
     },
 }
@@ -116,7 +118,7 @@ _SCHEMAS: dict[str, dict] = {
 _PARAMS_SCHEMA = {
     "n": (int, None),
     "beta": (float, 0.25),
-    "mc_samples": (int, 20000),
+    "mc_samples": (int, 20000, 1),
 }
 
 
@@ -145,9 +147,11 @@ def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
     for key, value in doc.items():
         if key not in schema:
             raise ConfigError(f"{pointer}/{key}", "unknown key")
-        types, _default = schema[key]
+        types, _default, *least = schema[key]
         out[key] = _check_type(f"{pointer}/{key}", value, types)
-    for key, (types, default) in schema.items():
+        if least and out[key] is not None and out[key] < least[0]:
+            raise ConfigError(f"{pointer}/{key}", f"{key} must be >= {least[0]}, got {out[key]}")
+    for key, (types, default, *_least) in schema.items():
         if key not in out:
             if default is None and type(None) not in (types if isinstance(types, tuple) else (types,)):
                 raise ConfigError(f"{pointer}/{key}", "required key missing")
@@ -156,10 +160,10 @@ def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
 
 
 def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> dict:
-    """Validate a config document: defaults filled, unknown keys rejected
-    (errors carry JSON pointers), params, the region search and the binning
-    sweep checked for values that cannot run, and referenced files checked
-    for existence."""
+    """Validate a config document: defaults filled, unknown keys rejected,
+    integers checked against their schema bounds (errors carry JSON
+    pointers), params, the region search and the binning sweep checked for
+    values that cannot run, and referenced files checked for existence."""
     if subcommand not in _SCHEMAS:
         raise ConfigError("/", f"unknown subcommand {subcommand!r}")
     cfg = _apply_schema(doc, _SCHEMAS[subcommand])
@@ -174,15 +178,10 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
             raise ConfigError("/params/n", f"block length must be a power of 2, got {n}")
         if not (0.0 < params["beta"] < 0.5):
             raise ConfigError("/params/beta", "beta must lie in (0, 1/2)")
-        if params["mc_samples"] < 1:
-            raise ConfigError("/params/mc_samples", "mc_samples must be >= 1")
         cfg["params"] = params
-    if "k" in cfg and cfg["k"] < 2:
-        raise ConfigError("/k", "the chaining construction needs k >= 2 blocks")
-    if cfg.get("trials") is not None and cfg["trials"] < 1:
-        raise ConfigError("/trials", "trials must be >= 1")
-    if subcommand == "region":
-        _check_region_search(cfg)
+    # a NaN or negative tol makes every witness infeasible; an infinite one waives the fit
+    if subcommand == "region" and not 0 <= cfg["tol"] < math.inf:
+        raise ConfigError("/tol", f"tol must be a finite number >= 0, got {cfg['tol']!r}")
     if subcommand == "verify-binning":
         _check_binning_sweep(cfg)
     if subcommand == "plotdata":
@@ -201,20 +200,7 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
     return cfg
 
 
-def _check_region_search(cfg):
-    if cfg["restarts"] < 1:
-        raise ConfigError("/restarts", "restarts must be >= 1")
-    if cfg["w_size"] is not None and cfg["w_size"] < 1:
-        raise ConfigError("/w_size", "w_size must be >= 1")
-    # a NaN or negative tol makes every witness infeasible; an infinite one waives the fit
-    if not 0 <= cfg["tol"] < math.inf:
-        raise ConfigError("/tol", f"tol must be a finite number >= 0, got {cfg['tol']!r}")
-
-
 def _check_binning_sweep(cfg):
-    for key in ("replicates", "samples"):
-        if cfg[key] < 1:
-            raise ConfigError(f"/{key}", f"{key} must be >= 1")
     for i, n in enumerate(cfg["n_list"]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"/n_list/{i}", f"blocklengths must be integers >= 1, got {n!r}")
@@ -486,6 +472,18 @@ def run(subcommand: str, cfg: dict) -> dict:
     return report
 
 
+def _split(text: str, parse) -> list:
+    """A comma-separated override list; an entry that ``parse`` rejects is
+    kept as its string, so the list check reports it with its pointer."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(parse(entry))
+        except ValueError:
+            values.append(entry)
+    return values
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="coordsim", description=__doc__.splitlines()[0])
     parser.add_argument("subcommand", choices=sorted(_RUNNERS))
@@ -511,18 +509,16 @@ def main(argv=None) -> int:
             doc = json.loads(Path(args.config).read_text())
             base = Path(args.config).resolve().parent
         _object(doc, "/")
-        for key in ("seed", "out", "k", "trials", "restarts", "tol", "replicates"):
+        for key in ("seed", "out", "k", "trials", "restarts", "tol", "replicates", "w_size"):
             value = getattr(args, key)
             if value is not None:
                 doc[key] = value
-        if args.w_size is not None:
-            doc["w_size"] = args.w_size
         if args.n is not None:
             _object(doc.setdefault("params", {}), "/params")["n"] = args.n
         if args.n_list is not None:
-            doc["n_list"] = [int(v) for v in args.n_list.split(",")]
+            doc["n_list"] = _split(args.n_list, int)
         if args.rates is not None:
-            doc["rates"] = [float(v) for v in args.rates.split(",")]
+            doc["rates"] = _split(args.rates, float)
         cfg = parse_config(args.subcommand, doc, base)
         run(args.subcommand, cfg)
         return 0

@@ -32,7 +32,7 @@ fraction as k grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +67,17 @@ def one_time_pad(bits, key) -> np.ndarray:
     return bits ^ key
 
 
+def _randomness_shapes(sets: PolarIndexSets, k: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each :class:`CommonRandomness` field, in draw order."""
+    return {
+        "c": (k, len(sets.a1)),
+        "c_prime": (k, len(sets.b1) - len(sets.bp1)),
+        "c_bar": (len(sets.bp1),),
+        "keys_s": (k - 1, len(sets.a3)),
+        "keys_z": (k - 1, len(sets.b3)),
+    }
+
+
 @dataclass(frozen=True)
 class CommonRandomness:
     """Shared uniform randomness: per-block frozen fills c (a1-sized) and
@@ -84,24 +95,11 @@ class CommonRandomness:
     def draw(cls, sets: PolarIndexSets, k: int, rng: np.random.Generator) -> "CommonRandomness":
         if k < 2:
             raise ValueError("the chaining construction needs k >= 2 blocks")
-        n_rest = len(sets.b1) - len(sets.bp1)
-        return cls(
-            c=rng.integers(0, 2, (k, len(sets.a1)), dtype=np.uint8),
-            c_prime=rng.integers(0, 2, (k, n_rest), dtype=np.uint8),
-            c_bar=rng.integers(0, 2, len(sets.bp1), dtype=np.uint8),
-            keys_s=rng.integers(0, 2, (k - 1, len(sets.a3)), dtype=np.uint8),
-            keys_z=rng.integers(0, 2, (k - 1, len(sets.b3)), dtype=np.uint8),
-        )
+        shapes = _randomness_shapes(sets, k)
+        return cls(**{name: rng.integers(0, 2, shape, dtype=np.uint8) for name, shape in shapes.items()})
 
     def validate(self, sets: PolarIndexSets, k: int):
-        expect = {
-            "c": (k, len(sets.a1)),
-            "c_prime": (k, len(sets.b1) - len(sets.bp1)),
-            "c_bar": (len(sets.bp1),),
-            "keys_s": (k - 1, len(sets.a3)),
-            "keys_z": (k - 1, len(sets.b3)),
-        }
-        for name, shape in expect.items():
+        for name, shape in _randomness_shapes(sets, k).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"common randomness field {name} has shape {got}, expected {shape}")
@@ -155,9 +153,7 @@ class BlockTranscript:
 
 def _stacked(crs: list[CommonRandomness]) -> tuple[np.ndarray, ...]:
     """c, c_prime, c_bar, keys_s, keys_z of one trial per row."""
-    return tuple(
-        np.stack([getattr(cr, name) for cr in crs]) for name in ("c", "c_prime", "c_bar", "keys_s", "keys_z")
-    )
+    return tuple(np.stack([getattr(cr, f.name) for cr in crs]) for f in fields(CommonRandomness))
 
 
 def _known(n: int, *index_sets: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ class PolarParams:
 class SourceModel:
     """A coordination target plus the witness that induces it: the
     single-letter law P_U P_X P_{Y|X} P_{W|UX} P_{V|WY}, with binary X and
-    W for the polar codec.
+    W for the polar codec and at most 256 symbols on every axis.
 
     Its (U, X, Y, V) marginal is the :attr:`target` and (P_{W|UX},
     P_{V|WY}) the :attr:`witness`; the polar scheme runs on the whole law.
@@ -109,6 +109,10 @@ class SourceModel:
         self.v_rule = v_rule
         # composing checks that the factors agree on every shared axis size
         self._joint = witness_joint(u_prior, x_prior, channel, w_rule, v_rule)
+        # blocks hold symbols as uint8, so a wider axis would be sampled modulo 256
+        for axis in self._joint.axes:
+            if axis.size > 256:
+                raise ValueError(f"axis {axis.name!r} has {axis.size} symbols; a source model allows at most 256")
 
     def single_letter_joint(self) -> JointPMF:
         """The i.i.d. per-symbol joint over (U, X, W, Y, V)."""

@@ -41,7 +41,6 @@ __all__ = [
     "total_variation",
     "kl_divergence",
     "inverse_cdf",
-    "sample",
     "binary_entropy",
 ]
 
@@ -351,16 +350,6 @@ def inverse_cdf(pmf, uniforms):
     if cdf.ndim == 1:
         return np.searchsorted(cdf, uniforms, side="right")
     return (np.asarray(uniforms)[..., None] >= cdf).sum(axis=-1)
-
-
-def sample(p: JointPMF, rng: np.random.Generator, size: int | None = None):
-    """Inverse-CDF sampling.  Returns a tuple of symbols, or an
-    (size, n_axes) int array when ``size`` is given."""
-    flat = p.table.reshape(-1)
-    if size is None:
-        cell = int(inverse_cdf(flat, rng.random()))
-        return tuple(int(v) for v in np.unravel_index(cell, p.table.shape))
-    return np.stack(np.unravel_index(inverse_cdf(flat, rng.random(size)), p.table.shape), axis=-1)
 
 
 def binary_entropy(p) -> np.ndarray | float:

@@ -16,7 +16,7 @@ from coordsim import cli, codec
 from coordsim.binning import RandomBinning
 from coordsim.bundled import chained_model
 from coordsim.codec import CommonRandomness
-from coordsim.construction import PolarizedEntropyProfile, SourceModel
+from coordsim.construction import PolarizedEntropyProfile, SourceModel, load_index_cache
 from coordsim.polar import polar_transform, true_path_conditionals
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -85,6 +85,9 @@ def test_benchmark_names_resolve():
     blocks = model.sample_blocks(np.random.default_rng(0), 4, 16)
     evidence = model.x_posterior_given_y()[blocks["y"]]
     assert true_path_conditionals(evidence, polar_transform(blocks["x"])).shape == (4, 16)
+
+    # the index sets the simulate workload reads
+    assert load_index_cache(workloads.SETS_CACHE).n == 1024
 
     # every workload's config parses and names a model the CLI loads
     for name, workload in workloads.WORKLOADS.items():

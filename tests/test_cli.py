@@ -405,6 +405,9 @@ def test_verify_binning_pinned_csv(tmp_path):
         assert got[(n, rate, "error_rate")] == err
     for (n, rate), kl in expect_kl.items():
         assert got[(n, rate, "kl_to_uniform")] == pytest.approx(kl, abs=1e-12)
+    # the file's bytes: row order and every digit of each sum
+    digest = hashlib.sha256((tmp_path / "bin" / "binning.csv").read_bytes()).hexdigest()
+    assert digest == "9f59199f0e4dab0c0398fd54c8f9daab6b034ddd3f2067ffd92f4eb94d7968aa"
 
 
 def test_verify_binning_extraction_n16(tmp_path):
@@ -497,6 +500,21 @@ def test_plotdata_schema_mismatch():
 # -- process exit behavior -------------------------------------------------------------
 
 
+def runnable_doc(subcommand):
+    """A small config that runs, writing to ``bad``."""
+    from coordsim.binning import dsbs
+
+    if subcommand == "verify-binning":
+        return {"model": dsbs(0.1).to_json_dict(), "n_list": [4], "rates": [0.3], "replicates": 2,
+                "samples": 10, "out": "bad"}
+    doc = {"model": "bundled:bsc", "out": "bad"}
+    if subcommand != "region":
+        doc["params"] = {"n": 32, "mc_samples": 100}
+    if subcommand == "simulate":
+        doc["k"] = 2
+    return doc
+
+
 @pytest.mark.parametrize("subcommand,over,pointer", [
     ("verify-binning", {"replicates": 0}, "/replicates"),
     ("verify-binning", {"samples": 0}, "/samples"),
@@ -513,15 +531,34 @@ def test_plotdata_schema_mismatch():
     ("verify-binning", {"n_list": [12], "rates": [10.0]}, "/rates/0"),
     ("simulate", {"params": {"n": 32}, "k": 1}, "/k"),
     ("region", {"w_size": 25}, "/w_size"),  # the cardinality bound of bundled:bsc is 20
+    ("simulate", {"trials": 0}, "/trials"),
+    ("region", {"seed": -1}, "/seed"),
+    ("construct", {"seed": -1}, "/seed"),
+    ("simulate", {"seed": -1}, "/seed"),
+    ("verify-binning", {"seed": -1}, "/seed"),
 ])
 def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
-    from coordsim.binning import dsbs
-
-    doc = {"model": dsbs(0.1).to_json_dict(), "n_list": [4], "rates": [0.3], "replicates": 2,
-           "samples": 10, "out": "bad"} if subcommand == "verify-binning" else {"model": "bundled:bsc"}
-    doc.update(over)
+    doc = {**runnable_doc(subcommand), **over}
     code = cli.main([subcommand, "--config", str(write_config(tmp_path, "bad.json", doc))])
     assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith(pointer + ": ")
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("subcommand,flags,pointer", [
+    ("region", ["--seed", "-2"], "/seed"),
+    ("construct", ["--seed", "-2"], "/seed"),
+    ("simulate", ["--seed", "-2"], "/seed"),
+    ("verify-binning", ["--seed", "-2"], "/seed"),
+    ("verify-binning", ["--n-list", "4,x"], "/n_list/1"),
+    ("verify-binning", ["--n-list", "4.5"], "/n_list/0"),
+    ("verify-binning", ["--rates", "y,0.3"], "/rates/0"),
+])
+def test_main_rejects_override_that_cannot_run(tmp_path, capsys, subcommand, flags, pointer):
+    cfg = write_config(tmp_path, "bad.json", runnable_doc(subcommand))
+    assert cli.main([subcommand, "--config", str(cfg)] + flags) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["type"] == "ConfigError"
     assert err["error"].startswith(pointer + ": ")

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,11 @@ from coordsim.construction import (
     SourceModel,
     build_index_sets,
     estimate_profile,
+    load_index_cache,
+    rate_report,
 )
 from coordsim.polar import polar_transform
-from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, sample
+from coordsim.probability import Alphabet, ConditionalPMF, JointPMF
 
 U, X, Y, V, W = (Alphabet(n, 2) for n in "UXYVW")
 
@@ -160,7 +164,6 @@ def test_sampling_sites_take_one_random_call_each():
         return rng.bit_generator.state
 
     model = chained_model()
-    joint = model.single_letter_joint()
     sets = synthetic_sets()
     cr = CommonRandomness.draw(sets, 3, np.random.default_rng(0))
     y = np.random.default_rng(1).integers(0, 2, (3, 8), dtype=np.uint8)
@@ -169,8 +172,6 @@ def test_sampling_sites_take_one_random_call_each():
         (lambda r: _source_blocks(model, 16, 3, r), lambda r: (r.integers(0, 2, 16), r.random((3, 16)))),
         (lambda r: model.sample_blocks(r, 5, 16), lambda r: r.random((5, 16))),
         (lambda r: _sample_pairs(dsbs(0.1), r, 7, 4), lambda r: r.random((7, 4))),
-        (lambda r: sample(joint, r), lambda r: r.random()),
-        (lambda r: sample(joint, r, 9), lambda r: r.random(9)),
         # hard SC decisions draw nothing; the action takes one rng.random(n) per block
         (lambda r: decode(y, zero_payload(sets), sets, cr, model, r),
          lambda r: [r.random(8) for _ in range(3)]),
@@ -180,8 +181,8 @@ def test_sampling_sites_take_one_random_call_each():
 
 
 def test_sampling_streams_pinned():
-    # digest of every sampling site's output at fixed seeds, taken before the
-    # sites shared one inverse-CDF helper: no stream moved
+    # digest of every sampling site's output at fixed seeds: a moved stream
+    # changes it
     digest = hashlib.sha256()
     model = chained_model()
     sets = synthetic_sets()
@@ -189,8 +190,6 @@ def test_sampling_streams_pinned():
         rng = np.random.default_rng(seed)
         blocks = model.sample_blocks(rng, 7, 16)
         digest.update(b"".join(blocks[k].tobytes() for k in "uxwyv"))
-        digest.update(sample(model.single_letter_joint(), rng, 50).tobytes())
-        digest.update(repr(sample(model.single_letter_joint(), rng)).encode())
         a, b = _sample_pairs(dsbs(0.2), rng, 9, 5)
         digest.update(a.tobytes() + b.tobytes())
         digest.update(transmit(rng.integers(0, 2, 33), binary_symmetric_channel(0.3), rng).tobytes())
@@ -199,7 +198,7 @@ def test_sampling_streams_pinned():
         y = rng.integers(0, 2, (3, 8), dtype=np.uint8)
         decoded = decode(y, zero_payload(sets), sets, cr, model, rng)
         digest.update(b"".join(block.v.tobytes() for block in decoded))
-    assert digest.hexdigest() == "b432f46f67fd4beb643f0e5eddd976458b29634be846d25fb3df57ae38f8aec3"
+    assert digest.hexdigest() == "98b1d3fe4bd5fc09a482285db43d5a7de2a24e728d2c6394c5f7ac97018866ae"
 
 
 # -- mechanics on synthetic sets ------------------------------------------------------
@@ -503,3 +502,14 @@ def test_decode_rejects_wrong_payload_sizes():
     )
     with pytest.raises(ValueError, match="payload"):
         decode(y, bad, sets, cr, model, rng)
+
+
+@pytest.mark.parametrize("k,bits", [(2, 2091), (3, 2888), (8, 6873)])
+def test_rate_report_counts_the_drawn_common_randomness(k, bits):
+    # the benchmark's n=1024 sets: the reported rate restates the layout drawn
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    sets = load_index_cache(data / "chained_n1024.idx")
+    cr = CommonRandomness.draw(sets, k, np.random.default_rng(0))
+    cr.validate(sets, k)
+    drawn = sum(getattr(cr, f.name).size for f in dataclasses.fields(cr))
+    assert drawn == bits == round(rate_report(sets, k).common_randomness_rate * k * sets.n)

@@ -8,6 +8,7 @@ import pytest
 
 from coordsim.bundled import bsc_model, bsc_target, chained_model, planted_target
 from coordsim.cli import ConfigError, _source_model
+from coordsim.codec import transmit
 from coordsim.construction import (
     CapacityError,
     PolarParams,
@@ -57,6 +58,14 @@ def _ternary_y_in_v_rule(d):
     d["v_rule"]["table"] = [0.5, 0.5] * 6
 
 
+def _wide_y(d, size):
+    """A channel that sends x=0 to y=0 and x=1 to y=size-1."""
+    d["channel"]["out_axes"][0]["size"] = size
+    d["channel"]["table"] = [1.0] + [0.0] * (2 * size - 2) + [1.0]
+    d["v_rule"]["given_axes"][1]["size"] = size
+    d["v_rule"]["table"] = [0.5, 0.5] * (2 * size)
+
+
 MALFORMED = {
     "u_prior over A": lambda d: _rename(d["u_prior"]["axes"][0], "A"),
     "ternary X": _ternary_x,
@@ -65,6 +74,7 @@ MALFORMED = {
     "w_rule V|XU": lambda d: _rename(d["w_rule"]["out_axes"][0], "V"),
     "channel Y|U": lambda d: _rename(d["channel"]["given_axes"][0], "U"),
     "v_rule over a ternary Y": _ternary_y_in_v_rule,
+    "Y over 300 symbols": lambda d: _wide_y(d, 300),
 }
 
 
@@ -77,6 +87,16 @@ def test_source_model_rejects_malformed(case):
     with pytest.raises(ConfigError) as err:
         _source_model({"model": doc, "base_dir": "."})
     assert err.value.pointer == "/model"
+
+
+def test_source_model_samples_256_symbols_whole():
+    # 256 symbols per axis is the most uint8 blocks hold; y = 255 is not wrapped
+    doc = chained_model().to_json_dict()
+    _wide_y(doc, 256)
+    model = SourceModel.from_json_dict(doc)
+    blk = model.sample_blocks(np.random.default_rng(0), 4, 16)
+    assert blk["x"].any() and np.array_equal(blk["y"], 255 * blk["x"])
+    assert np.array_equal(transmit(blk["x"][0], model.channel, np.random.default_rng(1)), blk["y"][0])
 
 
 def random_binary_w_model(rng):

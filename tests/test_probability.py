@@ -20,7 +20,6 @@ from coordsim.probability import (
     kl_divergence,
     marginalize,
     mutual_information,
-    sample,
     total_variation,
 )
 
@@ -259,27 +258,6 @@ def test_kl_examples():
 
 
 # -- sampling -------------------------------------------------------------------
-
-
-def test_sample_point_mass():
-    p = pmf1("A", [1.0, 0.0])
-    rng = np.random.default_rng(7)
-    assert all(sample(p, rng) == (0,) for _ in range(20))
-
-
-def test_sample_frequency_clt():
-    p = pmf1("A", [0.5, 0.5])
-    rng = np.random.default_rng(8)
-    draws = sample(p, rng, size=100_000)
-    freq0 = float((draws[:, 0] == 0).mean())
-    assert 0.49 <= freq0 <= 0.51  # 3 sigma ~ 0.0047
-
-
-def test_sample_deterministic_given_seed():
-    p = JointPMF.uniform((A, B))
-    a = sample(p, np.random.default_rng(42), size=50)
-    b = sample(p, np.random.default_rng(42), size=50)
-    assert np.array_equal(a, b)
 
 
 def cdf_of(pmf):
