@@ -35,6 +35,7 @@ __all__ = [
     "dsbs",
     "sw_error_rate",
     "extraction_kl",
+    "check_sweep",
     "verify_lemma_regimes",
 ]
 
@@ -101,8 +102,9 @@ def _log_table(table: np.ndarray) -> np.ndarray:
 
 
 def _ab_table(joint: JointPMF) -> np.ndarray:
-    """The single-letter table with axes ordered (A, B)."""
-    return joint.table if joint.axis_names == ("A", "B") else joint.table.T
+    """The single-letter table with axes ordered (A, B); a joint without
+    both axes raises."""
+    return joint.table.transpose(joint.axis_index("A"), joint.axis_index("B"))
 
 
 def _posterior_scores(joint: JointPMF, side_b: np.ndarray) -> np.ndarray:
@@ -164,8 +166,8 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     """
     if n != binning.n:
         raise ValueError("n must match the binning")
-    size_a = joint.axes[joint.axis_index("A")].size
-    size_b = joint.axes[joint.axis_index("B")].size
+    table = _ab_table(joint)
+    size_a, size_b = table.shape
     if size_b != binning.alphabet_size:
         raise ValueError("binning alphabet does not match the joint's B axis")
     states_a, states_b = size_a**n, size_b**n
@@ -174,7 +176,6 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     widest = max(size_a, size_b) ** n
     chunk = max(1, CHUNK_CELLS // widest)
     _check_cells("extraction", f"{max(size_a, size_b)}^{n} x {chunk}", widest * chunk)
-    table = _ab_table(joint)
     ref = _sequence_product(table.sum(axis=1), n)[:, None] / bins
     # the states sorted by bin, and the occupied bins numbered in that order:
     # an empty bin adds nothing to the sum, and a chunk's rows are one slice
@@ -233,6 +234,20 @@ class BinningTrialStats:
         return rows
 
 
+def check_sweep(joint: JointPMF, n: int, samples: int, lemmas) -> None:
+    """The enumeration guard, applied before a sweep at blocklength n
+    starts: it raises exactly when the sweep would, on the SW scores
+    (samples x |A|^n cells, no fewer than the binning of A) or on an
+    extraction chunk (over the cap only as one column of max(|A|, |B|)^n
+    cells, no fewer than the binning of B)."""
+    size_a, size_b = _ab_table(joint).shape
+    if "sw" in lemmas:
+        _check_cells("SW decoding", f"{samples} x {size_a}^{n}", samples * size_a**n)
+    if "extraction" in lemmas:
+        widest = max(size_a, size_b)
+        _check_cells("extraction", f"{widest}^{n}", widest**n)
+
+
 def verify_lemma_regimes(
     joint: JointPMF,
     n_list,
@@ -250,8 +265,7 @@ def verify_lemma_regimes(
     exact extraction KL of ``replicates`` binnings of B, averaged.
     """
     results = []
-    size_a = joint.axes[joint.axis_index("A")].size
-    size_b = joint.axes[joint.axis_index("B")].size
+    size_a, size_b = _ab_table(joint).shape
     anchor = int(rng.integers(0, 2**62))
     rates = list(rates)
 

@@ -63,13 +63,13 @@ def bsc_target(crossover: float = 0.1, action_noise: float = 0.1) -> Coordinatio
     return bsc_model(crossover, action_noise).target
 
 
-def chained_model(crossover: float = 0.05, w_noise: float = 0.35) -> SourceModel:
-    """A model whose auxiliary genuinely depends on the source: W is a
-    noisy copy of U, so the chained positions (a3 empty only for uniform X,
-    b3 nonempty) and the one-time pads are exercised end to end."""
+def chained_model(crossover: float = 0.05) -> SourceModel:
+    """A model whose auxiliary genuinely depends on the source: W is U
+    through a BSC(0.35), so the chained positions (a3 empty only for uniform
+    X, b3 nonempty) and the one-time pads are exercised end to end."""
     w_rule = np.empty((2, 2, 2))  # [x, u, w]
-    w_rule[:, 0] = [1.0 - w_noise, w_noise]
-    w_rule[:, 1] = [w_noise, 1.0 - w_noise]
+    w_rule[:, 0] = [0.65, 0.35]
+    w_rule[:, 1] = [0.35, 0.65]
     v_rule = np.empty((2, 2, 2))  # [w, y, v]
     v_rule[0, 0] = [0.9, 0.1]
     v_rule[0, 1] = [0.6, 0.4]

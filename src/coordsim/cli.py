@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled
-from .binning import verify_lemma_regimes
+from .binning import check_sweep, verify_lemma_regimes
 from .codec import TrialResult, run_trials
 from .construction import (
     PolarParams,
@@ -162,8 +162,9 @@ def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
 def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> dict:
     """Validate a config document: defaults filled, unknown keys rejected,
     integers checked against their schema bounds (errors carry JSON
-    pointers), params, the region search and the binning sweep checked for
-    values that cannot run, and referenced files checked for existence."""
+    pointers), and params, the region search and the binning sweep checked
+    for values that cannot run.  Referenced files are checked where the
+    runner reads them, before it does any other work."""
     if subcommand not in _SCHEMAS:
         raise ConfigError("/", f"unknown subcommand {subcommand!r}")
     cfg = _apply_schema(doc, _SCHEMAS[subcommand])
@@ -184,19 +185,6 @@ def parse_config(subcommand: str, doc: dict, base_dir: Path | None = None) -> di
         raise ConfigError("/tol", f"tol must be a finite number >= 0, got {cfg['tol']!r}")
     if subcommand == "verify-binning":
         _check_binning_sweep(cfg)
-    if subcommand == "plotdata":
-        for i, p in enumerate(cfg["reports"]):
-            path = Path(cfg["base_dir"]) / p
-            if not path.exists():
-                raise ConfigError(f"/reports/{i}", f"no such report file: {path}")
-    if isinstance(cfg.get("model"), str) and not cfg["model"].startswith("bundled:"):
-        path = Path(cfg["base_dir"]) / cfg["model"]
-        if not path.exists():
-            raise ConfigError("/model", f"no such model file: {path}")
-    if cfg.get("sets_cache") is not None:
-        path = Path(cfg["base_dir"]) / cfg["sets_cache"]
-        if not path.exists():
-            raise ConfigError("/sets_cache", f"no such cache file: {path}")
     return cfg
 
 
@@ -340,6 +328,7 @@ def _run_construct(cfg) -> dict:
 
 
 def _run_simulate(cfg) -> dict:
+    workers = _worker_limit()
     model = _source_model(cfg)
     if cfg["sets_cache"] is not None:
         try:
@@ -353,7 +342,7 @@ def _run_simulate(cfg) -> dict:
     else:
         profile, sets = _profile_and_sets(cfg, model)
     seeds = [cfg["seed"] + t for t in range(cfg["trials"])]
-    results = _parallel_map(functools.partial(run_trials, model, sets, cfg["k"]), seeds)
+    results = _parallel_map(functools.partial(run_trials, model, sets, cfg["k"]), seeds, workers)
     results.sort(key=lambda r: r.seed)
 
     rows = [r.csv_row() for r in results]
@@ -383,6 +372,11 @@ def _run_simulate(cfg) -> dict:
 
 def _run_verify_binning(cfg) -> dict:
     joint = _joint(cfg)
+    for i, n in enumerate(cfg["n_list"]):
+        try:
+            check_sweep(joint, n, cfg["samples"], cfg["lemmas"])
+        except ValueError as err:
+            raise ConfigError(f"/n_list/{i}", str(err)) from None
     rng = np.random.default_rng(cfg["seed"])
     stats = verify_lemma_regimes(
         joint, cfg["n_list"], cfg["rates"], cfg["replicates"], rng,
@@ -434,12 +428,23 @@ def _run_plotdata(cfg) -> dict:
     return {"rows_written": len(rows)}
 
 
-def _parallel_map(fn, items):
-    """``fn(chunk)`` maps a list of items to a list of results; each worker
-    gets one contiguous chunk, and the results come back in item order."""
+def _worker_limit() -> int:
+    """The worker cap from COORDSIM_THREADS, or the CPU count when it is
+    unset or empty; a value of 0 or less means one worker."""
     limit = os.environ.get("COORDSIM_THREADS")
-    workers = int(limit) if limit else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(items)))
+    if not limit:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(limit))
+    except ValueError:
+        raise ValueError(f"COORDSIM_THREADS must be an integer, got {limit!r}") from None
+
+
+def _parallel_map(fn, items, workers: int):
+    """``fn(chunk)`` maps a list of items to a list of results on at most
+    ``workers`` workers; each gets one contiguous chunk, and the results
+    come back in item order."""
+    workers = min(workers, len(items))
     if workers == 1:
         return fn(items)
     bounds = [len(items) * w // workers for w in range(workers + 1)]

@@ -305,19 +305,13 @@ def mutual_information(
 
 def _align(p: JointPMF, q: JointPMF) -> np.ndarray:
     """q's table transposed to p's axis order; axes must match as sets."""
-    if p.axis_names == q.axis_names:
-        pass
-    elif set(p.axis_names) == set(q.axis_names):
-        q = JointPMF(
-            tuple(q.axes[q.axis_index(n)] for n in p.axis_names),
-            q.table.transpose(q._resolve(p.axis_names)),
-        )
-    else:
+    if set(p.axis_names) != set(q.axis_names):
         raise ValueError(f"axis mismatch: {p.axis_names} vs {q.axis_names}")
-    for pa, qa in zip(p.axes, q.axes):
-        if pa.size != qa.size:
-            raise ValueError(f"axis {pa.name!r} size mismatch: {pa.size} vs {qa.size}")
-    return q.table
+    order = q._resolve(p.axis_names)
+    for pa, i in zip(p.axes, order):
+        if pa.size != q.axes[i].size:
+            raise ValueError(f"axis {pa.name!r} size mismatch: {pa.size} vs {q.axes[i].size}")
+    return q.table.transpose(order)
 
 
 def total_variation(p: JointPMF, q: JointPMF) -> float:

@@ -105,13 +105,6 @@ class CoordinationTarget:
         """The target joint over (U, X, Y, V), composed once at construction."""
         return self._joint
 
-    @property
-    def sizes(self) -> dict[str, int]:
-        j = {"U": self.p_u.axes[0].size, "X": self.p_x.axes[0].size}
-        j["Y"] = self.channel.out_axes[0].size
-        j["V"] = self.action_rule.out_axes[0].size
-        return j
-
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
 
@@ -121,8 +114,8 @@ class CoordinationTarget:
 
 
 def cardinality_bound(target: CoordinationTarget) -> int:
-    s = target.sizes
-    return s["U"] * s["X"] * s["Y"] * s["V"] + 4
+    """|U||X||Y||V| + 4, the largest |W| a witness needs."""
+    return target.joint().table.size + 4
 
 
 @dataclass(frozen=True)
@@ -266,14 +259,6 @@ def empirical_region_check(
 # search
 
 
-def _raw_factors(target: CoordinationTarget):
-    pu = target.p_u.table
-    px = target.p_x.table
-    ch = target.channel.table  # [x, y]
-    tgt = target.joint().table  # [u, x, y, v]
-    return pu, px, ch, tgt
-
-
 def _as_aux(target: CoordinationTarget, w_size: int, q: np.ndarray, r: np.ndarray) -> AuxiliaryDecomposition:
     W = Alphabet("W", w_size)
     # renormalize rows exactly (the softmax rows sum to 1 only up to fp error)
@@ -331,8 +316,8 @@ def _softmax_fit(c, tgt, zq, zr):
     return resid, jac
 
 
-def least_squares(pu, px, ch, tgt, q, r):
-    """Levenberg-Marquardt fit of a batch of witnesses to the target, in
+def least_squares(target: CoordinationTarget, q, r):
+    """Levenberg-Marquardt fit of a batch of witnesses to ``target``, in
     logit space.
 
     ``q`` (restarts, u, x, w) and ``r`` (restarts, w, y, v) are the start
@@ -354,7 +339,8 @@ def least_squares(pu, px, ch, tgt, q, r):
     zq, zr = _logits(q), _logits(r)
     qshape, rshape = zq.shape[1:], zr.shape[1:]
     nq = int(np.prod(qshape))
-    c = pu[:, None, None] * px[None, :, None] * ch[None]
+    tgt = target.joint().table  # [u, x, y, v]
+    c = target.p_u.table[:, None, None] * target.p_x.table[None, :, None] * target.channel.table[None]
 
     def fit(theta):
         # the residual f with the normal-equation terms J^T J and J^T f
@@ -431,14 +417,13 @@ def search_auxiliary(
         raise ValueError("restarts must be >= 1")
     if w_size > cardinality_bound(target):
         raise ValueError(f"w_size {w_size} exceeds the cardinality bound {cardinality_bound(target)}")
-    pu, px, ch, tgt = _raw_factors(target)
-    s = target.sizes
+    nu, nx, ny, nv = target.joint().table.shape
     q, r = [], []
     for ss in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(ss)
-        q.append(rng.dirichlet(np.ones(w_size), size=(s["U"], s["X"])))
-        r.append(rng.dirichlet(np.ones(s["V"]), size=(w_size, s["Y"])))
-    q, r = least_squares(pu, px, ch, tgt, np.array(q), np.array(r))
+        q.append(rng.dirichlet(np.ones(w_size), size=(nu, nx)))
+        r.append(rng.dirichlet(np.ones(nv), size=(w_size, ny)))
+    q, r = least_squares(target, np.array(q), np.array(r))
     verdicts = [evaluate(target, _as_aux(target, w_size, qi, ri), tol) for qi, ri in zip(q, r)]
     feasible = [v for v in verdicts if v.feasible]
     if feasible:

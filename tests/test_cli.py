@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,11 +112,6 @@ def test_main_rejects_target_whose_factors_disagree_on_an_axis_size(tmp_path, ca
 def test_parse_config_requires_model():
     with pytest.raises(ConfigError, match="/model"):
         parse_config("construct", {"params": {"n": 64}})
-
-
-def test_parse_config_missing_model_file(tmp_path):
-    with pytest.raises(ConfigError, match="no such model file"):
-        parse_config("construct", {"model": "nope.json", "params": {"n": 64}}, tmp_path)
 
 
 def test_malformed_pmf_row_cites_normalization(tmp_path):
@@ -529,6 +525,10 @@ def runnable_doc(subcommand):
     ("verify-binning", {"lemmas": ["sw", "foo"]}, "/lemmas/1"),
     ("construct", {"params": {"n": 32, "mc_samples": 0}}, "/params/mc_samples"),
     ("verify-binning", {"n_list": [12], "rates": [10.0]}, "/rates/0"),
+    # checked against the enumeration cap before the n = 4 sweep runs
+    ("verify-binning", {"n_list": [4, 40]}, "/n_list/1"),
+    ("verify-binning", {"n_list": [4, 40], "lemmas": ["extraction"]}, "/n_list/1"),
+    ("verify-binning", {"n_list": [4, 17], "samples": 200}, "/n_list/1"),  # 200 x 2^17 SW scores
     ("simulate", {"params": {"n": 32}, "k": 1}, "/k"),
     ("region", {"w_size": 25}, "/w_size"),  # the cardinality bound of bundled:bsc is 20
     ("simulate", {"trials": 0}, "/trials"),
@@ -576,6 +576,26 @@ def test_main_rejects_config_that_is_not_an_object(tmp_path, capsys, doc, flags,
     assert err == {"error": pointer + ": expected a JSON object", "type": "ConfigError"}
 
 
+@pytest.mark.parametrize("subcommand,over,pointer", [
+    ("region", {"model": "nope.json"}, "/model"),
+    ("construct", {"model": "nope.json"}, "/model"),
+    ("simulate", {"model": "nope.json"}, "/model"),
+    ("simulate", {"sets_cache": "nope.json"}, "/sets_cache"),
+    ("plotdata", {"reports": ["empty.json", "nope.json"]}, "/reports/1"),
+], ids=["region-model", "construct-model", "simulate-model", "simulate-sets_cache", "plotdata-report"])
+def test_main_rejects_missing_file_where_it_is_read(tmp_path, capsys, subcommand, over, pointer):
+    # the runner reads its files before any other work and before it makes the output directory
+    (tmp_path / "empty.json").write_text("{}")
+    doc = {"out": "bad"} if subcommand == "plotdata" else runnable_doc(subcommand)
+    code = cli.main([subcommand, "--config", str(write_config(tmp_path, "bad.json", {**doc, **over}))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith(pointer + ": ")
+    assert str(tmp_path / "nope.json") in err["error"]
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("make", [
     lambda path: path.write_text("{not json"),
     lambda path: path.mkdir(),
@@ -604,6 +624,17 @@ def test_main_rejects_truncated_sets_cache(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_readme_examples_parse(tmp_path):
+    # each heredoc config of the README's Examples block, in a directory none of its files exist in
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme[readme.index("Examples:"):]
+    block = block[: block.index("\n```\n")]
+    examples = re.findall(r"coordsim (\S+) --config - <<'EOF'\n(.*?)\nEOF$", block, re.S | re.M)
+    assert [sub for sub, _ in examples] == ["region", "construct", "simulate", "verify-binning", "plotdata"]
+    for subcommand, text in examples:
+        parse_config(subcommand, json.loads(text), tmp_path)
+
+
 def test_main_error_is_machine_readable(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"model": "bundled:bsc", "params": {"n": 7}})
     code = cli.main(["construct", "--config", str(cfg)])
@@ -626,6 +657,22 @@ def test_main_capacity_error_is_machine_readable(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "chaining" in err["error"]
     assert err["type"] == "CapacityError"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_simulate_rejects_malformed_worker_count_before_any_work(tmp_path, monkeypatch, capsys, value):
+    def no_profile(*_args):
+        raise AssertionError("the profile ran before the worker count was read")
+
+    monkeypatch.setattr(cli, "estimate_profile", no_profile)
+    monkeypatch.setenv("COORDSIM_THREADS", value)
+    assert cli.main(["simulate", "--config", str(simulate_config(tmp_path, out="bad"))]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": f"COORDSIM_THREADS must be an integer, got {value!r}", "type": "ValueError"}
+    assert not (tmp_path / "bad").exists()
+    for value in ("0", "-3"):  # still one worker
+        monkeypatch.setenv("COORDSIM_THREADS", value)
+        assert cli._worker_limit() == 1
 
 
 def test_main_arithmetic_error_is_machine_readable(tmp_path, monkeypatch, capsys):

@@ -418,6 +418,8 @@ def test_search_deterministic_given_seed():
 
 def test_search_rejects_oversized_w():
     target = planted_target()
+    # |U||X||Y||V| + 4
+    assert [cardinality_bound(PINNED_TARGETS[name]()) for name in ("planted", "small31")] == [20, 40]
     with pytest.raises(ValueError, match="cardinality"):
         search_auxiliary(target, w_size=cardinality_bound(target) + 1, restarts=1)
     with pytest.raises(ValueError, match="restarts"):
@@ -479,12 +481,13 @@ def test_search_pinned_verdicts(name, w_size, restarts, seed, digest):
 def test_softmax_fit_jacobian_matches_central_differences(name, w_size):
     # |W| = 1 leaves the q block without free logits: its Jacobian block is empty
     target = PINNED_TARGETS[name]()
-    s = target.sizes
-    pu, px, ch, tgt = region._raw_factors(target)
+    tgt = target.joint().table
+    nu, nx, ny, nv = tgt.shape
+    pu, px, ch = target.p_u.table, target.p_x.table, target.channel.table
     c = pu[:, None, None] * px[None, :, None] * ch[None]
     rng = np.random.default_rng(41 + w_size)
-    zq = rng.normal(size=(3, s["U"], s["X"], w_size - 1))
-    zr = rng.normal(size=(3, w_size, s["Y"], s["V"] - 1))
+    zq = rng.normal(size=(3, nu, nx, w_size - 1))
+    zr = rng.normal(size=(3, w_size, ny, nv - 1))
     resid, jac = region._softmax_fit(c, tgt, zq, zr)
     q, r = region._softmax_rows(zq), region._softmax_rows(zr)
     induced = np.einsum("u,x,xy,...uxw,...wyv->...uxyv", pu, px, ch, q, r)
@@ -511,17 +514,16 @@ def test_polish_lockstep_matches_one_restart_at_a_time(monkeypatch):
     monkeypatch.setattr(region, "_softmax_fit", lambda c, tgt, zq, zr: live.append(len(zq)) or fit(c, tgt, zq, zr))
     for name, w_size in [("planted", 1), ("planted", 2), ("small31", 3)]:
         target = PINNED_TARGETS[name]()
-        s = target.sizes
-        pu, px, ch, tgt = region._raw_factors(target)
+        nu, nx, ny, nv = target.joint().table.shape
         rng = np.random.default_rng(42)
-        q = rng.dirichlet(np.ones(w_size), size=(8, s["U"], s["X"]))
-        r = rng.dirichlet(np.ones(s["V"]), size=(8, w_size, s["Y"]))
+        q = rng.dirichlet(np.ones(w_size), size=(8, nu, nx))
+        r = rng.dirichlet(np.ones(nv), size=(8, w_size, ny))
         live.clear()
-        batch_q, batch_r = region.least_squares(pu, px, ch, tgt, q, r)
+        batch_q, batch_r = region.least_squares(target, q, r)
         # restarts stop at different iterations, so stopped and live ones share the batch
         assert 0 < min(live) < len(q)
         for i in range(len(q)):
-            one_q, one_r = region.least_squares(pu, px, ch, tgt, q[i : i + 1], r[i : i + 1])
+            one_q, one_r = region.least_squares(target, q[i : i + 1], r[i : i + 1])
             assert np.array_equal(batch_q[i], one_q[0]) and np.array_equal(batch_r[i], one_r[0])
         assert np.allclose(batch_q.sum(axis=-1), 1.0) and np.allclose(batch_r.sum(axis=-1), 1.0)
 
