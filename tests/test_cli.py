@@ -670,8 +670,8 @@ def test_simulate_rejects_malformed_worker_count_before_any_work(tmp_path, monke
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": f"COORDSIM_THREADS must be an integer, got {value!r}", "type": "ValueError"}
     assert not (tmp_path / "bad").exists()
-    for value in ("0", "-3"):  # still one worker
-        monkeypatch.setenv("COORDSIM_THREADS", value)
+    for limit in ("0", "-3"):  # still one worker
+        monkeypatch.setenv("COORDSIM_THREADS", limit)
         assert cli._worker_limit() == 1
 
 
