@@ -525,10 +525,6 @@ def runnable_doc(subcommand):
     ("verify-binning", {"lemmas": ["sw", "foo"]}, "/lemmas/1"),
     ("construct", {"params": {"n": 32, "mc_samples": 0}}, "/params/mc_samples"),
     ("verify-binning", {"n_list": [12], "rates": [10.0]}, "/rates/0"),
-    # checked against the enumeration cap before the n = 4 sweep runs
-    ("verify-binning", {"n_list": [4, 40]}, "/n_list/1"),
-    ("verify-binning", {"n_list": [4, 40], "lemmas": ["extraction"]}, "/n_list/1"),
-    ("verify-binning", {"n_list": [4, 17], "samples": 200}, "/n_list/1"),  # 200 x 2^17 SW scores
     ("simulate", {"params": {"n": 32}, "k": 1}, "/k"),
     ("region", {"w_size": 25}, "/w_size"),  # the cardinality bound of bundled:bsc is 20
     ("simulate", {"trials": 0}, "/trials"),
@@ -536,6 +532,10 @@ def runnable_doc(subcommand):
     ("construct", {"seed": -1}, "/seed"),
     ("simulate", {"seed": -1}, "/seed"),
     ("verify-binning", {"seed": -1}, "/seed"),
+    # checked against the enumeration cap before the n = 4 sweep runs
+    ("verify-binning", {"n_list": [4, 40]}, "/n_list/1"),
+    ("verify-binning", {"n_list": [4, 40], "lemmas": ["extraction"]}, "/n_list/1"),
+    ("verify-binning", {"n_list": [4, 17], "samples": 200}, "/n_list/1"),  # 200 x 2^17 SW scores
 ])
 def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
     doc = {**runnable_doc(subcommand), **over}
