@@ -7,16 +7,19 @@ a binning of rate below H(B|A) produces an index nearly uniform and nearly
 independent of A^n (channel randomness extraction).  This module checks
 both exactly at tiny blocklengths: the decoder scores every sequence, and
 the extraction KL is computed exactly.  Both use the i.i.d. product
-structure of the joint instead of enumerating sequence pairs: the decoder's
-scores are a Kronecker sum of per-symbol log-likelihoods, and P(a^n, k) is
-contracted from the bin indicator one symbol at a time.
+structure of the joint instead of enumerating sequence pairs: one Kronecker
+routine builds the decoder's scores (a Kronecker sum of per-symbol
+log-likelihoods) and the extraction reference P_A^n (a Kronecker power of
+P_A), and P(a^n, k) is contracted from the bin indicator one symbol at a
+time.
 
 Blocklengths are capped hard; the module exists to be an oracle, not a
 codec.  The decoder holds samples x |A|^n scores.  The extraction KL takes
 O(n |A| |B|^n bins) time but streams the occupied bin columns in chunks of
 at most ``CHUNK_CELLS`` cells (or one column), so its memory is bounded by
-the chunk, not by the bin count; ``ENUMERATION_CELL_CAP`` bounds every
-array either allocates.
+the chunk, not by the bin count.  One guard holds every array either
+allocates against ``ENUMERATION_CELL_CAP`` and names one over it as
+"factor x base^n" without forming the count, so any n fails on the cap.
 """
 
 from __future__ import annotations
@@ -43,23 +46,25 @@ ENUMERATION_CELL_CAP = 1 << 24  # max cells of one array an exact oracle allocat
 CHUNK_CELLS = 1 << 18  # cells of one streamed extraction chunk (2 MiB of float64)
 
 
-def _check_cells(what: str, shape: str, cells: int) -> int:
-    """The one enumeration guard, applied before an array of ``cells``
-    cells is allocated; returns ``cells``."""
-    if cells > ENUMERATION_CELL_CAP:
-        raise ValueError(
-            f"{what}: {shape} = {cells} cells exceeds the enumeration cap "
-            f"{ENUMERATION_CELL_CAP}; use a smaller n"
-        )
-    return cells
+def _check_cells(what: str, base: int, n: int, factor: int = 1) -> int:
+    """The one enumeration guard, applied before an array of
+    ``factor * base**n`` cells is allocated; returns that size.  An n past
+    the cap's bit length is refused before the power is formed, so the
+    count is never a huge integer."""
+    if base > 1 and n >= ENUMERATION_CELL_CAP.bit_length() or factor * base**n > ENUMERATION_CELL_CAP:
+        shape = f"{base}^{n}" if factor == 1 else f"{factor} x {base}^{n}"
+        raise ValueError(f"{what}: {shape} cells exceed the enumeration cap {ENUMERATION_CELL_CAP}; use a smaller n")
+    return factor * base**n
 
 
-def _sequence_product(pmf: np.ndarray, n: int) -> np.ndarray:
-    """The i.i.d. n-fold product of a per-symbol pmf vector, indexed by
-    sequence in lexicographic order (a Kronecker power)."""
-    out = pmf
-    for _ in range(n - 1):
-        out = np.kron(out, pmf)
+def _kronecker(op: np.ufunc, columns: np.ndarray) -> np.ndarray:
+    """``op`` folded over the per-symbol columns ``columns[..., t, :]``,
+    left to right, into one value per sequence in lexicographic order:
+    ``np.multiply`` gives a Kronecker product, ``np.add`` a Kronecker sum.
+    Each sequence's value is op(...op(c_0[a_0], c_1[a_1])..., c_{n-1}[a_{n-1}])."""
+    out = columns[..., 0, :]
+    for t in range(1, columns.shape[-2]):
+        out = op(out[..., :, None], columns[..., t, None, :]).reshape(*columns.shape[:-2], -1)
     return out
 
 
@@ -84,14 +89,14 @@ class RandomBinning:
 
     @classmethod
     def draw(cls, n: int, rate: float, alphabet_size: int, rng: np.random.Generator) -> "RandomBinning":
-        states = _check_cells("binning", f"{alphabet_size}^{n}", alphabet_size**n)
+        states = _check_cells("binning", alphabet_size, n)
         num_bins = 1 << math.ceil(n * rate)
         return cls(n, rate, alphabet_size, rng.integers(1, num_bins + 1, states))
 
     @classmethod
     def identity(cls, n: int, alphabet_size: int) -> "RandomBinning":
         """One bin per sequence: rate log2(alphabet_size)."""
-        states = _check_cells("binning", f"{alphabet_size}^{n}", alphabet_size**n)
+        states = _check_cells("binning", alphabet_size, n)
         return cls(n, math.log2(alphabet_size), alphabet_size, np.arange(1, states + 1))
 
 
@@ -105,23 +110,6 @@ def _ab_table(joint: JointPMF) -> np.ndarray:
     """The single-letter table with axes ordered (A, B); a joint without
     both axes raises."""
     return joint.table.transpose(joint.axis_index("A"), joint.axis_index("B"))
-
-
-def _posterior_scores(joint: JointPMF, side_b: np.ndarray) -> np.ndarray:
-    """log P(a^n, b^n) for every a-sequence (columns, lexicographic) and
-    each row of side_b; P(b^n) is constant in a, so this ranks the
-    posterior.
-
-    The scores are the Kronecker sum of the per-symbol log-likelihood
-    columns ll[:, b_t], added left to right: the same additions in the
-    same order as summing ll[a_t, b_t] over t for each sequence.
-    """
-    ll = _log_table(_ab_table(joint))
-    rows = side_b.shape[0]
-    scores = ll[:, side_b[:, 0]].T
-    for t in range(1, side_b.shape[1]):
-        scores = (scores[:, :, None] + ll[:, side_b[:, t]].T[:, None, :]).reshape(rows, -1)
-    return scores
 
 
 def _sample_pairs(joint: JointPMF, rng: np.random.Generator, count: int, n: int):
@@ -139,10 +127,12 @@ def sw_error_rate(
     """Empirical P{decoded != true} over i.i.d. draws."""
     size_a, n = binning.alphabet_size, binning.n
     # the score and out-of-bin arrays are samples x |A|^n
-    _check_cells("SW decoding", f"{samples} x {size_a}^{n}", samples * size_a**n)
+    _check_cells("SW decoding", size_a, n, samples)
     a, b = _sample_pairs(joint, rng, samples, n)
     codes = np.ravel_multi_index(tuple(a.T), (size_a,) * n)
-    scores = _posterior_scores(joint, b)
+    # log P(a^n, b^n) for every a-sequence; P(b^n) is constant in a, so
+    # these rank the posterior.  Column t of draw r is ll[:, b_rt].
+    scores = _kronecker(np.add, np.moveaxis(_log_table(_ab_table(joint))[:, b], 0, -1))
     # each draw's own bin holds its true sequence, so no queried bin is empty
     scores[binning.assignment[None, :] != binning.assignment[codes][:, None]] = -np.inf
     decoded = np.argmax(scores, axis=1)
@@ -170,13 +160,13 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     size_a, size_b = table.shape
     if size_b != binning.alphabet_size:
         raise ValueError("binning alphabet does not match the joint's B axis")
+    # no array of the contraction exceeds max(|A|, |B|)^n x chunk cells,
+    # which is at most CHUNK_CELLS or one column
+    widest = _check_cells("extraction", max(size_a, size_b), n)
+    chunk = max(1, CHUNK_CELLS // widest)
     states_a, states_b = size_a**n, size_b**n
     bins = binning.num_bins
-    # no array of the contraction exceeds max(|A|, |B|)^n x chunk cells
-    widest = max(size_a, size_b) ** n
-    chunk = max(1, CHUNK_CELLS // widest)
-    _check_cells("extraction", f"{max(size_a, size_b)}^{n} x {chunk}", widest * chunk)
-    ref = _sequence_product(table.sum(axis=1), n)[:, None] / bins
+    ref = _kronecker(np.multiply, np.broadcast_to(table.sum(axis=1), (n, size_a)))[:, None] / bins
     # the states sorted by bin, and the occupied bins numbered in that order:
     # an empty bin adds nothing to the sum, and a chunk's rows are one slice
     order = np.argsort(binning.assignment, kind="stable")
@@ -236,16 +226,15 @@ class BinningTrialStats:
 
 def check_sweep(joint: JointPMF, n: int, samples: int, lemmas) -> None:
     """The enumeration guard, applied before a sweep at blocklength n
-    starts: it raises exactly when the sweep would, on the SW scores
-    (samples x |A|^n cells, no fewer than the binning of A) or on an
-    extraction chunk (over the cap only as one column of max(|A|, |B|)^n
-    cells, no fewer than the binning of B)."""
+    starts: it makes the oracles' own guard calls, so it raises exactly
+    when the sweep would, on the SW scores (samples x |A|^n cells, no
+    fewer than the binning of A) or on one extraction column
+    (max(|A|, |B|)^n cells, no fewer than the binning of B)."""
     size_a, size_b = _ab_table(joint).shape
     if "sw" in lemmas:
-        _check_cells("SW decoding", f"{samples} x {size_a}^{n}", samples * size_a**n)
+        _check_cells("SW decoding", size_a, n, samples)
     if "extraction" in lemmas:
-        widest = max(size_a, size_b)
-        _check_cells("extraction", f"{widest}^{n}", widest**n)
+        _check_cells("extraction", max(size_a, size_b), n)
 
 
 def verify_lemma_regimes(

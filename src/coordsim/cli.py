@@ -50,7 +50,6 @@ from .region import (
     EmptyWindow,
     binning_rate_ledger,
     cardinality_bound,
-    evaluate,
     search_auxiliary,
 )
 
@@ -97,7 +96,6 @@ _SCHEMAS: dict[str, dict] = {
         "k": (int, None, 2),  # the chaining construction needs two blocks
         "trials": (int, 1, 1),
         "sets_cache": ((str, type(None)), None),
-        "attach_region_verdict": (bool, False),
     },
     "verify-binning": {
         **_COMMON,
@@ -196,8 +194,9 @@ def _check_binning_sweep(cfg):
     for i, rate in enumerate(cfg["rates"]):
         if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 <= rate < math.inf:
             raise ConfigError(f"/rates/{i}", f"rates must be finite numbers >= 0, got {rate!r}")
-        # a binning has 2^ceil(n*rate) bins, drawn as int64 labels
-        if math.ceil(n_max * rate) >= 63:
+        # a binning has 2^ceil(n*rate) bins, drawn as int64 labels; the product
+        # itself is compared, since its ceil fails once it overflows to inf
+        if n_max * rate > 62:
             raise ConfigError(f"/rates/{i}", f"2^ceil(n*rate) bins overflow int64 at n={n_max}, rate={rate!r}")
     if not cfg["lemmas"]:
         raise ConfigError("/lemmas", "lemma list must be nonempty")
@@ -362,8 +361,6 @@ def _run_simulate(cfg) -> dict:
     }
     if profile is not None:
         report["divergence_certificate"] = divergence_certificate(profile, sets).to_json_dict()
-    if cfg["attach_region_verdict"]:
-        report["region_verdict"] = evaluate(model.target, model.witness).to_json_dict()
     _write_csv(cfg, "trials.csv", TrialResult.CSV_FIELDS, rows)
     agg = aggregates["tv_estimate"]
     print(f"trials={len(rows)} tv_estimate={agg['mean']:.4f}±{agg['stderr']:.4f}")
@@ -527,7 +524,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.subcommand, doc, base)
         run(args.subcommand, cfg)
         return 0
-    except (ConfigError, ValueError, ArithmeticError, RuntimeError, OSError, json.JSONDecodeError) as err:
+    except (ConfigError, ValueError, ArithmeticError, RuntimeError, OSError, MemoryError, json.JSONDecodeError) as err:
         sys.stderr.write(json.dumps({"error": str(err), "type": type(err).__name__}) + "\n")
         return 1
 

@@ -12,7 +12,10 @@ from coordsim import binning as binning_module
 from coordsim.binning import (
     ENUMERATION_CELL_CAP,
     RandomBinning,
-    _posterior_scores,
+    _ab_table,
+    _kronecker,
+    _log_table,
+    check_sweep,
     dsbs,
     extraction_kl,
     sw_error_rate,
@@ -52,6 +55,18 @@ def test_cap_enforced():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert rng.bit_generator.state == state
+
+
+def test_cap_refuses_huge_n_without_forming_the_count():
+    # 2^20000 has 6021 digits, past Python's integer-to-string limit: the
+    # guard names the array as base^n and never forms or prints its count
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^binning: 2\^20000 cells exceed the enumeration cap 16777216;"):
+        RandomBinning.draw(20000, 0.0, 2, rng)
+    with pytest.raises(ValueError, match=r"^SW decoding: 200 x 3\^20000 cells exceed the enumeration cap"):
+        check_sweep(_wide_a_joint(), 20000, 200, ("sw", "extraction"))
+    with pytest.raises(ValueError, match=r"^extraction: 3\^20000 cells exceed the enumeration cap"):
+        check_sweep(_wide_a_joint(), 20000, 200, ("extraction",))
 
 
 def test_bin_labels_and_count():
@@ -202,7 +217,8 @@ def test_extraction_contraction_matches_enumeration(seed, size_a, size_b, order,
 @pytest.mark.parametrize("order", ["AB", "BA"])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
 def test_posterior_scores_equal_per_sequence_sums(order, shape):
-    # sum_t log P(a_t, b_t), added left to right per sequence; zero cells give -inf
+    # the SW decoder's scores through the Kronecker routine: sum_t log P(a_t, b_t),
+    # added left to right per sequence; zero cells give -inf
     rng = np.random.default_rng(sum(shape) + len(order))
     table = _random_table(rng, *shape)
     table[0, 0] = 0.0
@@ -220,9 +236,21 @@ def test_posterior_scores_equal_per_sequence_sums(order, shape):
                 for t in range(n):
                     total += ll[a[t], b[t]]
                 expect[r, col] = total
-        got = _posterior_scores(joint, side_b)
+        got = _kronecker(np.add, np.moveaxis(_log_table(_ab_table(joint))[:, side_b], 0, -1))
         assert np.isneginf(got).any()
         assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_kronecker_product_equals_kron_chain(size):
+    # the extraction reference P_A^n, bit for bit as the np.kron chain builds it
+    pmf = np.random.default_rng(size).dirichlet(np.ones(size))
+    chain = pmf
+    for n in range(1, 7):
+        got = _kronecker(np.multiply, np.broadcast_to(pmf, (n, size)))
+        assert got.shape == (size**n,)
+        assert np.array_equal(got.view(np.uint64), chain.view(np.uint64))
+        chain = np.kron(chain, pmf)
 
 
 def test_sw_error_rate_reads_axes_by_name():

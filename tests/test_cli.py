@@ -93,6 +93,14 @@ def test_simulate_config_rejects_removed_seeds_key(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_simulate_config_rejects_removed_attach_region_verdict_key(tmp_path, capsys):
+    cfg = simulate_config(tmp_path, attach_region_verdict=True, out="bad")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "/attach_region_verdict: unknown key", "type": "ConfigError"}
+    assert not (tmp_path / "bad").exists()
+
+
 def test_main_rejects_target_whose_factors_disagree_on_an_axis_size(tmp_path, capsys):
     from coordsim.bundled import bsc_target
 
@@ -278,19 +286,6 @@ def test_simulate_with_cache_and_overrides(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", str(scfg), "--trials", "2", "--seed", "5"]) == 0
     report = json.loads((tmp_path / "cached" / "report.json").read_text())
     assert [r["seed"] for r in report["rows"]] == [5, 6]
-
-
-def test_simulate_attach_region_verdict(tmp_path, monkeypatch):
-    monkeypatch.setenv("COORDSIM_THREADS", "1")
-    cfg = simulate_config(tmp_path, attach_region_verdict=True, out="rv")
-    assert cli.main(["simulate", "--config", str(cfg)]) == 0
-    report = json.loads((tmp_path / "rv" / "report.json").read_text())
-    verdict = report["region_verdict"]
-    assert verdict["feasible"] is True
-    assert "feasible_restarts" not in verdict  # one witness scored, not a search
-    # cross-module consistency: simulated CR rate within slack of the bound
-    cr = report["rate_report"]["common_randomness_rate"]
-    assert cr >= verdict["inner_rate"] - 0.1
 
 
 # -- region ------------------------------------------------------------------------
@@ -536,6 +531,7 @@ def runnable_doc(subcommand):
     ("verify-binning", {"n_list": [4, 40]}, "/n_list/1"),
     ("verify-binning", {"n_list": [4, 40], "lemmas": ["extraction"]}, "/n_list/1"),
     ("verify-binning", {"n_list": [4, 17], "samples": 200}, "/n_list/1"),  # 200 x 2^17 SW scores
+    ("verify-binning", {"rates": [1e308]}, "/rates/0"),  # n*rate overflows to inf
 ])
 def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
     doc = {**runnable_doc(subcommand), **over}
@@ -547,6 +543,17 @@ def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, 
     assert not (tmp_path / "bad").exists()
 
 
+def test_main_refuses_huge_blocklength_on_the_cap(tmp_path, capsys):
+    # 2^20000 is past Python's integer-to-string limit; the cap still names the array
+    doc = {**runnable_doc("verify-binning"), "n_list": [4, 20000], "rates": [0.0]}
+    code = cli.main(["verify-binning", "--config", str(write_config(tmp_path, "bad.json", doc))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "/n_list/1: SW decoding: 10 x 2^20000 cells exceed the enumeration cap 16777216; "
+                            "use a smaller n", "type": "ConfigError"}
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("subcommand,flags,pointer", [
     ("region", ["--seed", "-2"], "/seed"),
     ("construct", ["--seed", "-2"], "/seed"),
@@ -555,6 +562,7 @@ def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, 
     ("verify-binning", ["--n-list", "4,x"], "/n_list/1"),
     ("verify-binning", ["--n-list", "4.5"], "/n_list/0"),
     ("verify-binning", ["--rates", "y,0.3"], "/rates/0"),
+    ("verify-binning", ["--rates", "1e308"], "/rates/0"),
 ])
 def test_main_rejects_override_that_cannot_run(tmp_path, capsys, subcommand, flags, pointer):
     cfg = write_config(tmp_path, "bad.json", runnable_doc(subcommand))
@@ -685,6 +693,25 @@ def test_main_arithmetic_error_is_machine_readable(tmp_path, monkeypatch, capsys
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "float division by zero", "type": "ZeroDivisionError"}
+
+
+@pytest.mark.parametrize("error", [
+    ConfigError("/params/n", "bad n"),
+    ValueError("bad value"),
+    OSError("disk gone"),
+    RuntimeError("bad state"),
+    MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)"),
+], ids=lambda error: type(error).__name__)
+def test_main_reports_runner_error_as_one_json_line(tmp_path, monkeypatch, capsys, error):
+    def failing_runner(_cfg):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "construct", failing_runner)
+    code = cli.main(["construct", "--config", str(write_config(tmp_path, "c.json", runnable_doc("construct")))])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [{"error": str(error), "type": type(error).__name__}]
+    assert not (tmp_path / "bad").exists()
 
 
 def test_main_reads_stdin(tmp_path, monkeypatch, capsys):

@@ -370,6 +370,19 @@ def test_rate_report_telescopes_to_limit():
     assert r16.common_randomness_rate_limit == pytest.approx(limit, abs=1e-12)
 
 
+def test_bsc_common_randomness_rate_within_slack_of_inner_rate():
+    # cross-module consistency, one-sided: the codec's CR rate on the sets of a
+    # small bsc run (n = 32, 400 samples, seed 0, k = 3) is within 0.1 of the
+    # witness's inner rate, or above it
+    model = bsc_model()
+    verdict = evaluate(model.target, model.witness)
+    assert verdict.feasible
+    params = PolarParams(n=32, beta=0.25, mc_samples=400)
+    prof = estimate_profile(model, params, np.random.default_rng(np.random.SeedSequence([0, 0])))
+    cr = rate_report(build_index_sets(prof, params), 3).common_randomness_rate
+    assert cr >= verdict.inner_rate - 0.1
+
+
 def test_side_channel_rate_vanishes_in_k():
     prof, params, sets = bundled_sets(model=chained_model(), seed=11)
     rates = [rate_report(sets, k).side_channel_rate for k in (2, 4, 8, 16)]
