@@ -19,7 +19,8 @@ O(n |A| |B|^n bins) time but streams the occupied bin columns in chunks of
 at most ``CHUNK_CELLS`` cells (or one column), so its memory is bounded by
 the chunk, not by the bin count.  One guard holds every array either
 allocates against ``ENUMERATION_CELL_CAP`` and names one over it as
-"factor x base^n" without forming the count, so any n fails on the cap.
+"factor x base^n" without forming the count; every n of 25 or more fails
+it, one-symbol alphabets included.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import JointPMF, inverse_cdf
+from .probability import JointPMF, iid_blocks
 
 __all__ = [
     "ENUMERATION_CELL_CAP",
@@ -48,10 +49,11 @@ CHUNK_CELLS = 1 << 18  # cells of one streamed extraction chunk (2 MiB of float6
 
 def _check_cells(what: str, base: int, n: int, factor: int = 1) -> int:
     """The one enumeration guard, applied before an array of
-    ``factor * base**n`` cells is allocated; returns that size.  An n past
-    the cap's bit length is refused before the power is formed, so the
-    count is never a huge integer."""
-    if base > 1 and n >= ENUMERATION_CELL_CAP.bit_length() or factor * base**n > ENUMERATION_CELL_CAP:
+    ``factor * base**n`` cells is allocated; returns that size.  An n at or
+    past the cap's bit length is refused before the power is formed, so the
+    count is never a huge integer, and on every base, 1 included, since the
+    oracles also loop over the n symbols."""
+    if n >= ENUMERATION_CELL_CAP.bit_length() or factor * base**n > ENUMERATION_CELL_CAP:
         shape = f"{base}^{n}" if factor == 1 else f"{factor} x {base}^{n}"
         raise ValueError(f"{what}: {shape} cells exceed the enumeration cap {ENUMERATION_CELL_CAP}; use a smaller n")
     return factor * base**n
@@ -93,12 +95,6 @@ class RandomBinning:
         num_bins = 1 << math.ceil(n * rate)
         return cls(n, rate, alphabet_size, rng.integers(1, num_bins + 1, states))
 
-    @classmethod
-    def identity(cls, n: int, alphabet_size: int) -> "RandomBinning":
-        """One bin per sequence: rate log2(alphabet_size)."""
-        states = _check_cells("binning", alphabet_size, n)
-        return cls(n, math.log2(alphabet_size), alphabet_size, np.arange(1, states + 1))
-
 
 def _log_table(table: np.ndarray) -> np.ndarray:
     out = np.full(table.shape, -np.inf)
@@ -112,12 +108,6 @@ def _ab_table(joint: JointPMF) -> np.ndarray:
     return joint.table.transpose(joint.axis_index("A"), joint.axis_index("B"))
 
 
-def _sample_pairs(joint: JointPMF, rng: np.random.Generator, count: int, n: int):
-    draws = inverse_cdf(joint.table.reshape(-1), rng.random((count, n)))
-    cells = np.unravel_index(draws, joint.table.shape)
-    return cells[joint.axis_index("A")], cells[joint.axis_index("B")]
-
-
 def sw_error_rate(
     binning: RandomBinning,
     joint: JointPMF,
@@ -128,7 +118,8 @@ def sw_error_rate(
     size_a, n = binning.alphabet_size, binning.n
     # the score and out-of-bin arrays are samples x |A|^n
     _check_cells("SW decoding", size_a, n, samples)
-    a, b = _sample_pairs(joint, rng, samples, n)
+    blocks = iid_blocks(joint, rng, samples, n)
+    a, b = blocks[joint.axis_index("A")], blocks[joint.axis_index("B")]
     codes = np.ravel_multi_index(tuple(a.T), (size_a,) * n)
     # log P(a^n, b^n) for every a-sequence; P(b^n) is constant in a, so
     # these rank the posterior.  Column t of draw r is ll[:, b_rt].

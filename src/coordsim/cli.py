@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled
-from .binning import check_sweep, verify_lemma_regimes
+from .binning import ENUMERATION_CELL_CAP, check_sweep, verify_lemma_regimes
 from .codec import TrialResult, run_trials
 from .construction import (
     PolarParams,
@@ -190,7 +190,8 @@ def _check_binning_sweep(cfg):
     for i, n in enumerate(cfg["n_list"]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"/n_list/{i}", f"blocklengths must be integers >= 1, got {n!r}")
-    n_max = max(cfg["n_list"], default=0)
+    # check_sweep refuses a longer n at /n_list/<i>; it could overflow the float product
+    n_max = max((n for n in cfg["n_list"] if n < ENUMERATION_CELL_CAP.bit_length()), default=0)
     for i, rate in enumerate(cfg["rates"]):
         if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 <= rate < math.inf:
             raise ConfigError(f"/rates/{i}", f"rates must be finite numbers >= 0, got {rate!r}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .construction import PolarIndexSets, SourceModel, rate_report
 from .polar import polar_transform, sc_pass
-from .probability import Alphabet, JointPMF, inverse_cdf, marginalize, mutual_information
+from .probability import Alphabet, JointPMF, iid_blocks, inverse_cdf, marginalize, mutual_information
 
 __all__ = [
     "CommonRandomness",
@@ -392,7 +392,7 @@ def _source_blocks(model: SourceModel, n: int, k: int, rng: np.random.Generator)
     """The uniform dummy block and k source blocks, shape (k+1, n)."""
     u_blocks = np.empty((k + 1, n), dtype=np.uint8)
     u_blocks[0] = rng.integers(0, model.u_prior.axes[0].size, n)
-    u_blocks[1:] = inverse_cdf(model.u_prior.table, rng.random((k, n)))
+    u_blocks[1:] = iid_blocks(model.u_prior, rng, k, n)[0]
     return u_blocks
 
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .polar import CHUNK_ROWS, known_path_conditionals, known_path_tree, polar_transform
-from .probability import ConditionalPMF, JointPMF, binary_entropy, condition, inverse_cdf, marginalize
+from .probability import ConditionalPMF, JointPMF, binary_entropy, condition, iid_blocks, marginalize
 from .region import AXES_UXYV, AuxiliaryDecomposition, CoordinationTarget, check_source_axes, witness_joint
 
 __all__ = [
@@ -109,7 +109,7 @@ class SourceModel:
         self.v_rule = v_rule
         # composing checks that the factors agree on every shared axis size
         self._joint = witness_joint(u_prior, x_prior, channel, w_rule, v_rule)
-        # blocks hold symbols as uint8, so a wider axis would be sampled modulo 256
+        # the codec holds blocks as uint8, so a wider axis would wrap modulo 256
         for axis in self._joint.axes:
             if axis.size > 256:
                 raise ValueError(f"axis {axis.name!r} has {axis.size} symbols; a source model allows at most 256")
@@ -158,11 +158,7 @@ class SourceModel:
     def sample_blocks(self, rng: np.random.Generator, count: int, n: int) -> dict[str, np.ndarray]:
         """``count`` i.i.d. blocks of length ``n`` of the 5-tuple, as a dict
         of (count, n) uint8 arrays keyed 'u','x','w','y','v'."""
-        joint = self.single_letter_joint()
-        draws = inverse_cdf(joint.table.reshape(-1), rng.random((count, n)))
-        # row i of ``cells`` is the axis-i symbol of each flat cell
-        cells = np.indices(joint.table.shape, dtype=np.uint8).reshape(5, -1)
-        return {name: axis.take(draws) for name, axis in zip(("u", "x", "w", "y", "v"), cells)}
+        return dict(zip("uxwyv", iid_blocks(self.single_letter_joint(), rng, count, n)))
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}

@@ -13,9 +13,11 @@ Conventions used throughout the package:
   contained in the support of ``q``.
 
 Tables are dense; the product of alphabet sizes is capped at ``CELL_CAP``
-cells.  :class:`JointPMF` (a table with no given axes) and
-:class:`ConditionalPMF` pass one check, which also rejects a NaN or
-infinite entry, and one pair of helpers reads and writes their JSON.
+cells.  A pmf is checked once, where it is built: :class:`JointPMF` (a
+table with no given axes) and :class:`ConditionalPMF` pass one check,
+which also rejects a NaN or infinite entry.  The measures read numbers off
+a table and build no pmf.  One pair of helpers reads and writes the JSON,
+and :func:`iid_blocks` draws the i.i.d. blocks of every layer.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "total_variation",
     "kl_divergence",
     "inverse_cdf",
+    "iid_blocks",
     "binary_entropy",
 ]
 
@@ -119,6 +122,7 @@ class JointPMF:
 
     def __init__(self, axes: Sequence[Alphabet], table: np.ndarray):
         self.axes = tuple(axes)
+        self.axis_names = tuple(a.name for a in self.axes)
         self.table = _checked_table((), self.axes, table)
 
     # -- constructors ------------------------------------------------------
@@ -138,10 +142,6 @@ class JointPMF:
         return cls(axes, table)
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def axis_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.axes)
 
     def axis_index(self, name: str) -> int:
         try:
@@ -178,15 +178,9 @@ class ConditionalPMF:
     ):
         self.given_axes = tuple(given_axes)
         self.out_axes = tuple(out_axes)
+        self.given_names = tuple(a.name for a in self.given_axes)
+        self.out_names = tuple(a.name for a in self.out_axes)
         self.table = _checked_table(self.given_axes, self.out_axes, table)
-
-    @property
-    def given_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.given_axes)
-
-    @property
-    def out_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.out_axes)
 
     def __repr__(self):
         g = ",".join(self.given_names)
@@ -214,17 +208,22 @@ class ConditionalPMF:
 # operations
 
 
-def marginalize(p: JointPMF, keep: Sequence[str]) -> JointPMF:
-    """Sum out every axis not in ``keep``; kept axes stay in their original
-    order."""
+def _dropped(p: JointPMF, keep: Sequence[str]) -> tuple[int, ...]:
+    """The axes of ``p`` not named in ``keep``; an empty ``keep`` raises
+    ValueError and an unknown name KeyError."""
     keep = list(keep)
     if not keep:
         raise ValueError("keep must be a nonempty axis set")
     keep_idx = set(p._resolve(keep))
-    drop = tuple(i for i in range(len(p.axes)) if i not in keep_idx)
+    return tuple(i for i in range(len(p.axes)) if i not in keep_idx)
+
+
+def marginalize(p: JointPMF, keep: Sequence[str]) -> JointPMF:
+    """Sum out every axis not in ``keep``; kept axes stay in their original
+    order."""
+    drop = _dropped(p, keep)
     table = p.table.sum(axis=drop) if drop else p.table
-    axes = tuple(a for i, a in enumerate(p.axes) if i in keep_idx)
-    return JointPMF(axes, table)
+    return JointPMF(tuple(a for i, a in enumerate(p.axes) if i not in drop), table)
 
 
 def compose(p: JointPMF, c: ConditionalPMF) -> JointPMF:
@@ -273,16 +272,13 @@ def condition(p: JointPMF, out: Sequence[str], given: Sequence[str]) -> Conditio
     return ConditionalPMF(given_axes, out_axes, rows)
 
 
-def _entropy_of_table(table: np.ndarray) -> float:
+def entropy(p: JointPMF, axes: Sequence[str] | None = None) -> float:
+    """Shannon entropy in bits, of the whole joint or of a marginal; the
+    marginal is summed off the table, as ``marginalize`` sums it."""
+    drop = () if axes is None else _dropped(p, axes)
+    table = p.table.sum(axis=drop) if drop else p.table
     t = table[table > 0]
     return float(-(t * np.log2(t)).sum())
-
-
-def entropy(p: JointPMF, axes: Sequence[str] | None = None) -> float:
-    """Shannon entropy in bits, of the whole joint or of a marginal."""
-    if axes is not None:
-        p = marginalize(p, axes)
-    return _entropy_of_table(p.table)
 
 
 def conditional_entropy(p: JointPMF, out: Sequence[str], given: Sequence[str]) -> float:
@@ -344,6 +340,19 @@ def inverse_cdf(pmf, uniforms):
     if cdf.ndim == 1:
         return np.searchsorted(cdf, uniforms, side="right")
     return (np.asarray(uniforms)[..., None] >= cdf).sum(axis=-1)
+
+
+def iid_blocks(p: JointPMF, rng: np.random.Generator, count: int, n: int) -> tuple[np.ndarray, ...]:
+    """``count`` i.i.d. blocks of length ``n`` drawn from ``p``: one
+    (count, n) symbol array per axis, in ``p``'s axis order.  The draw is
+    one ``rng.random((count, n))`` call through :func:`inverse_cdf` on the
+    flat table; symbols take the narrowest unsigned dtype that holds the
+    largest axis."""
+    draws = inverse_cdf(p.table.reshape(-1), rng.random((count, n)))
+    dtype = np.min_scalar_type(max(a.size for a in p.axes) - 1)
+    # row i of ``cells`` is the axis-i symbol of each flat cell
+    cells = np.indices(p.table.shape, dtype=dtype).reshape(len(p.axes), -1)
+    return tuple(axis.take(draws) for axis in cells)
 
 
 def binary_entropy(p) -> np.ndarray | float:

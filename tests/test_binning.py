@@ -45,8 +45,6 @@ def test_cap_enforced():
         with pytest.raises(ValueError, match="cap"):
             RandomBinning.draw(25, 0.5, 2, rng)
         with pytest.raises(ValueError, match="cap"):
-            RandomBinning.identity(25, 2)
-        with pytest.raises(ValueError, match="cap"):
             sw_error_rate(binning, dsbs(0.1), rng, samples=257)
         with pytest.raises(ValueError, match="cap"):
             extraction_kl(binning, wide, 16)
@@ -67,6 +65,23 @@ def test_cap_refuses_huge_n_without_forming_the_count():
         check_sweep(_wide_a_joint(), 20000, 200, ("sw", "extraction"))
     with pytest.raises(ValueError, match=r"^extraction: 3\^20000 cells exceed the enumeration cap"):
         check_sweep(_wide_a_joint(), 20000, 200, ("extraction",))
+
+
+def test_cap_refuses_long_blocks_on_one_symbol_alphabets():
+    # 1^n is one cell, but SW decoding draws samples x n uniforms and the
+    # extraction contraction loops over the n symbols: an n at or past the
+    # cap's bit length fails on every joint
+    one_a = JointPMF((Alphabet("A", 1), Alphabet("B", 2)), np.array([[0.4, 0.6]]))
+    one_ab = JointPMF((Alphabet("A", 1), Alphabet("B", 1)), np.ones((1, 1)))
+    last = ENUMERATION_CELL_CAP.bit_length() - 1
+    check_sweep(one_a, last, 200, ("sw", "extraction"))
+    check_sweep(one_ab, last, 200, ("sw", "extraction"))
+    with pytest.raises(ValueError, match=r"^SW decoding: 200 x 1\^3000000 cells exceed the enumeration cap"):
+        check_sweep(one_a, 3000000, 200, ("sw",))
+    with pytest.raises(ValueError, match=r"^extraction: 1\^1000000000 cells exceed the enumeration cap"):
+        check_sweep(one_ab, 10**9, 200, ("extraction",))
+    with pytest.raises(ValueError, match=r"^binning: 1\^25 cells exceed the enumeration cap"):
+        RandomBinning.draw(last + 1, 0.3, 1, np.random.default_rng(0))
 
 
 def test_bin_labels_and_count():
@@ -268,7 +283,7 @@ def test_extraction_identity_binning_closed_form():
     # K = B^n exactly: D(P_{A^n K} || P_{A^n} Q_K) = I(A^n;K) + D(P_K || Q_K)
     n = 8
     joint = dsbs(0.1)
-    binning = RandomBinning.identity(n, 2)
+    binning = RandomBinning(n, 1.0, 2, np.arange(1, 2**n + 1))
     got = extraction_kl(binning, joint, n)
     # closed form via single-letter quantities: I(A^n;B^n) = n I(A;B),
     # D(P_{B^n} || uniform) = n (log2|B| - H(B))
@@ -291,7 +306,7 @@ def test_extraction_identity_binning_closed_form_multi_chunk():
     n = 10
     joint = dsbs(0.1)
     assert 2**n * 2**n > binning_module.CHUNK_CELLS
-    got = extraction_kl(RandomBinning.identity(n, 2), joint, n)
+    got = extraction_kl(RandomBinning(n, 1.0, 2, np.arange(1, 2**n + 1)), joint, n)
     expect = n * mutual_information(joint, ["A"], ["B"]) + n * (1.0 - entropy(joint, ["B"]))
     assert got == pytest.approx(expect, abs=1e-9)
 

@@ -491,6 +491,10 @@ def test_plotdata_schema_mismatch():
 # -- process exit behavior -------------------------------------------------------------
 
 
+ONE_SYMBOL_A = {"axes": [{"name": "A", "size": 1}, {"name": "B", "size": 2}], "table": [0.4, 0.6]}
+ONE_SYMBOL_AB = {"axes": [{"name": "A", "size": 1}, {"name": "B", "size": 1}], "table": [1.0]}
+
+
 def runnable_doc(subcommand):
     """A small config that runs, writing to ``bad``."""
     from coordsim.binning import dsbs
@@ -532,6 +536,11 @@ def runnable_doc(subcommand):
     ("verify-binning", {"n_list": [4, 40], "lemmas": ["extraction"]}, "/n_list/1"),
     ("verify-binning", {"n_list": [4, 17], "samples": 200}, "/n_list/1"),  # 200 x 2^17 SW scores
     ("verify-binning", {"rates": [1e308]}, "/rates/0"),  # n*rate overflows to inf
+    # a blocklength past float range is refused on the cap, not in the bin-count product
+    ("verify-binning", {"n_list": [4, 10**400]}, "/n_list/1"),
+    # one-symbol alphabets: 1^25 is one cell, but n = 25 is the cap's bit length
+    ("verify-binning", {"model": ONE_SYMBOL_A, "lemmas": ["sw"], "n_list": [4, 25]}, "/n_list/1"),
+    ("verify-binning", {"model": ONE_SYMBOL_AB, "lemmas": ["extraction"], "n_list": [4, 25]}, "/n_list/1"),
 ])
 def test_main_rejects_sweep_that_cannot_run(tmp_path, capsys, subcommand, over, pointer):
     doc = {**runnable_doc(subcommand), **over}

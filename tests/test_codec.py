@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from coordsim.binning import _sample_pairs, dsbs
+from coordsim.binning import dsbs
 from coordsim.bundled import binary_symmetric_channel, bsc_model, chained_model
 from coordsim.codec import (
     BlockTranscript,
@@ -32,7 +32,7 @@ from coordsim.construction import (
     rate_report,
 )
 from coordsim.polar import polar_transform
-from coordsim.probability import Alphabet, ConditionalPMF, JointPMF
+from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, iid_blocks
 
 U, X, Y, V, W = (Alphabet(n, 2) for n in "UXYVW")
 
@@ -171,7 +171,7 @@ def test_sampling_sites_take_one_random_call_each():
         (lambda r: transmit(np.ones(33, np.uint8), model.channel, r), lambda r: r.random(33)),
         (lambda r: _source_blocks(model, 16, 3, r), lambda r: (r.integers(0, 2, 16), r.random((3, 16)))),
         (lambda r: model.sample_blocks(r, 5, 16), lambda r: r.random((5, 16))),
-        (lambda r: _sample_pairs(dsbs(0.1), r, 7, 4), lambda r: r.random((7, 4))),
+        (lambda r: iid_blocks(dsbs(0.1), r, 7, 4), lambda r: r.random((7, 4))),
         # hard SC decisions draw nothing; the action takes one rng.random(n) per block
         (lambda r: decode(y, zero_payload(sets), sets, cr, model, r),
          lambda r: [r.random(8) for _ in range(3)]),
@@ -190,8 +190,8 @@ def test_sampling_streams_pinned():
         rng = np.random.default_rng(seed)
         blocks = model.sample_blocks(rng, 7, 16)
         digest.update(b"".join(blocks[k].tobytes() for k in "uxwyv"))
-        a, b = _sample_pairs(dsbs(0.2), rng, 9, 5)
-        digest.update(a.tobytes() + b.tobytes())
+        a, b = iid_blocks(dsbs(0.2), rng, 9, 5)
+        digest.update(a.astype(np.int64).tobytes() + b.astype(np.int64).tobytes())
         digest.update(transmit(rng.integers(0, 2, 33), binary_symmetric_channel(0.3), rng).tobytes())
         digest.update(_source_blocks(model, 16, 3, rng).tobytes())
         cr = CommonRandomness.draw(sets, 3, rng)

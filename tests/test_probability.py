@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordsim import probability
 from coordsim.probability import (
     CELL_CAP,
     Alphabet,
@@ -16,6 +18,7 @@ from coordsim.probability import (
     condition,
     conditional_entropy,
     entropy,
+    iid_blocks,
     inverse_cdf,
     kl_divergence,
     marginalize,
@@ -313,6 +316,19 @@ def test_inverse_cdf_never_draws_a_zero_mass_cell_at_the_ends():
     assert inverse_cdf(np.stack([pmf, pmf]), np.array([top, 0.0])).tolist() == [9, 0]
 
 
+def test_iid_blocks_are_the_unraveled_cells_of_one_draw():
+    # an axis over 256 symbols: the symbols are uint16, and each axis holds
+    # its coordinate of the flat cell the one rng.random call drew
+    rng = np.random.default_rng(17)
+    table = rng.dirichlet(np.ones(600)) * (rng.random(600) < 0.7)
+    joint = JointPMF((Alphabet("A", 300), Alphabet("B", 2)), (table / table.sum()).reshape(300, 2))
+    a, b = iid_blocks(joint, np.random.default_rng(18), 40, 3)
+    draws = inverse_cdf(joint.table.reshape(-1), np.random.default_rng(18).random((40, 3)))
+    want_a, want_b = np.unravel_index(draws, (300, 2))
+    assert a.dtype == b.dtype == np.uint16 and a.shape == b.shape == (40, 3)
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+
 # -- serialization ---------------------------------------------------------------
 
 
@@ -368,6 +384,44 @@ def test_json_schema_shape():
 
 
 # -- properties -------------------------------------------------------------------
+
+
+def test_measures_build_no_pmf(monkeypatch):
+    # a pmf is checked where it is built; the measures read the table and build none
+    rng = np.random.default_rng(19)
+    p = random_pmf(rng, tuple(Alphabet(name, size) for name, size in zip("ABCD", (2, 3, 2, 4))))
+    checks = []
+    checked = probability._checked_table
+    monkeypatch.setattr(probability, "_checked_table", lambda *a: checks.append(a) or checked(*a))
+    entropy(p)
+    entropy(p, ["D", "B"])
+    conditional_entropy(p, ["A", "C"], ["D"])
+    mutual_information(p, ["A"], ["B", "D"], ["C"])
+    assert checks == []
+    marginalize(p, ["A"])
+    assert len(checks) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_entropy_of_a_marginal_equals_entropy_of_marginalize(sizes, seed):
+    # random joints with zero cells: the measure sums the table exactly as
+    # marginalize does, for every nonempty axis set in either order
+    rng = np.random.default_rng(seed)
+    axes = tuple(Alphabet(name, size) for name, size in zip("ABCD", sizes))
+    table = rng.dirichlet(np.ones(math.prod(sizes))) * (rng.random(math.prod(sizes)) < 0.6)
+    table[rng.integers(table.size)] += 0.5
+    p = JointPMF(axes, (table / table.sum()).reshape(sizes))
+    names = [a.name for a in axes]
+    assert entropy(p) == entropy(p, names)
+    for k in range(1, len(names) + 1):
+        for keep in itertools.combinations(names, k):
+            assert entropy(p, keep) == entropy(marginalize(p, keep))
+            assert entropy(p, keep[::-1]) == entropy(marginalize(p, keep))
+    with pytest.raises(ValueError, match="nonempty"):
+        entropy(p, [])
+    with pytest.raises(KeyError):
+        entropy(p, ["A", "Z"])
 
 
 @settings(max_examples=60, deadline=None)
