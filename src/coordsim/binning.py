@@ -20,7 +20,8 @@ at most ``CHUNK_CELLS`` cells (or one column), so its memory is bounded by
 the chunk, not by the bin count.  One guard holds every array either
 allocates against ``ENUMERATION_CELL_CAP`` and names one over it as
 "factor x base^n" without forming the count; every n of 25 or more fails
-it, one-symbol alphabets included.
+it, one-symbol alphabets included (there the message names the
+blocklength).
 """
 
 from __future__ import annotations
@@ -52,8 +53,13 @@ def _check_cells(what: str, base: int, n: int, factor: int = 1) -> int:
     ``factor * base**n`` cells is allocated; returns that size.  An n at or
     past the cap's bit length is refused before the power is formed, so the
     count is never a huge integer, and on every base, 1 included, since the
-    oracles also loop over the n symbols."""
-    if n >= ENUMERATION_CELL_CAP.bit_length() or factor * base**n > ENUMERATION_CELL_CAP:
+    oracles also loop over the n symbols; on a base of 1 the refusal names
+    the blocklength, as the array itself is small."""
+    limit = ENUMERATION_CELL_CAP.bit_length()
+    if base <= 1 and n >= limit:
+        raise ValueError(f"{what}: blocklength {n} is at or past {limit}, the bit length of the enumeration cap "
+                         f"{ENUMERATION_CELL_CAP}; use a smaller n")
+    if n >= limit or factor * base**n > ENUMERATION_CELL_CAP:
         shape = f"{base}^{n}" if factor == 1 else f"{factor} x {base}^{n}"
         raise ValueError(f"{what}: {shape} cells exceed the enumeration cap {ENUMERATION_CELL_CAP}; use a smaller n")
     return factor * base**n

@@ -170,8 +170,14 @@ def _sampler(rngs: list[np.random.Generator], count: int):
     return lambda _j, p: next(columns) < p
 
 
+def _hard_leaves(p):
+    # likelihood ratio >= 1 decides 0, a tie included; sc_pass applies this
+    # leaf by leaf to a sub-block with no known bit (a rate-1 node)
+    return p > 0.5
+
+
 def _hard(_j, p):
-    return p > 0.5  # likelihood ratio >= 1 decides 0
+    return _hard_leaves(p)
 
 
 def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs):
@@ -232,12 +238,12 @@ def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, mo
         s_i, z_i = s_hat[:, i], z_hat[:, i]
         s_i[:, sets.a1] = c[:, i]
         s_i[:, sets.a3] = s_chain
-        x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, _hard)
+        x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, _hard, _hard_leaves)
 
         z_i[:, sets.bp1] = c_bar
         z_i[:, b1_rest] = c_prime[:, i]
         z_i[:, sets.b3] = z_chain
-        w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard)
+        w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard, _hard_leaves)
 
         uniforms = np.stack([rng.random(n) for rng in rngs])
         v[:, i] = inverse_cdf(v_rule[w_hat[:, i], y_blocks[:, i]], uniforms)

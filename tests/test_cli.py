@@ -275,6 +275,20 @@ def test_simulate_pinned_trials_csv(tmp_path, monkeypatch):
     assert digest == "8838dd7357894319b95281da475d290cd92b798ab2deffe76997e47f6ea386cb"
 
 
+def test_simulate_benchmark_op_pinned(tmp_path, monkeypatch):
+    # one simulate op of the benchmark on its committed index sets: the
+    # digest pins every decision of both chains at n = 1024
+    monkeypatch.setenv("COORDSIM_THREADS", "1")
+    sets = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "chained_n1024.idx"
+    doc = {"model": "bundled:chained", "params": {"n": 1024}, "k": 8, "trials": 8, "seed": 0,
+           "sets_cache": str(sets), "out": "bench"}
+    report = cli.run("simulate", parse_config("simulate", doc, tmp_path))
+    keys = ("rows", "aggregates", "rate_report")
+    body = json.dumps({k: report[k] for k in keys}, sort_keys=True).encode()
+    got = hashlib.sha256(body + (tmp_path / "bench" / "trials.csv").read_bytes()).hexdigest()
+    assert got == "cd4bc096dcff786a6f969bf5959a02f496edfcc8788de3070b546c282103af8d"
+
+
 def test_simulate_with_cache_and_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("COORDSIM_THREADS", "1")
     ccfg = write_config(

@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coordsim import polar
 from coordsim.bundled import binary_symmetric_channel, bsc_model
+from coordsim.codec import _hard, _hard_leaves
 from coordsim.construction import SourceModel
 from coordsim.polar import (
     CHUNK_ROWS,
@@ -150,6 +151,103 @@ def test_contradiction_rule():
                    lambda j, p: decided.append(p) or p > 0.5)
     assert decided[0][0] == 0.5
     assert np.array_equal(sums, [[1, 0]])
+
+
+# -- rate-1 nodes ---------------------------------------------------------------------
+
+
+def rate1_nodes(known, lo, hi):
+    """The maximal sub-blocks [lo, hi) of length >= 2 with no known bit, in
+    bit order."""
+    if not known[lo:hi].any():
+        return [(lo, hi)] if hi - lo >= 2 else []
+    if hi - lo == 1:
+        return []
+    mid = (lo + hi) // 2
+    return rate1_nodes(known, lo, mid) + rate1_nodes(known, mid, hi)
+
+
+def random_sc_case(seed, n, trials, sharpness):
+    """Leaves pushed towards 0 or 1 by ``sharpness``, a random known mask
+    and random known bits."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.0, 0.5, (trials, n)) ** sharpness
+    leaf = np.where(rng.random((trials, n)) < 0.5, q, 1.0 - q)
+    known = rng.random(n) < rng.uniform(0.0, 1.0)
+    bits = np.where(known, rng.integers(0, 2, (trials, n)), 0).astype(np.uint8)
+    return leaf, known, bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8, 16, 32, 64]), st.sampled_from([1.0, 3.0, 8.0]))
+def test_hard_node_rule_matches_bitwise_sc_away_from_ties(seed, n, sharpness):
+    leaf, known, bits = random_sc_case(seed, n, 2, sharpness)
+    seen = []
+    bitwise_bits = bits.copy()
+    bitwise_sums = sc_pass(leaf, bitwise_bits, known, lambda j, p: seen.append(p) or _hard(j, p))
+    assume(all(np.abs(p - 0.5).min() >= 1e-9 for p in seen))
+    node_bits = bits.copy()
+    node_sums = sc_pass(leaf, node_bits, known, _hard, _hard_leaves)
+    assert node_sums.tobytes() == bitwise_sums.tobytes()
+    assert node_bits.tobytes() == bitwise_bits.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
+def test_node_rule_sees_each_rate1_node_once_with_its_probabilities(seed, n):
+    leaf, known, bits = random_sc_case(seed, n, 1, 1.0)
+    decided, calls = [], []
+
+    def spy(p):
+        calls.append(p.copy())
+        return _hard_leaves(p)
+
+    sums = sc_pass(leaf, bits, known, lambda j, p: decided.append(j) or _hard(j, p), spy)
+    nodes = rate1_nodes(known, 0, n)
+    assert len(calls) == len(nodes)
+    assert decided == [j for j in range(n) if not known[j] and not any(lo <= j < hi for lo, hi in nodes)]
+    for (lo, hi), p in zip(nodes, calls):
+        assert p.shape == (1, hi - lo)
+        # the node's leaves are the partial sums T(bits[lo:hi]), independent
+        # given the bits before lo: enumerate each one's probability
+        xs = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.uint8)
+        weights = np.prod(np.where(xs == 1, leaf[0], 1.0 - leaf[0]), axis=1)
+        block = polar_transform(xs)
+        match = np.all(block[:, :lo] == bits[0, :lo], axis=1)
+        node_leaves = polar_transform(block[:, lo:hi])
+        for t in range(hi - lo):
+            expect = weights[match & (node_leaves[:, t] == 1)].sum() / weights[match].sum()
+            assert p[0, t] == pytest.approx(expect, abs=1e-12)
+    assert np.array_equal(sums, polar_transform(bits))
+
+
+def test_node_rule_tie_decides_zero():
+    # a leaf at exactly 1/2 decides 0; the other leaf decides by its own
+    # probability, so the sums are (0, 1) and the bits T(0, 1) = (1, 1)
+    bits = np.zeros((1, 2), dtype=np.uint8)
+    sums = sc_pass(np.array([[0.5, 0.9]]), bits, np.zeros(2, dtype=bool), _hard, _hard_leaves)
+    assert np.array_equal(sums, [[0, 1]])
+    assert np.array_equal(bits, [[1, 1]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_node_rule_after_a_contradiction():
+    # leaves 0 and 2 are surely 1, so partial sum 0 of the first half is
+    # surely 0; the known bits set it to 1, so g = 1/2 on the first leaf of
+    # the rate-1 node [2, 4), which decides 0 there
+    leaf = np.array([[1.0, 0.3, 1.0, 0.9]])
+    bits = np.array([[0, 1, 0, 0]], dtype=np.uint8)  # partial sums (1, 1)
+    known = np.array([True, True, False, False])
+    seen = []
+    sums = sc_pass(leaf, bits, known, _hard, lambda p: seen.append(p.copy()) or _hard_leaves(p))
+    assert seen[0][0, 0] == 0.5 and seen[0][0, 1] > 0.5
+    assert np.array_equal(sums, [[1, 0, 0, 1]])
+    assert np.array_equal(bits, [[0, 1, 1, 1]])
+    # bit by bit, f is 1/2 on bit 2, a tie that decides 0: the other
+    # maximum-likelihood path
+    bitwise = np.array([[0, 1, 0, 0]], dtype=np.uint8)
+    sc_pass(leaf, bitwise, known, _hard)
+    assert np.array_equal(bitwise, [[0, 1, 0, 1]])
 
 
 def g_select(a, b, not_a, not_b, x_a):
