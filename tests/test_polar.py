@@ -206,13 +206,13 @@ def test_node_rule_sees_each_rate1_node_once_with_its_probabilities(seed, n):
     nodes = rate1_nodes(known, 0, n)
     assert len(calls) == len(nodes)
     assert decided == [j for j in range(n) if not known[j] and not any(lo <= j < hi for lo, hi in nodes)]
+    # the node's leaves are the partial sums T(bits[lo:hi]), independent
+    # given the bits before lo: enumerate each one's probability
+    xs = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.uint8)
+    weights = np.prod(np.where(xs == 1, leaf[0], 1.0 - leaf[0]), axis=1)
+    block = polar_transform(xs)
     for (lo, hi), p in zip(nodes, calls):
         assert p.shape == (1, hi - lo)
-        # the node's leaves are the partial sums T(bits[lo:hi]), independent
-        # given the bits before lo: enumerate each one's probability
-        xs = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.uint8)
-        weights = np.prod(np.where(xs == 1, leaf[0], 1.0 - leaf[0]), axis=1)
-        block = polar_transform(xs)
         match = np.all(block[:, :lo] == bits[0, :lo], axis=1)
         node_leaves = polar_transform(block[:, lo:hi])
         for t in range(hi - lo):
