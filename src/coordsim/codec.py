@@ -164,20 +164,22 @@ def _known(n: int, *index_sets: np.ndarray) -> np.ndarray:
 
 
 def _sampler(rngs: list[np.random.Generator], count: int):
-    """SC decisions drawn as Bernoulli(p), one uniform per decided bit,
-    pre-drawn from each trial's generator in bit order."""
-    columns = iter(np.stack([rng.random(count) for rng in rngs]).T)
-    return lambda _j, p: next(columns) < p
+    """SC decisions drawn as Bernoulli(p): one uniform per decided leaf, all
+    pre-drawn from each trial's generator and taken in decision order."""
+    uniforms = np.stack([rng.random(count) for rng in rngs])
+    used = 0
+
+    def draw(p):
+        nonlocal used
+        used += p.shape[1]
+        return uniforms[:, used - p.shape[1] : used] < p
+
+    return draw
 
 
-def _hard_leaves(p):
-    # likelihood ratio >= 1 decides 0, a tie included; sc_pass applies this
-    # leaf by leaf to a sub-block with no known bit (a rate-1 node)
+def _hard(p):
+    # likelihood ratio >= 1 decides 0, a tie included
     return p > 0.5
-
-
-def _hard(_j, p):
-    return _hard_leaves(p)
 
 
 def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs):
@@ -238,12 +240,12 @@ def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, mo
         s_i, z_i = s_hat[:, i], z_hat[:, i]
         s_i[:, sets.a1] = c[:, i]
         s_i[:, sets.a3] = s_chain
-        x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, _hard, _hard_leaves)
+        x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, _hard)
 
         z_i[:, sets.bp1] = c_bar
         z_i[:, b1_rest] = c_prime[:, i]
         z_i[:, sets.b3] = z_chain
-        w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard, _hard_leaves)
+        w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard)
 
         uniforms = np.stack([rng.random(n) for rng in rngs])
         v[:, i] = inverse_cdf(v_rule[w_hat[:, i], y_blocks[:, i]], uniforms)

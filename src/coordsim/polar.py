@@ -30,24 +30,26 @@ Two drivers share f and g (the array layout of Tal & Vardy, "List decoding
 of polar codes"):
 
 * :func:`sc_pass` is sequential: depth-first in natural bit order over a
-  batch of blocks run in lockstep, deciding one bit at a time.  Two kinds
-  of sub-block end the descent, the rate-0 and rate-1 nodes of simplified
-  SC (Alamdar-Yazdi & Kschischang, "A simplified successive-cancellation
+  batch of blocks run in lockstep, with one decision rule.  Two kinds of
+  sub-block end the descent, the rate-0 and rate-1 nodes of simplified SC
+  (Alamdar-Yazdi & Kschischang, "A simplified successive-cancellation
   decoder for polar codes", IEEE Commun. Lett. 2011).  A sub-block whose
   bits are all known (frozen, common randomness, chained) is not
-  evaluated; its partial sums are the transform of its known bits.  Given
-  a node rule, a sub-block of length >= 2 with no known bit is decided
-  leaf by leaf: the rule maps the node's leaf probabilities to its partial
-  sums, whose transform is its bits.
+  evaluated; its partial sums are the transform of its known bits.  A
+  sub-block with no known bit, a single bit included, is one call of the
+  rule, which maps its leaf probabilities to its partial sums.  Given the
+  bits before the node, its leaves are independent with those
+  probabilities, so a hard decision per leaf is the node's
+  maximum-likelihood decision, and a Bernoulli draw per leaf draws its
+  bits from their SC conditionals in law.
 
-  Tie rule: the hard rule P > 1/2 decides a leaf at exactly 1/2 as 0, as
-  bit-by-bit SC decides a bit at 1/2.  The node and bit-by-bit SC give the
-  same bits unless a bit-by-bit decision is at or within rounding of 1/2.
-  Two such ties arise: f on a long XOR is 1/2 - 2**(k-1) prod(p_i - 1/2),
-  which rounds to exactly 1/2 once the product is tiny, and a leaf at
-  g = 1/2 (the contradiction rule) makes every XOR through it 1/2.  Bit by
-  bit, SC decides such a bit 0, while the node decides each leaf by its
-  own probability, the maximum-likelihood choice for the node.  The tests
+  Tie rule: the hard rule P > 1/2 decides a leaf at exactly 1/2 as 0.  A
+  node and a descent bit by bit give the same bits unless a bit-by-bit
+  decision is at or within rounding of 1/2.  Two such ties arise: f on a
+  long XOR is 1/2 - 2**(k-1) prod(p_i - 1/2), which rounds to exactly 1/2
+  once the product is tiny, and a leaf at g = 1/2 (the contradiction
+  rule) makes every XOR through it 1/2.  Bit by bit, SC decides such a bit
+  0, while the node decides each leaf by its own probability.  The tests
   check that the two agree bit for bit when every bit-by-bit decision is
   at least 1e-9 from 1/2.
 * :func:`true_path_conditionals` runs along known paths: all bits are known
@@ -153,20 +155,18 @@ def _leaf_probabilities(leaf_p1) -> np.ndarray:
     return p1
 
 
-def sc_pass(leaf_p1, bits: np.ndarray, known, decide, decide_node=None) -> np.ndarray:
+def sc_pass(leaf_p1, bits: np.ndarray, known, decide) -> np.ndarray:
     """One successive-cancellation pass over a batch of blocks in lockstep.
 
     ``leaf_p1`` has shape (trials, n).  ``bits`` is a (trials, n) uint8
     array holding the known bits at the positions where ``known`` (shape
     (n,), shared by all trials) is true; the other positions are filled in
-    place with the decided bits.  ``decide(j, p)`` is called in increasing
-    ``j`` with ``p`` = P(bit_j = 1 | bits before j, evidence) of shape
-    (trials,); it returns the bits as a bool or 0/1 integer array.
-    Sub-blocks whose bits are all known are not evaluated.  Given
-    ``decide_node``, a sub-block [lo, hi) of length >= 2 with no known bit
-    is not descended: ``decide_node(p)`` maps its leaf probabilities, shape
-    (trials, hi - lo), to its partial sums, and ``decide`` is not called
-    for its bits.  Returns the partial sums ``polar_transform(bits)``.
+    place with the decided bits.  Sub-blocks whose bits are all known are
+    not evaluated.  Each sub-block [lo, hi) with no known bit, of any
+    length, is one call ``decide(p)`` in bit order: ``p`` holds its leaf
+    probabilities given the bits before lo, shape (trials, hi - lo), and
+    the rule returns its partial sums as a bool or 0/1 integer array of
+    the same shape.  Returns the partial sums ``polar_transform(bits)``.
     """
     p1 = _leaf_probabilities(leaf_p1)
     known = np.asarray(known, dtype=bool)
@@ -181,19 +181,16 @@ def sc_pass(leaf_p1, bits: np.ndarray, known, decide, decide_node=None) -> np.nd
             sums[:, lo:hi] = polar_transform(bits[:, lo:hi])
             return
         p = probabilities()
-        if hi - lo == 1:
-            sums[:, lo] = decide(lo, p[:, 0])
-            return
-        if decide_node is not None and known_before[hi] == known_before[lo]:
-            sums[:, lo:hi] = decide_node(p)  # a rate-1 node
+        if known_before[hi] == known_before[lo]:
+            sums[:, lo:hi] = decide(p)  # a rate-1 node
             return
         not_p = _ONE - p
-        if hi - lo == 2:  # decide both bits here rather than in two visits
-            halves = p[:, 0], p[:, 1], not_p[:, 0], not_p[:, 1]
-            first = bits[:, lo] if is_known[lo] else decide(lo, _f(*halves))
-            second = bits[:, hi - 1] if is_known[hi - 1] else decide(hi - 1, _g(*halves, first))
-            sums[:, lo] = first ^ second
-            sums[:, hi - 1] = second
+        if hi - lo == 2:  # one bit known: decide the other here rather than in two visits
+            halves = p[:, :1], p[:, 1:], not_p[:, :1], not_p[:, 1:]
+            first = bits[:, lo : lo + 1] if is_known[lo] else decide(_f(*halves))
+            second = bits[:, lo + 1 : hi] if is_known[lo + 1] else decide(_g(*halves, first))
+            sums[:, lo : lo + 1] = first ^ second
+            sums[:, lo + 1 : hi] = second
         else:
             half = (hi - lo) // 2
             halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
@@ -203,6 +200,7 @@ def sc_pass(leaf_p1, bits: np.ndarray, known, decide, decide_node=None) -> np.nd
             x_a ^= sums[:, lo + half : hi]
 
     visit(0, p1.shape[-1], lambda: p1)
+    del visit  # the closure refers to itself; free it, and what it holds, now
     bits[...] = polar_transform(sums)  # T is its own inverse
     return sums.view(np.uint8)
 

@@ -358,7 +358,7 @@ def iid_blocks(p: JointPMF, rng: np.random.Generator, count: int, n: int) -> tup
 def binary_entropy(p) -> np.ndarray | float:
     """h(p) = -p log2 p - (1-p) log2 (1-p), elementwise, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
-    a = np.where(p > 0, p, 1.0)
-    b = np.where(p < 1, 1.0 - p, 1.0)
-    out = -(p * np.log2(a) + (1.0 - p) * np.log2(b))
-    return out if out.shape else float(out)
+    q = 1.0 - p
+    h = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
+    h += q * np.log2(q, out=np.zeros_like(p), where=p < 1)
+    return -h if h.shape else -float(h)

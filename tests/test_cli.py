@@ -272,7 +272,7 @@ def test_simulate_pinned_trials_csv(tmp_path, monkeypatch):
                           k=4, trials=3, out="pinned")
     assert cli.main(["simulate", "--config", str(cfg)]) == 0
     digest = hashlib.sha256((tmp_path / "pinned" / "trials.csv").read_bytes()).hexdigest()
-    assert digest == "8838dd7357894319b95281da475d290cd92b798ab2deffe76997e47f6ea386cb"
+    assert digest == "5ec85e2a2eb9e7e5301d197660e566114fe3839db7868025b94ba7c15af7260e"
 
 
 def test_simulate_benchmark_op_pinned(tmp_path, monkeypatch):
@@ -286,7 +286,7 @@ def test_simulate_benchmark_op_pinned(tmp_path, monkeypatch):
     keys = ("rows", "aggregates", "rate_report")
     body = json.dumps({k: report[k] for k in keys}, sort_keys=True).encode()
     got = hashlib.sha256(body + (tmp_path / "bench" / "trials.csv").read_bytes()).hexdigest()
-    assert got == "cd4bc096dcff786a6f969bf5959a02f496edfcc8788de3070b546c282103af8d"
+    assert got == "8831af757988e85dcca41cf7137c567154b16c2fc4b0db360ae797f38b2ea83b"
 
 
 def test_simulate_with_cache_and_overrides(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from coordsim import polar
 from coordsim.bundled import binary_symmetric_channel, bsc_model
-from coordsim.codec import _hard, _hard_leaves
+from coordsim.codec import _hard
 from coordsim.construction import SourceModel
 from coordsim.polar import (
     CHUNK_ROWS,
@@ -117,54 +118,60 @@ def test_conditionals_match_enumeration_property(seed, n):
         assert probs[j - 1] == pytest.approx(expect, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4, 8]))
-def test_sc_pass_matches_enumeration_with_known_bits(seed, n):
-    rng = np.random.default_rng(seed)
-    trials = 3
-    leaf = rng.uniform(0.02, 0.98, (trials, n))
-    known = rng.random(n) < 0.5
-    bits = np.where(known, rng.integers(0, 2, (trials, n)), 0).astype(np.uint8)
-    decided = []
-
-    def decide(j, p):
-        decided.append((j, p.copy()))
-        return rng.random(trials) < p
-
-    sums = sc_pass(leaf, bits, known, decide)
-    assert [j for j, _ in decided] == [j for j in range(n) if not known[j]]
-    assert np.array_equal(sums, polar_transform(bits))
-    for j, p in decided:
-        for t in range(trials):
-            expect = enumerate_conditional(leaf[t], bits[t, :j].tolist(), j + 1)
-            assert p[t] == pytest.approx(expect, abs=1e-12)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_contradiction_rule():
-    # both leaves are surely 1, so bit 1 (their XOR) is surely 0; a path that
-    # sets it to 1 leaves no mass for either value of bit 2
-    probs = true_path_conditionals(np.ones((1, 2)), np.array([[1, 0]], dtype=np.uint8))
-    assert probs[0, 1] == 0.5
-    decided = []
-    sums = sc_pass(np.ones((1, 2)), np.array([[1, 0]], dtype=np.uint8), np.array([True, False]),
-                   lambda j, p: decided.append(p) or p > 0.5)
-    assert decided[0][0] == 0.5
-    assert np.array_equal(sums, [[1, 0]])
-
-
-# -- rate-1 nodes ---------------------------------------------------------------------
+# -- sc_pass: one rule call per rate-1 node ------------------------------------------
 
 
 def rate1_nodes(known, lo, hi):
-    """The maximal sub-blocks [lo, hi) of length >= 2 with no known bit, in
-    bit order."""
+    """The maximal sub-blocks [lo, hi) with no known bit, single bits
+    included, in bit order: sc_pass calls its rule once on each."""
     if not known[lo:hi].any():
-        return [(lo, hi)] if hi - lo >= 2 else []
-    if hi - lo == 1:
+        return [(lo, hi)]
+    if known[lo:hi].all():
         return []
     mid = (lo + hi) // 2
     return rate1_nodes(known, lo, mid) + rate1_nodes(known, mid, hi)
+
+
+def node_leaf_law(leaf, prefix, hi):
+    """The law of the leaves T(bits[lo:hi]) of the node [lo, hi), lo =
+    len(prefix), given the bits before lo, by enumerating every leaf
+    configuration: an array of shape (2,) * (hi - lo)."""
+    xs = np.array(list(itertools.product([0, 1], repeat=len(leaf))), dtype=np.uint8)
+    weights = np.prod(np.where(xs == 1, leaf, 1.0 - leaf), axis=1)
+    block = polar_transform(xs)
+    lo = len(prefix)
+    match = np.all(block[:, :lo] == prefix, axis=1)
+    law = np.zeros((2,) * (hi - lo))
+    np.add.at(law, tuple(polar_transform(block[match, lo:hi]).T), weights[match])
+    return law / law.sum()
+
+
+def leaf_marginals(law):
+    """P(leaf t = 1) of each leaf of a :func:`node_leaf_law`."""
+    return [np.moveaxis(law, t, 0)[1].sum() for t in range(law.ndim)]
+
+
+def assert_rule_saw_each_node(leaf, bits, known, calls):
+    """``calls`` are the probabilities sc_pass gave its rule: one call per
+    rate-1 node, each the node's leaf marginals given the bits before it."""
+    nodes = rate1_nodes(known, 0, bits.shape[1])
+    assert [p.shape for p in calls] == [(bits.shape[0], hi - lo) for lo, hi in nodes]
+    for (lo, hi), p in zip(nodes, calls):
+        for t in range(bits.shape[0]):
+            assert p[t] == pytest.approx(leaf_marginals(node_leaf_law(leaf[t], bits[t, :lo], hi)), abs=1e-12)
+
+
+def bitwise_sc(leaf, bits, known, decide):
+    """SC one bit at a time, the reference for sc_pass: P(bit_j = 1 | bits
+    before j) from the known-path driver along the bits so far, the same
+    f/g arithmetic (so ties stay exact), decided by ``decide`` on (trials,
+    1) slices.  Fills ``bits`` in place; returns the probabilities."""
+    seen = []
+    for j in np.flatnonzero(~known):
+        p = known_path_conditionals(leaf, known_path_tree(bits))[:, j : j + 1]
+        seen.append(p)
+        bits[:, j : j + 1] = decide(p)
+    return seen
 
 
 def random_sc_case(seed, n, trials, sharpness):
@@ -178,46 +185,72 @@ def random_sc_case(seed, n, trials, sharpness):
     return leaf, known, bits
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4, 8]))
+def test_sc_pass_matches_enumeration_with_known_bits(seed, n):
+    # a sampling rule: each call draws its node's leaves, so later calls see
+    # prefixes that the draws chose
+    rng = np.random.default_rng(seed)
+    trials = 3
+    leaf = rng.uniform(0.02, 0.98, (trials, n))
+    known = rng.random(n) < 0.5
+    bits = np.where(known, rng.integers(0, 2, (trials, n)), 0).astype(np.uint8)
+    calls = []
+    sums = sc_pass(leaf, bits, known, lambda p: calls.append(p.copy()) or rng.random(p.shape) < p)
+    assert_rule_saw_each_node(leaf, bits, known, calls)
+    assert np.array_equal(sums, polar_transform(bits))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
+def test_rate1_node_leaves_follow_the_product_law(seed, n):
+    # given the bits before it, a node's leaves are independent: their
+    # joint law is the product of the marginals the rule sees, so drawing
+    # each leaf alone draws the node's bits from their SC law
+    leaf, known, bits = random_sc_case(seed, n, 1, 1.0)
+    nodes, calls = rate1_nodes(known, 0, n), []
+    sc_pass(leaf, bits, known, lambda p: calls.append(p[0].copy()) or _hard(p))
+    for (lo, hi), p in zip(nodes, calls, strict=True):
+        product = np.ones(())
+        for p_t in p:
+            product = np.multiply.outer(product, [1.0 - p_t, p_t])
+        assert node_leaf_law(leaf[0], bits[0, :lo], hi) == pytest.approx(product, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_contradiction_rule():
+    # both leaves are surely 1, so bit 1 (their XOR) is surely 0; a path that
+    # sets it to 1 leaves no mass for either value of bit 2
+    probs = true_path_conditionals(np.ones((1, 2)), np.array([[1, 0]], dtype=np.uint8))
+    assert probs[0, 1] == 0.5
+    decided = []
+    sums = sc_pass(np.ones((1, 2)), np.array([[1, 0]], dtype=np.uint8), np.array([True, False]),
+                   lambda p: decided.append(p) or p > 0.5)
+    assert decided[0].shape == (1, 1) and decided[0][0, 0] == 0.5
+    assert np.array_equal(sums, [[1, 0]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8, 16, 32, 64]), st.sampled_from([1.0, 3.0, 8.0]))
 def test_hard_node_rule_matches_bitwise_sc_away_from_ties(seed, n, sharpness):
     leaf, known, bits = random_sc_case(seed, n, 2, sharpness)
-    seen = []
-    bitwise_bits = bits.copy()
-    bitwise_sums = sc_pass(leaf, bitwise_bits, known, lambda j, p: seen.append(p) or _hard(j, p))
+    bitwise = bits.copy()
+    seen = bitwise_sc(leaf, bitwise, known, _hard)
     assume(all(np.abs(p - 0.5).min() >= 1e-9 for p in seen))
-    node_bits = bits.copy()
-    node_sums = sc_pass(leaf, node_bits, known, _hard, _hard_leaves)
-    assert node_sums.tobytes() == bitwise_sums.tobytes()
-    assert node_bits.tobytes() == bitwise_bits.tobytes()
+    sums = sc_pass(leaf, bits, known, _hard)
+    assert bits.tobytes() == bitwise.tobytes()
+    assert sums.tobytes() == polar_transform(bitwise).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
 def test_node_rule_sees_each_rate1_node_once_with_its_probabilities(seed, n):
+    # the hard rule on sharp leaves: a shortcut that never fired would call
+    # the rule once per unknown bit instead of once per node
     leaf, known, bits = random_sc_case(seed, n, 1, 1.0)
-    decided, calls = [], []
-
-    def spy(p):
-        calls.append(p.copy())
-        return _hard_leaves(p)
-
-    sums = sc_pass(leaf, bits, known, lambda j, p: decided.append(j) or _hard(j, p), spy)
-    nodes = rate1_nodes(known, 0, n)
-    assert len(calls) == len(nodes)
-    assert decided == [j for j in range(n) if not known[j] and not any(lo <= j < hi for lo, hi in nodes)]
-    # the node's leaves are the partial sums T(bits[lo:hi]), independent
-    # given the bits before lo: enumerate each one's probability
-    xs = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.uint8)
-    weights = np.prod(np.where(xs == 1, leaf[0], 1.0 - leaf[0]), axis=1)
-    block = polar_transform(xs)
-    for (lo, hi), p in zip(nodes, calls):
-        assert p.shape == (1, hi - lo)
-        match = np.all(block[:, :lo] == bits[0, :lo], axis=1)
-        node_leaves = polar_transform(block[:, lo:hi])
-        for t in range(hi - lo):
-            expect = weights[match & (node_leaves[:, t] == 1)].sum() / weights[match].sum()
-            assert p[0, t] == pytest.approx(expect, abs=1e-12)
+    calls = []
+    sums = sc_pass(leaf, bits, known, lambda p: calls.append(p.copy()) or _hard(p))
+    assert_rule_saw_each_node(leaf, bits, known, calls)
     assert np.array_equal(sums, polar_transform(bits))
 
 
@@ -225,7 +258,7 @@ def test_node_rule_tie_decides_zero():
     # a leaf at exactly 1/2 decides 0; the other leaf decides by its own
     # probability, so the sums are (0, 1) and the bits T(0, 1) = (1, 1)
     bits = np.zeros((1, 2), dtype=np.uint8)
-    sums = sc_pass(np.array([[0.5, 0.9]]), bits, np.zeros(2, dtype=bool), _hard, _hard_leaves)
+    sums = sc_pass(np.array([[0.5, 0.9]]), bits, np.zeros(2, dtype=bool), _hard)
     assert np.array_equal(sums, [[0, 1]])
     assert np.array_equal(bits, [[1, 1]])
 
@@ -239,15 +272,28 @@ def test_node_rule_after_a_contradiction():
     bits = np.array([[0, 1, 0, 0]], dtype=np.uint8)  # partial sums (1, 1)
     known = np.array([True, True, False, False])
     seen = []
-    sums = sc_pass(leaf, bits, known, _hard, lambda p: seen.append(p.copy()) or _hard_leaves(p))
-    assert seen[0][0, 0] == 0.5 and seen[0][0, 1] > 0.5
+    sums = sc_pass(leaf, bits, known, lambda p: seen.append(p.copy()) or _hard(p))
+    assert len(seen) == 1 and seen[0][0, 0] == 0.5 and seen[0][0, 1] > 0.5
     assert np.array_equal(sums, [[1, 0, 0, 1]])
     assert np.array_equal(bits, [[0, 1, 1, 1]])
     # bit by bit, f is 1/2 on bit 2, a tie that decides 0: the other
     # maximum-likelihood path
     bitwise = np.array([[0, 1, 0, 0]], dtype=np.uint8)
-    sc_pass(leaf, bitwise, known, _hard)
+    assert bitwise_sc(leaf, bitwise, known, _hard)[0][0, 0] == 0.5
     assert np.array_equal(bitwise, [[0, 1, 0, 1]])
+
+
+def test_sc_pass_leaves_no_reference_cycle():
+    # everything a pass builds is freed when it returns, without waiting
+    # for the cyclic collector
+    leaf, known, bits = random_sc_case(0, 64, 2, 1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        sc_pass(leaf, bits, known, _hard)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def g_select(a, b, not_a, not_b, x_a):

@@ -224,6 +224,30 @@ def test_conditional_entropy_examples():
     assert conditional_entropy(j, ["X"], ["Y"]) == pytest.approx(h011, abs=1e-12)
 
 
+def binary_entropy_select(p):
+    """h(p) with 0 log 0 = 0 taken by two np.where selects: the reference
+    for the masked-log kernel."""
+    p = np.asarray(p, dtype=np.float64)
+    a = np.where(p > 0, p, 1.0)
+    b = np.where(p < 1, 1.0 - p, 1.0)
+    out = -(p * np.log2(a) + (1.0 - p) * np.log2(b))
+    return out if out.shape else float(out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_binary_entropy_matches_select_form_bit_for_bit():
+    edges = [0.0, -0.0, 1.0, np.nan, -0.1, 1.2, 1e-20, 0.5, 0.11, np.inf, -np.inf]
+    for p in edges:
+        got, want = binary_entropy(p), binary_entropy_select(p)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), p
+    rng = np.random.default_rng(7)
+    # as the known-path driver returns them: clipped to [1e-20, 1], with ends
+    clipped = np.maximum(rng.random((32, 64)) ** 8, 1e-20)
+    clipped[rng.random((32, 64)) < 0.2] = 1.0
+    for p in (np.array(edges), clipped, clipped.T, clipped[:, :1]):
+        assert binary_entropy(p).tobytes() == binary_entropy_select(p).tobytes()
+
+
 def test_mutual_information_examples():
     rng = np.random.default_rng(6)
     p = JointPMF.product(random_pmf(rng, (A,)), random_pmf(rng, (B,)))
