@@ -146,11 +146,6 @@ def node_leaf_law(leaf, prefix, hi):
     return law / law.sum()
 
 
-def leaf_marginals(law):
-    """P(leaf t = 1) of each leaf of a :func:`node_leaf_law`."""
-    return [np.moveaxis(law, t, 0)[1].sum() for t in range(law.ndim)]
-
-
 def assert_rule_saw_each_node(leaf, bits, known, calls):
     """``calls`` are the probabilities sc_pass gave its rule: one call per
     rate-1 node, each the node's leaf marginals given the bits before it."""
@@ -158,7 +153,9 @@ def assert_rule_saw_each_node(leaf, bits, known, calls):
     assert [p.shape for p in calls] == [(bits.shape[0], hi - lo) for lo, hi in nodes]
     for (lo, hi), p in zip(nodes, calls):
         for t in range(bits.shape[0]):
-            assert p[t] == pytest.approx(leaf_marginals(node_leaf_law(leaf[t], bits[t, :lo], hi)), abs=1e-12)
+            law = node_leaf_law(leaf[t], bits[t, :lo], hi)
+            marginals = [np.moveaxis(law, leaf_t, 0)[1].sum() for leaf_t in range(law.ndim)]
+            assert p[t] == pytest.approx(marginals, abs=1e-12)
 
 
 def bitwise_sc(leaf, bits, known, decide):
