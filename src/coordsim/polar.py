@@ -26,22 +26,22 @@ zero mass, that is, where a decided or frozen bit contradicts certain
 evidence (after a decoding error upstream); g is then 1/2.  Such a block is
 already wrong, and the codec counts it through its block error flags.
 
-Two drivers share f and g (the array layout of Tal & Vardy, "List decoding
-of polar codes"):
+Two drivers share f and g:
 
 * :func:`sc_pass` is sequential: depth-first in natural bit order over a
   batch of blocks run in lockstep, with one decision rule.  Two kinds of
   sub-block end the descent, the rate-0 and rate-1 nodes of simplified SC
   (Alamdar-Yazdi & Kschischang, "A simplified successive-cancellation
   decoder for polar codes", IEEE Commun. Lett. 2011).  A sub-block whose
-  bits are all known (frozen, common randomness, chained) is not
-  evaluated; its partial sums are the transform of its known bits.  A
-  sub-block with no known bit, a single bit included, is one call of the
-  rule, which maps its leaf probabilities to its partial sums.  Given the
-  bits before the node, its leaves are independent with those
-  probabilities, so a hard decision per leaf is the node's
-  maximum-likelihood decision, and a Bernoulli draw per leaf draws its
-  bits from their SC conditionals in law.
+  bits are all known (frozen, common randomness, chained) is never
+  entered: before the descent, a staged transform in place combines, at
+  each span, only the aligned blocks with no unknown bit, so each of them
+  holds the transform of its known bits.  A sub-block with no known bit,
+  a single bit included, is one call of the rule, which maps its leaf
+  probabilities to its partial sums.  Given the bits before the node, its
+  leaves are independent with those probabilities, so a hard decision per
+  leaf is the node's maximum-likelihood decision, and a Bernoulli draw
+  per leaf draws its bits from their SC conditionals in law.
 
   Tie rule: the hard rule P > 1/2 decides a leaf at exactly 1/2 as 0.  A
   node and a descent bit by bit give the same bits unless a bit-by-bit
@@ -161,48 +161,48 @@ def sc_pass(leaf_p1, bits: np.ndarray, known, decide) -> np.ndarray:
     ``leaf_p1`` has shape (trials, n).  ``bits`` is a (trials, n) uint8
     array holding the known bits at the positions where ``known`` (shape
     (n,), shared by all trials) is true; the other positions are filled in
-    place with the decided bits.  Sub-blocks whose bits are all known are
-    not evaluated.  Each sub-block [lo, hi) with no known bit, of any
-    length, is one call ``decide(p)`` in bit order: ``p`` holds its leaf
-    probabilities given the bits before lo, shape (trials, hi - lo), and
-    the rule returns its partial sums as a bool or 0/1 integer array of
-    the same shape.  Returns the partial sums ``polar_transform(bits)``.
+    place with the decided bits.  The partial sums of all-known sub-blocks
+    are taken up front, in one staged transform, and the descent enters
+    only sub-blocks with an unknown bit.  Each sub-block [lo, hi) with no
+    known bit, of any length, is one call ``decide(p)`` in bit order: ``p``
+    holds its leaf probabilities given the bits before lo, shape (trials,
+    hi - lo), and the rule returns its partial sums as a bool or 0/1
+    integer array of the same shape.  Returns the partial sums
+    ``polar_transform(bits)``.
     """
     p1 = _leaf_probabilities(leaf_p1)
     known = np.asarray(known, dtype=bool)
+    if bits.shape != p1.shape or known.shape != p1.shape[1:]:
+        raise ValueError(f"shape mismatch: leaves {p1.shape}, bits {bits.shape}, known {known.shape}")
+    trials, n = p1.shape
+    sums = bits.astype(bool)  # partial sums of each sub-block once it is done
+    half = 1
+    while half < n:  # T of each all-known block of length 2 * half, from T of its halves
+        v = sums.reshape(trials, -1, 2 * half)
+        all_known = known.reshape(-1, 2 * half).all(axis=1)[:, None]
+        np.bitwise_xor(v[..., :half], v[..., half:], out=v[..., :half], where=all_known)
+        half *= 2
     known_before = np.concatenate(([0], np.cumsum(known))).tolist()
-    is_known = known.tolist()
-    sums = np.empty(bits.shape, dtype=bool)  # partial sums of each sub-block once it is done
-
-    def visit(lo, hi, probabilities):
-        # probabilities() gives the leaf probabilities of sub-block [lo, hi);
-        # it is called only when a bit of the sub-block is unknown
-        if known_before[hi] - known_before[lo] == hi - lo:
-            sums[:, lo:hi] = polar_transform(bits[:, lo:hi])
-            return
-        p = probabilities()
-        if known_before[hi] == known_before[lo]:
-            sums[:, lo:hi] = decide(p)  # a rate-1 node
-            return
-        not_p = _ONE - p
-        if hi - lo == 2:  # one bit known: decide the other here rather than in two visits
-            halves = p[:, :1], p[:, 1:], not_p[:, :1], not_p[:, 1:]
-            first = bits[:, lo : lo + 1] if is_known[lo] else decide(_f(*halves))
-            second = bits[:, lo + 1 : hi] if is_known[lo + 1] else decide(_g(*halves, first))
-            sums[:, lo : lo + 1] = first ^ second
-            sums[:, lo + 1 : hi] = second
-        else:
-            half = (hi - lo) // 2
-            halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
-            visit(lo, lo + half, lambda: _f(*halves))
-            x_a = sums[:, lo : lo + half]
-            visit(lo + half, hi, lambda: _g(*halves, x_a))
-            x_a ^= sums[:, lo + half : hi]
-
-    visit(0, p1.shape[-1], lambda: p1)
-    del visit  # the closure refers to itself; free it, and what it holds, now
+    if known_before[n] < n:
+        _descend(0, n, p1, known_before, sums, decide)
     bits[...] = polar_transform(sums)  # T is its own inverse
     return sums.view(np.uint8)
+
+
+def _descend(lo, hi, p, known_before, sums, decide):
+    """Fill ``sums[:, lo:hi]``, a sub-block with an unknown bit and leaf probabilities ``p``."""
+    if known_before[hi] == known_before[lo]:
+        sums[:, lo:hi] = decide(p)  # a rate-1 node
+        return
+    mid = (lo + hi) // 2
+    not_p = _ONE - p
+    halves = p[:, : mid - lo], p[:, mid - lo :], not_p[:, : mid - lo], not_p[:, mid - lo :]
+    x_a = sums[:, lo:mid]
+    if known_before[mid] - known_before[lo] < mid - lo:
+        _descend(lo, mid, _f(*halves), known_before, sums, decide)
+    if known_before[hi] - known_before[mid] < hi - mid:
+        _descend(mid, hi, _g(*halves, x_a), known_before, sums, decide)
+    x_a ^= sums[:, mid:hi]
 
 
 class SuccessiveCancellation:

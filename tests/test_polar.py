@@ -1,5 +1,7 @@
 import gc
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from coordsim import polar
 from coordsim.bundled import binary_symmetric_channel, bsc_model
-from coordsim.codec import _hard
-from coordsim.construction import SourceModel
+from coordsim.codec import _hard, _known
+from coordsim.construction import SourceModel, load_index_cache
 from coordsim.polar import (
     CHUNK_ROWS,
     SuccessiveCancellation,
@@ -158,6 +160,14 @@ def assert_rule_saw_each_node(leaf, bits, known, calls):
             assert p[t] == pytest.approx(marginals, abs=1e-12)
 
 
+def assert_known_bits_kept(given, bits, known, sums):
+    """The pass left the known bits of ``given`` in ``bits`` and returned
+    their partial sums: ``bits`` is recomputed from the sums, so a wrong
+    staged sum would rewrite a known bit."""
+    assert np.array_equal(bits[:, known], given[:, known])
+    assert np.array_equal(sums, polar_transform(bits))
+
+
 def bitwise_sc(leaf, bits, known, decide):
     """SC one bit at a time, the reference for sc_pass: P(bit_j = 1 | bits
     before j) from the known-path driver along the bits so far, the same
@@ -192,10 +202,10 @@ def test_sc_pass_matches_enumeration_with_known_bits(seed, n):
     leaf = rng.uniform(0.02, 0.98, (trials, n))
     known = rng.random(n) < 0.5
     bits = np.where(known, rng.integers(0, 2, (trials, n)), 0).astype(np.uint8)
-    calls = []
+    given, calls = bits.copy(), []
     sums = sc_pass(leaf, bits, known, lambda p: calls.append(p.copy()) or rng.random(p.shape) < p)
     assert_rule_saw_each_node(leaf, bits, known, calls)
-    assert np.array_equal(sums, polar_transform(bits))
+    assert_known_bits_kept(given, bits, known, sums)
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,7 +244,9 @@ def test_hard_node_rule_matches_bitwise_sc_away_from_ties(seed, n, sharpness):
     bitwise = bits.copy()
     seen = bitwise_sc(leaf, bitwise, known, _hard)
     assume(all(np.abs(p - 0.5).min() >= 1e-9 for p in seen))
+    given = bits.copy()
     sums = sc_pass(leaf, bits, known, _hard)
+    assert_known_bits_kept(given, bits, known, sums)
     assert bits.tobytes() == bitwise.tobytes()
     assert sums.tobytes() == polar_transform(bitwise).tobytes()
 
@@ -245,10 +257,10 @@ def test_node_rule_sees_each_rate1_node_once_with_its_probabilities(seed, n):
     # the hard rule on sharp leaves: a shortcut that never fired would call
     # the rule once per unknown bit instead of once per node
     leaf, known, bits = random_sc_case(seed, n, 1, 1.0)
-    calls = []
+    given, calls = bits.copy(), []
     sums = sc_pass(leaf, bits, known, lambda p: calls.append(p.copy()) or _hard(p))
     assert_rule_saw_each_node(leaf, bits, known, calls)
-    assert np.array_equal(sums, polar_transform(bits))
+    assert_known_bits_kept(given, bits, known, sums)
 
 
 def test_node_rule_tie_decides_zero():
@@ -291,6 +303,59 @@ def test_sc_pass_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n", [1, 2, 1024])
+def test_sc_pass_all_known_mask_calls_no_rule(n):
+    bits = np.random.default_rng(n).integers(0, 2, (3, n), dtype=np.uint8)
+    given, calls = bits.copy(), []
+    sums = sc_pass(np.full((3, n), 0.3), bits, np.ones(n, dtype=bool), lambda p: calls.append(p) or _hard(p))
+    assert calls == []
+    assert np.array_equal(bits, given)
+    assert np.array_equal(sums, polar_transform(given))
+
+
+@pytest.mark.parametrize("n", [1, 2, 1024])
+def test_sc_pass_none_known_mask_is_one_call_on_the_clipped_leaves(n):
+    leaf = np.random.default_rng(n).choice([0.0, 0.3, 1.0], (3, n))
+    bits, calls = np.zeros((3, n), dtype=np.uint8), []
+    sums = sc_pass(leaf, bits, np.zeros(n, dtype=bool), lambda p: calls.append(p.copy()) or _hard(p))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.clip(leaf, 1e-20, 1.0 - 1e-20))
+    assert np.array_equal(sums, leaf > 0.5)
+    assert np.array_equal(bits, polar_transform(leaf > 0.5))
+
+
+def codec_masks():
+    """The four known masks the codec builds from the benchmark's committed
+    index sets: encoder s and z, decoder s and z."""
+    sets = load_index_cache(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "chained_n1024.idx")
+    return {
+        "encoder-s": _known(sets.n, sets.a1, sets.a2),
+        "encoder-z": _known(sets.n, sets.b1),
+        "decoder-s": _known(sets.n, sets.a1, sets.a3),
+        "decoder-z": _known(sets.n, sets.b1, sets.b3),
+    }
+
+
+@pytest.mark.parametrize("mask", ["encoder-s", "encoder-z", "decoder-s", "decoder-z"])
+def test_sc_pass_on_the_codec_masks(mask):
+    known = codec_masks()[mask]
+    n = known.size
+    leaf, _, _ = random_sc_case(n, n, 2, 3.0)
+    bits = np.where(known, np.random.default_rng(1).integers(0, 2, (2, n)), 0).astype(np.uint8)
+    given, calls = bits.copy(), []
+    sums = sc_pass(leaf, bits, known, lambda p: calls.append(p.shape) or _hard(p))
+    assert calls == [(2, hi - lo) for lo, hi in rate1_nodes(known, 0, n)]
+    assert_known_bits_kept(given, bits, known, sums)
+
+
+@pytest.mark.parametrize("bit_rows, mask_size", [(1, 6), (1, 10), (3, 8)],
+                         ids=["short-mask", "long-mask", "more-bit-rows"])
+def test_sc_pass_rejects_shape_mismatch(bit_rows, mask_size):
+    message = f"shape mismatch: leaves (1, 8), bits ({bit_rows}, 8), known ({mask_size},)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sc_pass(np.full((1, 8), 0.3), np.zeros((bit_rows, 8), dtype=np.uint8), np.zeros(mask_size, dtype=bool), _hard)
 
 
 def g_select(a, b, not_a, not_b, x_a):
