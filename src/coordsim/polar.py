@@ -175,7 +175,7 @@ def sc_pass(leaf_p1, bits: np.ndarray, known, decide) -> np.ndarray:
     if bits.shape != p1.shape or known.shape != p1.shape[1:]:
         raise ValueError(f"shape mismatch: leaves {p1.shape}, bits {bits.shape}, known {known.shape}")
     trials, n = p1.shape
-    sums = bits.astype(bool)  # partial sums of each sub-block once it is done
+    sums = bits.astype(bool)  # the bits, then each sub-block's partial sums once it is done
     half = 1
     while half < n:  # T of each all-known block of length 2 * half, from T of its halves
         v = sums.reshape(trials, -1, 2 * half)
