@@ -1,17 +1,21 @@
 """Block-Markov coordination codec.
 
-The encoder processes k blocks of length n.  In each block it builds the
-polarized signal vector S (frozen common-randomness fill on a1, local
-randomness on the free part of a2, chained pad-encrypted bits from the
-previous block on ap3/bp3, successive-cancellation draws elsewhere), sends
-x = transform(S) through the channel, then builds the polarized auxiliary
-vector Z with evidence (x of this block, source block of the previous
-index).  The strictly causal contract holds by data flow: x of block i
-depends only on randomness and source blocks 0..i-1.
+The encoder processes k blocks of length n.  The frozen common-randomness
+fills (a1 of the signal vector S, b1 of the auxiliary vector Z) do not
+depend on any other block, so they are written for all k blocks before the
+block loop, which carries only what chains from block to block.  In each
+block it draws local randomness on the free part of a2, writes the chained
+pad-encrypted bits of the previous block on ap3/bp3, draws the rest of S
+by successive cancellation to get x = transform(S), then draws Z with
+evidence (x of this block, source block of the previous index).  The
+strictly causal contract holds by data flow: x of block i depends only on
+randomness and source blocks 0..i-1.  The channel is memoryless, so each
+trial's k blocks are transmitted in one call.
 
-The decoder works in reverse block order: chained positions of block i are
-recovered from the already-decoded block i+1 (the final block's arrive over
-a lossless side channel), the rest by hard successive-cancellation
+The decoder works in reverse block order.  The frozen fills, and the final
+block's chained bits from the lossless side channel, are written before
+the loop; the chained positions of every other block i are recovered from
+the already-decoded block i+1, the rest by hard successive-cancellation
 decisions, and the action V is sampled symbol by symbol from the action
 rule applied to the reconstructed auxiliary and the channel output.
 
@@ -20,7 +24,8 @@ successive-cancellation pass covers the same block of every trial at once,
 while each trial keeps its own generators, consumed in the order of a
 one-trial run, so a trial's result does not depend on its batch.
 :func:`run_end_to_end`, :func:`encode` and :func:`decode` are one-trial
-views of the same code.
+views of the same code.  A :class:`BlockTranscript` stores s and z and
+derives x and w as their transforms.
 
 Coordination statistics pair the source block of index i-1 with the signal
 block i: that tuple follows the single-letter model when the scheme works,
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .construction import PolarIndexSets, SourceModel, rate_report
+from .construction import PolarIndexSets, SourceModel, common_randomness_shapes, rate_report
 from .polar import polar_transform, sc_pass
 from .probability import Alphabet, JointPMF, iid_blocks, inverse_cdf, marginalize, mutual_information
 
@@ -67,23 +72,10 @@ def one_time_pad(bits, key) -> np.ndarray:
     return bits ^ key
 
 
-def _randomness_shapes(sets: PolarIndexSets, k: int) -> dict[str, tuple[int, ...]]:
-    """The shape of each :class:`CommonRandomness` field, in draw order."""
-    return {
-        "c": (k, len(sets.a1)),
-        "c_prime": (k, len(sets.b1) - len(sets.bp1)),
-        "c_bar": (len(sets.bp1),),
-        "keys_s": (k - 1, len(sets.a3)),
-        "keys_z": (k - 1, len(sets.b3)),
-    }
-
-
 @dataclass(frozen=True)
 class CommonRandomness:
-    """Shared uniform randomness: per-block frozen fills c (a1-sized) and
-    c_prime (b1 minus bp1), the block-reused fill c_bar (bp1-sized), and the
-    k-1 pad keys keys_s (a3-sized) / keys_z (b3-sized) linking consecutive
-    blocks."""
+    """Shared uniform randomness, one field per entry of
+    :func:`~coordsim.construction.common_randomness_shapes`."""
 
     c: np.ndarray
     c_prime: np.ndarray
@@ -95,11 +87,11 @@ class CommonRandomness:
     def draw(cls, sets: PolarIndexSets, k: int, rng: np.random.Generator) -> "CommonRandomness":
         if k < 2:
             raise ValueError("the chaining construction needs k >= 2 blocks")
-        shapes = _randomness_shapes(sets, k)
+        shapes = common_randomness_shapes(sets, k)
         return cls(**{name: rng.integers(0, 2, shape, dtype=np.uint8) for name, shape in shapes.items()})
 
     def validate(self, sets: PolarIndexSets, k: int):
-        for name, shape in _randomness_shapes(sets, k).items():
+        for name, shape in common_randomness_shapes(sets, k).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"common randomness field {name} has shape {got}, expected {shape}")
@@ -133,22 +125,24 @@ class DecodedBlock:
 @dataclass(frozen=True)
 class BlockTranscript:
     """Everything about one signal block; ``u`` is the source block paired
-    with it for coordination (the block of the previous index)."""
+    with it for coordination (the block of the previous index).  The
+    channel input ``x`` and the auxiliary ``w`` are derived on access as
+    the transforms of ``s`` and ``z``."""
 
     u: np.ndarray
     s: np.ndarray
     z: np.ndarray
-    x: np.ndarray
-    w: np.ndarray
     y: np.ndarray
     v: np.ndarray
     flags: dict
 
-    def __post_init__(self):
-        if not np.array_equal(self.x, polar_transform(self.s)):
-            raise ValueError("x must be the transform of s")
-        if not np.array_equal(self.w, polar_transform(self.z)):
-            raise ValueError("w must be the transform of z")
+    @property
+    def x(self) -> np.ndarray:
+        return polar_transform(self.s)
+
+    @property
+    def w(self) -> np.ndarray:
+        return polar_transform(self.z)
 
 
 def _stacked(crs: list[CommonRandomness]) -> tuple[np.ndarray, ...]:
@@ -199,18 +193,17 @@ def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs
     wxu = model.w_given_xu()
 
     s, z, x, w = (np.zeros((trials, k, n), dtype=np.uint8) for _ in range(4))
+    s[:, :, sets.a1] = c
+    z[:, :, sets.bp1] = c_bar[:, None]
+    z[:, :, b1_rest] = c_prime
     for i in range(k):
         s_i, z_i = s[:, i], z[:, i]
-        s_i[:, sets.a1] = c[:, i]
         local = sets.a2 if i == 0 else sets.ap2
         s_i[:, local] = [rng.integers(0, 2, len(local), dtype=np.uint8) for rng in rngs]
         if i > 0:
             s_i[:, sets.ap3] = one_time_pad(s[:, i - 1][:, sets.a3], keys_s[:, i - 1])
             s_i[:, sets.bp3] = one_time_pad(z[:, i - 1][:, sets.b3], keys_z[:, i - 1])
         x[:, i] = sc_pass(leaf_prior, s_i, s_known, _sampler(rngs, s_draws))
-
-        z_i[:, sets.bp1] = c_bar
-        z_i[:, b1_rest] = c_prime[:, i]
         w[:, i] = sc_pass(wxu[x[:, i], u_blocks[:, i]], z_i, z_known, _sampler(rngs, z_draws))
     return s, z, x, w
 
@@ -231,20 +224,17 @@ def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, mo
     v_rule = model.v_rule.aligned_table(("W", "Y"))
 
     s_hat, z_hat, x_hat, w_hat, v = (np.zeros((trials, k, n), dtype=np.uint8) for _ in range(5))
+    s_hat[:, :, sets.a1] = c
+    z_hat[:, :, sets.bp1] = c_bar[:, None]
+    z_hat[:, :, b1_rest] = c_prime
+    s_hat[:, -1, sets.a3] = s_last_a3
+    z_hat[:, -1, sets.b3] = z_last_b3
     for i in range(k - 1, -1, -1):
-        if i == k - 1:
-            s_chain, z_chain = s_last_a3, z_last_b3
-        else:
-            s_chain = one_time_pad(s_hat[:, i + 1][:, sets.ap3], keys_s[:, i])
-            z_chain = one_time_pad(s_hat[:, i + 1][:, sets.bp3], keys_z[:, i])
         s_i, z_i = s_hat[:, i], z_hat[:, i]
-        s_i[:, sets.a1] = c[:, i]
-        s_i[:, sets.a3] = s_chain
+        if i < k - 1:
+            s_i[:, sets.a3] = one_time_pad(s_hat[:, i + 1][:, sets.ap3], keys_s[:, i])
+            z_i[:, sets.b3] = one_time_pad(s_hat[:, i + 1][:, sets.bp3], keys_z[:, i])
         x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, _hard)
-
-        z_i[:, sets.bp1] = c_bar
-        z_i[:, b1_rest] = c_prime[:, i]
-        z_i[:, sets.b3] = z_chain
         w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard)
 
         uniforms = np.stack([rng.random(n) for rng in rngs])
@@ -278,9 +268,12 @@ def encode(
 
 
 def transmit(x: np.ndarray, channel, rng: np.random.Generator) -> np.ndarray:
-    """Memoryless per-symbol transmission of one block."""
+    """Memoryless per-symbol transmission of ``x``, of any shape: one
+    ``rng.random(x.shape)`` call gives each symbol its uniform in row-major
+    order, so a (k, n) array of blocks gets the outputs of k one-block
+    calls in turn."""
     x = np.asarray(x, dtype=np.intp)
-    return inverse_cdf(channel.table[x], rng.random(len(x))).astype(np.uint8)
+    return inverse_cdf(channel.table[x], rng.random(x.shape)).astype(np.uint8)
 
 
 def decode(
@@ -422,8 +415,8 @@ def run_trials(
 
     crs = [CommonRandomness.draw(sets, k, rng) for rng in rng_cr]
     u_blocks = np.stack([_source_blocks(model, n, k, rng) for rng in rng_enc])
-    s, z, x, w = _encode_trials(u_blocks, sets, crs, model, rng_enc)
-    y = np.stack([[transmit(x_i, model.channel, rng) for x_i in x_t] for x_t, rng in zip(x, rng_ch)])
+    s, z, x, _ = _encode_trials(u_blocks, sets, crs, model, rng_enc)
+    y = np.stack([transmit(x_t, model.channel, rng) for x_t, rng in zip(x, rng_ch)])
     s_hat, z_hat, _, _, v = _decode_trials(
         y, s[:, -1][:, sets.a3], z[:, -1][:, sets.b3], sets, crs, model, rng_dec
     )
@@ -437,7 +430,7 @@ def run_trials(
     for t, seed in enumerate(seeds):
         transcripts = [
             BlockTranscript(
-                u=u_blocks[t, i], s=s[t, i], z=z[t, i], x=x[t, i], w=w[t, i], y=y[t, i], v=v[t, i],
+                u=u_blocks[t, i], s=s[t, i], z=z[t, i], y=y[t, i], v=v[t, i],
                 flags={"s_ok": bool(s_ok[t, i]), "z_ok": bool(z_ok[t, i])},
             )
             for i in range(k)

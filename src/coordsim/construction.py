@@ -20,6 +20,7 @@ estimates.  All index sets are 0-based.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -37,6 +38,7 @@ __all__ = [
     "CapacityError",
     "estimate_profile",
     "build_index_sets",
+    "common_randomness_shapes",
     "rate_report",
     "RateReport",
     "divergence_certificate",
@@ -382,20 +384,33 @@ class RateReport:
         return asdict(self)
 
 
+def common_randomness_shapes(sets: PolarIndexSets, k: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each common-randomness field over k blocks, in draw
+    order: the per-block frozen fills c (a1-sized) and c_prime (b1 minus
+    bp1), the block-reused fill c_bar (bp1-sized), and the k-1 pad keys
+    keys_s (a3-sized) / keys_z (b3-sized) linking consecutive blocks."""
+    return {
+        "c": (k, len(sets.a1)),
+        "c_prime": (k, len(sets.b1) - len(sets.bp1)),
+        "c_bar": (len(sets.bp1),),
+        "keys_s": (k - 1, len(sets.a3)),
+        "keys_z": (k - 1, len(sets.b3)),
+    }
+
+
 def rate_report(sets: PolarIndexSets, k: int) -> RateReport:
     """Rates in bits per transmitted symbol over k blocks.
 
-    Common randomness counts the per-block frozen fills (|a1| and
-    |b1 \\ bp1| each block, the shared bp1 fill once) plus the k-1 pad keys
-    (|a3| and |b3| each); the error-free side channel carries the final
-    block's chained bits; local randomness fills a2 in block 1 and ap2
-    afterwards.
+    Common randomness counts the fields of
+    :func:`common_randomness_shapes`; the error-free side channel carries
+    the final block's chained bits; local randomness fills a2 in block 1
+    and ap2 afterwards.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = sets.n
     na1, na3, nb1, nb3, nbp1 = (len(sets.a1), len(sets.a3), len(sets.b1), len(sets.b3), len(sets.bp1))
-    cr_bits = k * na1 + (k - 1) * na3 + k * nb1 + (k - 1) * nb3 - (k - 1) * nbp1
+    cr_bits = sum(math.prod(shape) for shape in common_randomness_shapes(sets, k).values())
     side_bits = na3 + nb3
     local_bits = len(sets.a2) + (k - 1) * len(sets.ap2)
     return RateReport(

@@ -10,7 +10,6 @@ from coordsim import codec
 from coordsim.binning import dsbs
 from coordsim.bundled import binary_symmetric_channel, bsc_model, chained_model
 from coordsim.codec import (
-    BlockTranscript,
     CommonRandomness,
     SideChannelPayload,
     _decode_trials,
@@ -107,6 +106,19 @@ def test_transmit_bsc_flip_fraction():
     assert abs(flips - 0.1) < 0.01  # ~ 10 sigma
 
 
+def test_transmit_blocks_at_once_equals_block_by_block():
+    # a (k, n) array takes the uniforms k one-row calls take, row by row,
+    # and leaves the generator where one rng.random((k, n)) call leaves it
+    channel = binary_symmetric_channel(0.3)
+    x = np.random.default_rng(5).integers(0, 2, (4, 33), dtype=np.uint8)
+    at_once, row_by_row, reference = (np.random.default_rng(6) for _ in range(3))
+    y = transmit(x, channel, at_once)
+    assert y.shape == x.shape
+    assert np.array_equal(y, np.stack([transmit(row, channel, row_by_row) for row in x]))
+    reference.random((4, 33))
+    assert at_once.bit_generator.state == row_by_row.bit_generator.state == reference.bit_generator.state
+
+
 def test_transmit_constant_output_channel():
     rng = np.random.default_rng(4)
     const = ConditionalPMF((X,), (Y,), np.array([[1.0, 0.0], [1.0, 0.0]]))
@@ -172,6 +184,7 @@ def test_sampling_sites_take_one_random_call_each():
     u = np.random.default_rng(2).integers(0, 2, (4, 8), dtype=np.uint8)
     sites = [
         (lambda r: transmit(np.ones(33, np.uint8), model.channel, r), lambda r: r.random(33)),
+        (lambda r: transmit(np.ones((3, 33), np.uint8), model.channel, r), lambda r: r.random((3, 33))),
         (lambda r: _source_blocks(model, 16, 3, r), lambda r: (r.integers(0, 2, 16), r.random((3, 16)))),
         (lambda r: model.sample_blocks(r, 5, 16), lambda r: r.random((5, 16))),
         (lambda r: iid_blocks(dsbs(0.1), r, 7, 4), lambda r: r.random((7, 4))),
@@ -265,7 +278,7 @@ def test_strict_causality_differential():
             assert np.array_equal(base[j - 1].x, diff[j - 1].x), (trial, i, j)
 
 
-def test_point_mass_signal_gives_all_zero_blocks():
+def test_point_mass_signal_blocks_are_transforms_of_s_and_z():
     w_rule = np.zeros((2, 2, 2))
     w_rule[..., 0] = 1.0
     model = SourceModel(
@@ -279,17 +292,18 @@ def test_point_mass_signal_gives_all_zero_blocks():
     rng = np.random.default_rng(7)
     u_blocks = rng.integers(0, 2, (4, 8), dtype=np.uint8)
     cr = CommonRandomness.draw(sets, 3, np.random.default_rng(8))
-    # the frozen fills are random, but every successively drawn leaf is 0;
-    # with a1/a2 forced to zero the whole signal collapses
+    # the signal prior is a point mass at 0 and the a1 fills and s pad keys
+    # are zero, but the local bits on a2 are random, so the blocks need not
+    # be zero; x and w are still the transforms of s and z, as the
+    # transcripts, which store s and z only, assume
     zero_cr = CommonRandomness(
         c=np.zeros_like(cr.c), c_prime=cr.c_prime, c_bar=cr.c_bar,
         keys_s=np.zeros_like(cr.keys_s), keys_z=cr.keys_z,
     )
     blocks, _ = encode(u_blocks, sets, zero_cr, model, rng)
-    # block 1: a2 is local randomness; zero that path out by checking only
-    # the drawn positions map to x = transform(s) consistently
     for blk in blocks:
         assert np.array_equal(blk.x, polar_transform(blk.s))
+        assert np.array_equal(blk.w, polar_transform(blk.z))
 
 
 def test_payload_corruption_propagates_to_final_block():
@@ -301,6 +315,11 @@ def test_payload_corruption_propagates_to_final_block():
     cr = CommonRandomness.draw(sets, k, np.random.default_rng(10))
     blocks, payload = encode(u_blocks, sets, cr, model, np.random.default_rng(11))
     y = np.stack([transmit(b.x, model.channel, np.random.default_rng(12 + i)) for i, b in enumerate(blocks)])
+
+    def encoder_output():  # deep copies of every array
+        return [dataclasses.astuple(item) for item in (*blocks, payload)]
+
+    encoded = encoder_output()
     clean = decode(y, payload, sets, cr, model, np.random.default_rng(13))
     bad_payload = SideChannelPayload(
         s_last_a3=payload.s_last_a3 ^ 1, z_last_b3=payload.z_last_b3.copy()
@@ -308,8 +327,9 @@ def test_payload_corruption_propagates_to_final_block():
     dirty = decode(y, bad_payload, sets, cr, model, np.random.default_rng(13))
     # the corrupted chain bit lands verbatim in the final block's a3 position
     assert dirty[-1].s_hat[sets.a3[0]] == clean[-1].s_hat[sets.a3[0]] ^ 1
-    # encoder-side transcripts are untouched by construction
-    assert np.array_equal(blocks[-1].s, blocks[-1].s)
+    # the encoder's blocks and payload are untouched by both decodes
+    for got, want in zip(encoder_output(), encoded, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_pad_uniformization_across_chain():
@@ -334,19 +354,20 @@ def test_pad_uniformization_across_chain():
 # -- transcript invariants --------------------------------------------------------------
 
 
-def test_transcript_validates_transform_consistency():
-    s = np.array([0, 1, 0, 0], dtype=np.uint8)
-    z = np.zeros(4, dtype=np.uint8)
-    good = BlockTranscript(
-        u=np.zeros(4, dtype=np.uint8), s=s, z=z, x=polar_transform(s), w=polar_transform(z),
-        y=np.zeros(4, dtype=np.uint8), v=np.zeros(4, dtype=np.uint8), flags={},
-    )
-    assert good.x.shape == (4,)
-    with pytest.raises(ValueError, match="transform"):
-        BlockTranscript(
-            u=np.zeros(4, dtype=np.uint8), s=s, z=z, x=s, w=polar_transform(z),
-            y=np.zeros(4, dtype=np.uint8), v=np.zeros(4, dtype=np.uint8), flags={},
-        )
+def test_transcripts_derive_the_encoded_x_and_w(monkeypatch):
+    # transcripts store s and z; the x and w they derive are the encoder's
+    # own, block by block
+    encoded = []
+    encode_trials = codec._encode_trials
+    monkeypatch.setattr(codec, "_encode_trials", lambda *args: encoded.append(encode_trials(*args)) or encoded[0])
+    results = run_trials(chained_model(), synthetic_sets(), 4, [0, 1, 2])
+    _, _, x, w = encoded[0]
+    assert x.shape == w.shape == (3, 4, 8)
+    for t, result in enumerate(results):
+        assert len(result.transcripts) == 4
+        for i, transcript in enumerate(result.transcripts):
+            assert np.array_equal(transcript.x, x[t, i]), (t, i)
+            assert np.array_equal(transcript.w, w[t, i]), (t, i)
 
 
 # -- noiseless-channel correctness -------------------------------------------------------
