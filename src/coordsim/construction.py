@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .polar import CHUNK_ROWS, known_path_conditionals, known_path_tree, polar_transform
-from .probability import ConditionalPMF, JointPMF, binary_entropy, condition, iid_blocks, marginalize
+from .polar import CHUNK_ROWS, KnownPathWorkspace, known_path_conditionals, known_path_tree, polar_transform
+from .probability import ConditionalPMF, JointPMF, condition, iid_blocks, marginalize
 from .region import AXES_UXYV, AuxiliaryDecomposition, CoordinationTarget, check_source_axes, witness_joint
 
 __all__ = [
@@ -46,6 +46,9 @@ __all__ = [
     "save_index_cache",
     "load_index_cache",
 ]
+
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class CapacityError(RuntimeError):
@@ -214,9 +217,16 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
     and w, and evaluates the exact successive-cancellation conditional of
     every bit along the true path; h(p) averaged over samples estimates the
     conditional entropy.  The rows are drawn and scored ``CHUNK_ROWS`` at a
-    time, one stream for the whole run; within a chunk the two families on
-    the bits of s share one partial-sum tree and the three families on the
-    bits of z share another.  Every h and h*h is summed in draw order.
+    time, one stream for the whole run, all chunks in one
+    :class:`~coordsim.polar.KnownPathWorkspace`; within a chunk the two
+    families on the bits of s share one partial-sum tree and the three
+    families on the bits of z share another.  Every h and h*h is summed in
+    draw order.
+
+    A family whose evidence table is 1/2 at every entry is scored in closed
+    form: every conditional is then 1/2 exactly (f(1/2, 1/2) = 1/2 and
+    g(1/2, 1/2, x) = 1/2 in float64), so every h is 1.0, and the family's
+    sums are the row count without a kernel call.
     """
     n, total = params.n, params.mc_samples
     xpost = model.x_posterior_given_y()
@@ -224,27 +234,37 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
     wx = model.w_given_x()
     wfull = model.w_posterior_full()
     p_x1 = float(model.x_prior.table[1])
+    # each family's bits, evidence table and leaf evidence of a chunk's blocks
+    families = {
+        "h_s": ("x", p_x1, lambda blk: np.full(blk["x"].shape, p_x1)),
+        "h_s_y": ("x", xpost, lambda blk: xpost[blk["y"]]),
+        "h_z_xu": ("w", wxu, lambda blk: wxu[blk["x"], blk["u"]]),
+        "h_z_x": ("w", wx, lambda blk: wx[blk["x"]]),
+        "h_z_all": ("w", wfull, lambda blk: wfull[blk["u"], blk["x"], blk["y"], blk["v"]]),
+    }
+    scored = {fam: (bits, gather) for fam, (bits, table, gather) in families.items() if np.any(table != 0.5)}
+    chains = dict.fromkeys(bits for bits, _ in scored.values())
 
-    sums = {k: np.zeros(n) for k in PolarizedEntropyProfile.FAMILIES}
-    sqs = {k: np.zeros(n) for k in PolarizedEntropyProfile.FAMILIES}
+    sums = {fam: np.zeros(n) if fam in scored else np.full(n, float(total)) for fam in families}
+    sqs = {fam: sums[fam].copy() for fam in families}
+    workspace = KnownPathWorkspace(CHUNK_ROWS, n)
+    # row 0 carries a running sum and rows 1.. a chunk's h: numpy's axis-0
+    # sum adds rows in order, so every row is added in draw order
+    block = np.empty((CHUNK_ROWS + 1, n))
+    scratch = np.empty((CHUNK_ROWS, n))
     for lo in range(0, total, CHUNK_ROWS):
-        blk = model.sample_blocks(rng, min(CHUNK_ROWS, total - lo), n)
-        u, x, y, v = blk["u"], blk["x"], blk["y"], blk["v"]
-        s_tree = known_path_tree(polar_transform(x))
-        z_tree = known_path_tree(polar_transform(blk["w"]))
-        families = {
-            "h_s": (np.full(x.shape, p_x1), s_tree),
-            "h_s_y": (xpost[y], s_tree),
-            "h_z_xu": (wxu[x, u], z_tree),
-            "h_z_x": (wx[x], z_tree),
-            "h_z_all": (wfull[u, x, y, v], z_tree),
-        }
-        # numpy's axis-0 sum adds rows in order, so the running sum carried
-        # as the first row adds every row in draw order
-        for fam, (evidence, tree) in families.items():
-            h = binary_entropy(known_path_conditionals(evidence, tree))
-            sums[fam] = np.add.reduce(np.concatenate((sums[fam][None], h)))
-            sqs[fam] = np.add.reduce(np.concatenate((sqs[fam][None], h * h)))
+        rows = min(CHUNK_ROWS, total - lo)
+        blk = model.sample_blocks(rng, rows, n)
+        trees = {bits: known_path_tree(polar_transform(blk[bits])) for bits in chains}
+        h = block[1 : rows + 1]
+        for fam, (bits, gather) in scored.items():
+            conditionals = known_path_conditionals(gather(blk), trees[bits], workspace)
+            _binary_entropy_into(conditionals, h, scratch[:rows])
+            block[0] = sums[fam]
+            np.add.reduce(block[: rows + 1], out=sums[fam])
+            np.multiply(h, h, out=h)
+            block[0] = sqs[fam]
+            np.add.reduce(block[: rows + 1], out=sqs[fam])
 
     kw = {"n": n, "samples": total}
     for fam in PolarizedEntropyProfile.FAMILIES:
@@ -253,6 +273,24 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
         kw[fam] = np.clip(mean, 0.0, 1.0)
         kw["se_" + fam[2:]] = np.sqrt(var / total)
     return PolarizedEntropyProfile(**kw)
+
+
+def _binary_entropy_into(p, h, scratch):
+    """``binary_entropy(p)`` bit for bit, written to ``h``, for
+    conditionals p in [1e-20, 1]; ``scratch`` has p's shape.
+
+    With p > 0, log2 p is taken everywhere; q = 1 - p is 0 only where
+    p = 1, and there q log2 max(q, tiny) is -0.0 where binary_entropy adds
+    0.0, which leaves the sum p log2 p = 0.0 as it is.
+    """
+    q = np.subtract(1.0, p, out=h)
+    q_log_q = np.maximum(q, _TINY, out=scratch)
+    np.log2(q_log_q, out=q_log_q)
+    q_log_q *= q
+    np.log2(p, out=h)
+    h *= p
+    h += q_log_q
+    np.negative(h, out=h)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,11 @@ Two drivers share f and g:
   :func:`known_path_tree` (the partial sums of the bits) and
   :func:`known_path_conditionals` (the f/g levels on one tree), are public
   so that the Monte-Carlo entropy profile can share one tree between the
-  families of evidence on the same bits.
+  families of evidence on the same bits.  The levels are computed in a
+  :class:`KnownPathWorkspace`, whose arrays f and g fill through ``out=``;
+  a caller that loops over chunks makes one and passes it to every call,
+  and each result is a view into it, valid until the workspace's next
+  call.  Without one, a call makes a fresh workspace.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ __all__ = [
     "true_path_conditionals",
     "known_path_tree",
     "known_path_conditionals",
+    "KnownPathWorkspace",
     "CHUNK_ROWS",
 ]
 
@@ -82,6 +87,7 @@ CHUNK_ROWS = 32  # rows per known-path chunk: its level arrays stay in cache
 # broadcasts them faster than Python floats
 _FLOOR = np.array(_CLIP)
 _ONE = np.array(1.0)
+_COUNT_NONZERO_MAX = 1024  # cells up to which count_nonzero beats a min-reduce
 
 
 def _require_power_of_two(n: int):
@@ -116,19 +122,22 @@ def _clip(p: np.ndarray) -> np.ndarray:
     return np.maximum(p, _FLOOR, out=p)
 
 
-def _f(a, b, not_a, not_b):
+def _f(a, b, not_a, not_b, out=None, tmp=None):
     """P(leaf = 1) for the first half of a sub-block: the XOR of
     independent bits with P(=1) = a and b.  ``not_a``, ``not_b`` are 1 - a
-    and 1 - b, computed once per sub-block for both updates."""
-    p = a * not_b
-    p += not_a * b
+    and 1 - b, computed once per sub-block for both updates.  The result is
+    written to ``out`` and ``tmp`` is scratch, both of the halves' shape;
+    where they are None, fresh arrays are used."""
+    p = np.multiply(a, not_b, out=out)
+    p += np.multiply(not_a, b, out=tmp)
     return _clip(p)
 
 
-def _g(a, b, not_a, not_b, x_a):
+def _g(a, b, not_a, not_b, x_a, out=None, tmp=None):
     """P(leaf = 1) for the second half of a sub-block, given the partial
     sums ``x_a`` (bool or 0/1 uint8) of its decided first half; 1/2 where
-    both hypotheses have zero mass (the contradiction rule).
+    both hypotheses have zero mass (the contradiction rule).  ``out`` and
+    ``tmp`` are as in :func:`_f`.
 
     P(first leaf = x_a ^ 1) is ``not_a`` where x_a = 1 and ``a`` where
     x_a = 0, and it is computed without a select as |x_a - a|.  That is
@@ -137,20 +146,27 @@ def _g(a, b, not_a, not_b, x_a):
     the absolute value does not change it.  g takes the same halves as f
     but does not read ``not_a``.
     """
-    a_match = np.subtract(x_a, a)  # P(first leaf = x_a ^ 1) = |x_a - a|
+    a_match = np.subtract(x_a, a, out=out)  # P(first leaf = x_a ^ 1) = |x_a - a|
     np.abs(a_match, out=a_match)
-    num = a_match * b
-    den = (_ONE - a_match) * not_b
+    den = np.subtract(_ONE, a_match, out=tmp)
+    den *= not_b
+    num = np.multiply(a_match, b, out=a_match)
     den += num
-    if np.count_nonzero(den) < den.size:
+    # count_nonzero is the fastest zero test on the few cells of a
+    # sequential pass, a min-reduce on the wide levels of the kernel
+    if den.size > _COUNT_NONZERO_MAX:
+        contradiction = den.min() == 0.0
+    else:
+        contradiction = np.count_nonzero(den) < den.size
+    if contradiction:
         zero = den == 0.0
         num[zero] = 0.5
         den[zero] = 1.0
     return _clip(np.divide(num, den, out=num))
 
 
-def _leaf_probabilities(leaf_p1) -> np.ndarray:
-    p1 = np.clip(np.asarray(leaf_p1, dtype=np.float64), _CLIP, 1.0 - _CLIP)
+def _leaf_probabilities(leaf_p1, out=None) -> np.ndarray:
+    p1 = np.clip(np.asarray(leaf_p1, dtype=np.float64), _CLIP, 1.0 - _CLIP, out=out)
     _require_power_of_two(p1.shape[-1])
     return p1
 
@@ -239,7 +255,8 @@ def true_path_conditionals(leaf_p1: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
     leaf_p1, bits: arrays of shape (batch, n); returns the same shape.  The
     rows are evaluated in chunks of ``CHUNK_ROWS``, each by
-    :func:`known_path_conditionals` on its own :func:`known_path_tree`.
+    :func:`known_path_conditionals` on its own :func:`known_path_tree`, in
+    one :class:`KnownPathWorkspace` for the call.
     """
     p1 = np.asarray(leaf_p1, dtype=np.float64)
     _require_power_of_two(p1.shape[-1])
@@ -247,9 +264,10 @@ def true_path_conditionals(leaf_p1: np.ndarray, bits: np.ndarray) -> np.ndarray:
     if p1.shape != bits.shape:
         raise ValueError(f"shape mismatch: {p1.shape} vs {bits.shape}")
     out = np.empty_like(p1)
+    workspace = KnownPathWorkspace(min(CHUNK_ROWS, p1.shape[0]), p1.shape[1])
     for lo in range(0, p1.shape[0], CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
-        out[rows] = known_path_conditionals(p1[rows], known_path_tree(bits[rows]))
+        out[rows] = known_path_conditionals(p1[rows], known_path_tree(bits[rows]), workspace)
     return out
 
 
@@ -269,20 +287,52 @@ def known_path_tree(bits: np.ndarray) -> list[np.ndarray]:
     return tree
 
 
-def known_path_conditionals(leaf_p1: np.ndarray, tree: list[np.ndarray]) -> np.ndarray:
+class KnownPathWorkspace:
+    """The arrays :func:`known_path_conditionals` computes in, for up to
+    ``rows`` rows of length ``n``: the level, its complements 1 - p, and
+    the f, g and scratch halves.  A level is read whole into f and g before
+    the next one overwrites it.  A caller that scores many chunks makes one
+    workspace and passes it to every call."""
+
+    def __init__(self, rows: int, n: int):
+        _require_power_of_two(n)
+        self.rows, self.n = rows, n
+        self.level = np.empty((rows, n))
+        self.not_p = np.empty((rows, n))
+        self.halves = np.empty((3, rows, n // 2))
+
+
+def known_path_conditionals(
+    leaf_p1: np.ndarray, tree: list[np.ndarray], workspace: KnownPathWorkspace | None = None
+) -> np.ndarray:
     """P(bit_j = 1 | true prefix, evidence) for (rows, n) leaf
     probabilities along the bits whose :func:`known_path_tree` is ``tree``.
 
     Level-ordered: level d holds the 2**d sub-blocks of length n >> d as an
     array of shape (rows, n >> d, 2**d), so the halves that f and g combine
-    are contiguous.
+    are contiguous.  Every level is computed in ``workspace`` (a fresh one
+    when None), and the result is a view into it: it stays valid until the
+    workspace's next call.  A tree made from bits of another shape raises
+    ValueError.
     """
-    p1 = _leaf_probabilities(leaf_p1)
-    rows, n = p1.shape
-    p = p1.reshape(rows, n, 1)
+    leaf = np.asarray(leaf_p1, dtype=np.float64)
+    rows, n = leaf.shape
+    _require_power_of_two(n)
+    need = [(rows, 2**k, n >> (k + 1)) for k in range(n.bit_length() - 1)]
+    got = [x_a.shape for x_a in tree]
+    if got != need:
+        raise ValueError(f"tree of shapes {got} does not fit leaves {leaf.shape}, which need {need}")
+    ws = KnownPathWorkspace(rows, n) if workspace is None else workspace
+    if rows > ws.rows or n != ws.n:
+        raise ValueError(f"leaves {leaf.shape} do not fit a workspace of {ws.rows} rows of length {ws.n}")
+    level = _leaf_probabilities(leaf, out=ws.level[:rows])
+    p = level.reshape(rows, n, 1)
     for x_a in reversed(tree):
-        half = p.shape[1] // 2
-        not_p = 1.0 - p
+        half, width = p.shape[1] // 2, p.shape[2]
+        not_p = np.subtract(1.0, p, out=ws.not_p[:rows].reshape(p.shape))
         halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
-        p = np.stack((_f(*halves), _g(*halves, x_a)), axis=-1).reshape(rows, half, -1)
-    return p.reshape(rows, n)
+        f, g, tmp = (buf[:rows].reshape(rows, half, width) for buf in ws.halves)
+        f = _f(*halves, out=f, tmp=tmp)
+        g = _g(*halves, x_a, out=g, tmp=tmp)  # stack what they return: a substitute may ignore out
+        p = np.stack((f, g), axis=-1, out=level.reshape(rows, half, width, 2)).reshape(rows, half, 2 * width)
+    return level

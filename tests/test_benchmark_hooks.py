@@ -96,3 +96,13 @@ def test_benchmark_names_resolve():
             cli._target(cfg)
         elif name != "verify-binning":
             cli._source_model(cfg)
+
+
+def test_construct_op_passes_its_benchmark_check(tmp_path):
+    # one construct op from the workload's own config, checked as the
+    # benchmark checks it
+    workloads = load("workloads")
+    workload = workloads.WORKLOADS["construct"]
+    report = cli.run("construct", cli.parse_config("construct", workload.config(0, tmp_path), PERFBENCH.parent))
+    workloads._check_construct(report)
+    assert workload.work(report) == workloads.CONSTRUCT_ROWS == 2048

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from coordsim import construction
 from coordsim.bundled import bsc_model, bsc_target, chained_model, planted_target
 from coordsim.cli import ConfigError, _source_model
 from coordsim.codec import transmit
@@ -20,7 +21,13 @@ from coordsim.construction import (
     rate_report,
     save_index_cache,
 )
-from coordsim.polar import CHUNK_ROWS, polar_transform, true_path_conditionals
+from coordsim.polar import (
+    CHUNK_ROWS,
+    known_path_conditionals,
+    known_path_tree,
+    polar_transform,
+    true_path_conditionals,
+)
 from coordsim.probability import (
     Alphabet,
     ConditionalPMF,
@@ -293,6 +300,44 @@ def test_profile_is_one_draw_summed_in_order():
         assert np.array_equal(getattr(prof, fam), np.clip(mean, 0.0, 1.0)), fam
         assert np.array_equal(getattr(prof, "se_" + fam[2:]), np.sqrt(var / rows)), fam
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("model_name, half_family", [("chained", "h_z_x"), ("bsc", "h_s"), ("ternary", None)])
+def test_profile_scores_a_half_family_in_closed_form(monkeypatch, model_name, half_family):
+    # a family whose evidence is 1/2 everywhere runs no kernel call; its
+    # profile is exactly 1.0 with standard error exactly 0.0
+    model = {"chained": chained_model, "bsc": bsc_model, "ternary": _ternary_side_model}[model_name]()
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return known_path_conditionals(*args)
+
+    monkeypatch.setattr(construction, "known_path_conditionals", spy)
+    chunks = 3
+    prof = estimate_profile(model, small_params(n=16, mc=2 * CHUNK_ROWS + 5), np.random.default_rng(4))
+    assert len(calls) == (4 if half_family else 5) * chunks
+    if half_family:
+        assert np.all(getattr(prof, half_family) == 1.0)
+        assert np.all(getattr(prof, "se_" + half_family[2:]) == 0.0)
+
+
+def test_half_evidence_has_entropy_exactly_one():
+    # the identity the closed form rests on: f(1/2, 1/2) = g(1/2, 1/2, x) = 1/2
+    # and h(1/2) = 1 in float64, along any path
+    tree = known_path_tree(np.random.default_rng(5).integers(0, 2, (CHUNK_ROWS, 1024), dtype=np.uint8))
+    h = binary_entropy(known_path_conditionals(np.full((CHUNK_ROWS, 1024), 0.5), tree))
+    assert np.all(h == 1.0)
+
+
+def test_profile_entropy_matches_binary_entropy_bit_for_bit():
+    # the profile's entropy into its sum block, against binary_entropy on
+    # conditionals as the kernel clips them, the ends included
+    p = np.random.default_rng(6).random(4096)
+    p[:6] = [1e-20, 0.5, 1.0, 1.0 - 2.0**-53, 2.0**-53, 0.25]
+    h, scratch = np.empty_like(p), np.empty_like(p)
+    construction._binary_entropy_into(np.maximum(p, 1e-20), h, scratch)
+    assert h.tobytes() == binary_entropy(np.maximum(p, 1e-20)).tobytes()
 
 
 def test_profile_rejects_non_finite_entries():

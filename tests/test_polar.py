@@ -14,6 +14,7 @@ from coordsim.codec import _hard, _known
 from coordsim.construction import SourceModel, load_index_cache
 from coordsim.polar import (
     CHUNK_ROWS,
+    KnownPathWorkspace,
     SuccessiveCancellation,
     known_path_conditionals,
     known_path_tree,
@@ -358,9 +359,10 @@ def test_sc_pass_rejects_shape_mismatch(bit_rows, mask_size):
         sc_pass(np.full((1, 8), 0.3), np.zeros((bit_rows, 8), dtype=np.uint8), np.zeros(mask_size, dtype=bool), _hard)
 
 
-def g_select(a, b, not_a, not_b, x_a):
+def g_select(a, b, not_a, not_b, x_a, out=None, tmp=None):
     """The g update in its select form, P(first leaf = x_a ^ 1) taken by
-    np.where: the reference for the select-free kernel."""
+    np.where: the reference for the select-free kernel.  It returns a fresh
+    array and leaves the kernel's buffers ``out`` and ``tmp`` alone."""
     a_match = np.where(x_a, not_a, a)
     num = a_match * b
     den = (1.0 - a_match) * not_b
@@ -402,6 +404,41 @@ def test_known_path_conditionals_match_select_form(monkeypatch, n):
     got = known_path_conditionals(leaf, tree)
     monkeypatch.setattr(polar, "_g", g_select)
     assert got.tobytes() == known_path_conditionals(leaf, tree).tobytes()
+
+
+def test_known_path_conditionals_rejects_a_mismatched_tree():
+    rng = np.random.default_rng(5)
+    one_row = known_path_tree(rng.integers(0, 2, (1, 8), dtype=np.uint8))
+    with pytest.raises(ValueError, match=re.escape("(1, 1, 4)") + ".*" + re.escape("(3, 8)")):
+        known_path_conditionals(np.full((3, 8), 0.3), one_row)  # would broadcast one row's bits
+    longer = known_path_tree(rng.integers(0, 2, (3, 16), dtype=np.uint8))
+    with pytest.raises(ValueError, match=re.escape("(3, 1, 8)") + ".*" + re.escape("(3, 8)")):
+        known_path_conditionals(np.full((3, 8), 0.3), longer)
+
+
+def test_workspace_reuse_matches_fresh_calls():
+    # one workspace through a full chunk, a partial one and a full one: each
+    # result equals a call with a fresh workspace on the same leaves and tree
+    rng = np.random.default_rng(6)
+    n = 64
+    workspace = KnownPathWorkspace(CHUNK_ROWS, n)
+    for rows in (CHUNK_ROWS, 5, CHUNK_ROWS):
+        leaf = rng.random((rows, n))
+        tree = known_path_tree(rng.integers(0, 2, (rows, n), dtype=np.uint8))
+        got = known_path_conditionals(leaf, tree, workspace)
+        assert got.tobytes() == known_path_conditionals(leaf, tree).tobytes()
+    with pytest.raises(ValueError, match="workspace"):
+        known_path_conditionals(rng.random((CHUNK_ROWS + 1, n)),
+                                known_path_tree(np.zeros((CHUNK_ROWS + 1, n), np.uint8)), workspace)
+
+    # the batched driver reuses one workspace across chunks; no chunk's
+    # result is overwritten by the next
+    rows = 2 * CHUNK_ROWS + 5
+    leaf = rng.random((rows, n))
+    bits = rng.integers(0, 2, (rows, n), dtype=np.uint8)
+    chunks = [known_path_conditionals(leaf[lo : lo + CHUNK_ROWS], known_path_tree(bits[lo : lo + CHUNK_ROWS]))
+              for lo in range(0, rows, CHUNK_ROWS)]
+    assert true_path_conditionals(leaf, bits).tobytes() == np.concatenate(chunks).tobytes()
 
 
 def test_batched_matches_sequential():
