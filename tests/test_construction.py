@@ -310,13 +310,12 @@ def test_profile_scores_a_half_family_in_closed_form(monkeypatch, model_name, ha
     calls = []
 
     def spy(*args):
-        calls.append(args[0].shape)
+        calls.append(args)
         return known_path_conditionals(*args)
 
     monkeypatch.setattr(construction, "known_path_conditionals", spy)
-    chunks = 3
     prof = estimate_profile(model, small_params(n=16, mc=2 * CHUNK_ROWS + 5), np.random.default_rng(4))
-    assert len(calls) == (4 if half_family else 5) * chunks
+    assert len(calls) == (4 if half_family else 5) * 3  # three chunks
     if half_family:
         assert np.all(getattr(prof, half_family) == 1.0)
         assert np.all(getattr(prof, "se_" + half_family[2:]) == 0.0)
