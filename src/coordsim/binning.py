@@ -69,10 +69,21 @@ def _kronecker(op: np.ufunc, columns: np.ndarray) -> np.ndarray:
     """``op`` folded over the per-symbol columns ``columns[..., t, :]``,
     left to right, into one value per sequence in lexicographic order:
     ``np.multiply`` gives a Kronecker product, ``np.add`` a Kronecker sum.
-    Each sequence's value is op(...op(c_0[a_0], c_1[a_1])..., c_{n-1}[a_{n-1}])."""
-    out = columns[..., 0, :]
-    for t in range(1, columns.shape[-2]):
-        out = op(out[..., :, None], columns[..., t, None, :]).reshape(*columns.shape[:-2], -1)
+    Each sequence's value is op(...op(c_0[a_0], c_1[a_1])..., c_{n-1}[a_{n-1}]).
+
+    The values are built in place in the one result array, of shape
+    ``columns.shape[:-2] + (k**n,)``: after step t, the value of each
+    prefix a_0..a_t sits in the slot of that prefix followed by zeros, and
+    step t + 1 writes its k extensions from it, the extension by symbol 0
+    last, in its own slot.  No step allocates."""
+    *lead, n, k = columns.shape
+    out = np.empty((*lead, k**n))
+    out.reshape(*lead, k, k ** (n - 1))[..., 0] = columns[..., 0, :]
+    for t in range(1, n):
+        # the prefixes of length t at [..., :, 0] and their extensions
+        spread = out.reshape(*lead, k**t, k, k ** (n - t - 1))[..., 0]
+        op(spread[..., :1], columns[..., t, None, 1:], out=spread[..., 1:])
+        op(spread[..., 0], columns[..., t, :1], out=spread[..., 0])
     return out
 
 
@@ -130,8 +141,13 @@ def sw_error_rate(
     # log P(a^n, b^n) for every a-sequence; P(b^n) is constant in a, so
     # these rank the posterior.  Column t of draw r is ll[:, b_rt].
     scores = _kronecker(np.add, np.moveaxis(_log_table(_ab_table(joint))[:, b], 0, -1))
-    # each draw's own bin holds its true sequence, so no queried bin is empty
-    scores[binning.assignment[None, :] != binning.assignment[codes][:, None]] = -np.inf
+    # each draw's own bin holds its true sequence, so no queried bin is
+    # empty; the out-of-bin mask is built for a few draws at a time
+    own = binning.assignment[codes]
+    step = max(1, CHUNK_CELLS // size_a**n)
+    for lo in range(0, samples, step):
+        rows = scores[lo : lo + step]
+        rows[binning.assignment != own[lo : lo + step, None]] = -np.inf
     decoded = np.argmax(scores, axis=1)
     return int(np.count_nonzero(decoded != codes)) / samples
 

@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .polar import CHUNK_ROWS, KnownPathWorkspace, known_path_conditionals, known_path_tree, polar_transform
-from .probability import ConditionalPMF, JointPMF, condition, iid_blocks, marginalize
+from .polar import CHUNK_ROWS, KnownPathWorkspace, known_path_conditionals, known_path_tree
+from .probability import ConditionalPMF, JointPMF, cell_symbols, condition, iid_cells, marginalize
 from .region import AXES_UXYV, AuxiliaryDecomposition, CoordinationTarget, check_source_axes, witness_joint
 
 __all__ = [
@@ -162,8 +162,12 @@ class SourceModel:
 
     def sample_blocks(self, rng: np.random.Generator, count: int, n: int) -> dict[str, np.ndarray]:
         """``count`` i.i.d. blocks of length ``n`` of the 5-tuple, as a dict
-        of (count, n) uint8 arrays keyed 'u','x','w','y','v'."""
-        return dict(zip("uxwyv", iid_blocks(self.single_letter_joint(), rng, count, n)))
+        of (count, n) uint8 arrays keyed 'u','x','w','y','v', and under
+        'cells' the (count, n) cells of the flat single-letter joint table
+        they were read from: one draw, by :func:`~coordsim.probability.iid_cells`."""
+        joint = self.single_letter_joint()
+        cells = iid_cells(joint, rng, count, n)
+        return dict(zip("uxwyv", cell_symbols(joint, cells)), cells=cells)
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
@@ -213,15 +217,17 @@ class PolarizedEntropyProfile:
 def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Generator) -> PolarizedEntropyProfile:
     """Monte-Carlo estimates of the five per-index conditional entropies.
 
-    Each sample draws a full i.i.d. block of (u, x, w, y, v), polarizes x
-    and w, and evaluates the exact successive-cancellation conditional of
-    every bit along the true path; h(p) averaged over samples estimates the
-    conditional entropy.  The rows are drawn and scored ``CHUNK_ROWS`` at a
-    time, one stream for the whole run, all chunks in one
-    :class:`~coordsim.polar.KnownPathWorkspace`; within a chunk the two
-    families on the bits of s share one partial-sum tree and the three
-    families on the bits of z share another.  Every h and h*h is summed in
-    draw order.
+    Each sample draws a full i.i.d. block of (u, x, w, y, v), and evaluates
+    the exact successive-cancellation conditional of every bit of s = T(x)
+    and z = T(w) along the true path; h(p) averaged over samples estimates
+    the conditional entropy.  The rows are drawn and scored ``CHUNK_ROWS``
+    at a time, one stream for the whole run, all chunks in one
+    :class:`~coordsim.polar.KnownPathWorkspace`.  Within a chunk the two
+    families on the bits of s share one partial-sum tree, built from the
+    sampled x, and the three families on the bits of z share another, from
+    w.  Each family's leaf evidence is a function of the joint cell of the
+    symbol, so it is one table over the joint's cells, read at the chunk's
+    sampled cells.  Every h and h*h is summed in draw order.
 
     A family whose evidence table is 1/2 at every entry is scored in closed
     form: every conditional is then 1/2 exactly (f(1/2, 1/2) = 1/2 and
@@ -229,20 +235,16 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
     sums are the row count without a kernel call.
     """
     n, total = params.n, params.mc_samples
-    xpost = model.x_posterior_given_y()
-    wxu = model.w_given_xu()
-    wx = model.w_given_x()
-    wfull = model.w_posterior_full()
-    p_x1 = float(model.x_prior.table[1])
-    # each family's bits, evidence table and leaf evidence of a chunk's blocks
+    u, x, _, y, v = np.indices(model.single_letter_joint().table.shape).reshape(5, -1)
+    # each family's chain and its leaf evidence at every cell of the joint
     families = {
-        "h_s": ("x", p_x1, lambda blk: np.full(blk["x"].shape, p_x1)),
-        "h_s_y": ("x", xpost, lambda blk: xpost[blk["y"]]),
-        "h_z_xu": ("w", wxu, lambda blk: wxu[blk["x"], blk["u"]]),
-        "h_z_x": ("w", wx, lambda blk: wx[blk["x"]]),
-        "h_z_all": ("w", wfull, lambda blk: wfull[blk["u"], blk["x"], blk["y"], blk["v"]]),
+        "h_s": ("x", np.full(u.shape, float(model.x_prior.table[1]))),
+        "h_s_y": ("x", model.x_posterior_given_y()[y]),
+        "h_z_xu": ("w", model.w_given_xu()[x, u]),
+        "h_z_x": ("w", model.w_given_x()[x]),
+        "h_z_all": ("w", model.w_posterior_full()[u, x, y, v]),
     }
-    scored = {fam: (bits, gather) for fam, (bits, table, gather) in families.items() if np.any(table != 0.5)}
+    scored = {fam: (bits, table) for fam, (bits, table) in families.items() if np.any(table != 0.5)}
     chains = dict.fromkeys(bits for bits, _ in scored.values())
 
     sums = {fam: np.zeros(n) if fam in scored else np.full(n, float(total)) for fam in families}
@@ -251,15 +253,18 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
     # row 0 carries a running sum and rows 1.. a chunk's h: numpy's axis-0
     # sum adds rows in order, so every row is added in draw order
     block = np.empty((CHUNK_ROWS + 1, n))
-    scratch = np.empty((CHUNK_ROWS, n))
+    leaf, entropies, scratch = np.empty((3, CHUNK_ROWS * n))  # (n, rows) per chunk, the kernel's layout
     for lo in range(0, total, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, total - lo)
         blk = model.sample_blocks(rng, rows, n)
-        trees = {bits: known_path_tree(polar_transform(blk[bits])) for bits in chains}
+        cells = blk["cells"].T
+        trees = {bits: known_path_tree(blk[bits].T) for bits in chains}
+        ev, ent, tmp = (buf[: n * rows].reshape(n, rows) for buf in (leaf, entropies, scratch))
         h = block[1 : rows + 1]
-        for fam, (bits, gather) in scored.items():
-            conditionals = known_path_conditionals(gather(blk), trees[bits], workspace)
-            _binary_entropy_into(conditionals, h, scratch[:rows])
+        for fam, (bits, table) in scored.items():
+            np.take(table, cells, out=ev, mode="clip")  # every cell is in range; "clip" skips a buffered copy
+            _binary_entropy_into(known_path_conditionals(ev, trees[bits], workspace), ent, tmp)
+            h[...] = ent.T
             block[0] = sums[fam]
             np.add.reduce(block[: rows + 1], out=sums[fam])
             np.multiply(h, h, out=h)

@@ -56,10 +56,15 @@ Two drivers share f and g:
   up front, so each level of the recursion is one set of array operations
   over all of its sub-blocks, on rows taken in cache-sized chunks.  It
   serves :class:`SuccessiveCancellation`.  Its two steps,
-  :func:`known_path_tree` (the partial sums of the bits) and
-  :func:`known_path_conditionals` (the f/g levels on one tree), are public
-  so that the Monte-Carlo entropy profile can share one tree between the
-  families of evidence on the same bits.  The levels are computed in a
+  :func:`known_path_tree` (the partial sums, built top-down from the
+  codeword x = T(bits)) and :func:`known_path_conditionals` (the f/g
+  levels on one tree), are public so that the Monte-Carlo entropy profile
+  can build its trees straight from the sampled codewords, with no
+  transform, and share one tree between the families of evidence on the
+  same bits.  Both hold a chunk with its rows innermost: leaves and
+  conditionals are (n, rows), and level d of the tree and of the kernel is
+  (n >> d, 2**d, rows), so every half that f and g read or fill is one
+  contiguous slice.  The levels are computed in a
   :class:`KnownPathWorkspace`, whose arrays f and g fill through ``out=``;
   a caller that loops over chunks makes one and passes it to every call,
   and each result is a view into it, valid until the workspace's next
@@ -165,9 +170,10 @@ def _g(a, b, not_a, not_b, x_a, out=None, tmp=None):
     return _clip(np.divide(num, den, out=num))
 
 
-def _leaf_probabilities(leaf_p1, out=None) -> np.ndarray:
+def _leaf_probabilities(leaf_p1, out=None, axis=-1) -> np.ndarray:
+    """The leaves clipped to [1e-20, 1], along a power-of-2 ``axis``."""
     p1 = np.clip(np.asarray(leaf_p1, dtype=np.float64), _CLIP, 1.0 - _CLIP, out=out)
-    _require_power_of_two(p1.shape[-1])
+    _require_power_of_two(p1.shape[axis])
     return p1
 
 
@@ -255,84 +261,98 @@ def true_path_conditionals(leaf_p1: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
     leaf_p1, bits: arrays of shape (batch, n); returns the same shape.  The
     rows are evaluated in chunks of ``CHUNK_ROWS``, each by
-    :func:`known_path_conditionals` on its own :func:`known_path_tree`, in
-    one :class:`KnownPathWorkspace` for the call.
+    :func:`known_path_conditionals` on the :func:`known_path_tree` of its
+    codeword T(bits), in one :class:`KnownPathWorkspace` for the call.
     """
     p1 = np.asarray(leaf_p1, dtype=np.float64)
     _require_power_of_two(p1.shape[-1])
     bits = np.asarray(bits, dtype=np.uint8)
     if p1.shape != bits.shape:
         raise ValueError(f"shape mismatch: {p1.shape} vs {bits.shape}")
+    codeword = polar_transform(bits)  # T is its own inverse
     out = np.empty_like(p1)
     workspace = KnownPathWorkspace(min(CHUNK_ROWS, p1.shape[0]), p1.shape[1])
     for lo in range(0, p1.shape[0], CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
-        out[rows] = known_path_conditionals(p1[rows], known_path_tree(bits[rows]), workspace)
+        tree = known_path_tree(codeword[rows].T)
+        out[rows] = known_path_conditionals(p1[rows].T, tree, workspace).T
     return out
 
 
-def known_path_tree(bits: np.ndarray) -> list[np.ndarray]:
-    """The partial sums that :func:`known_path_conditionals` reads, for a
-    (rows, n) bit array.  Entry k holds the partial sums of the first half
-    of every sub-block of length 2**(k + 1), with shape (rows, 2**k,
-    n >> (k + 1)): the position inside the half runs slowest.  Families of
-    evidence on the same bits share one tree."""
-    rows, n = bits.shape
+def known_path_tree(codeword: np.ndarray) -> list[np.ndarray]:
+    """The partial sums that :func:`known_path_conditionals` reads, built
+    top-down from an (n, rows) codeword x = T(bits), a row per column.
+
+    Level d holds the codewords of the 2**d sub-blocks of length n >> d as
+    an (n >> d, 2**d, rows) array; entry d of the tree is x_a, the first
+    half XOR the second half of every sub-block, which is the codeword of
+    its first half of bits, as a C-contiguous (n >> (d + 1), 2**d, rows)
+    bool array.  The next level stacks x_a and the second halves, the
+    codewords of the two halves of bits.  Families of evidence on the same
+    bits share one tree."""
+    n, rows = codeword.shape
+    _require_power_of_two(n)
+    x = np.ascontiguousarray(codeword, dtype=bool).reshape(n, 1, rows)
     tree = []
-    x = bits.astype(bool).reshape(rows, 1, n)
-    while x.shape[2] > 1:
-        first, second = x[:, :, 0::2], x[:, :, 1::2]
-        tree.append(np.ascontiguousarray(first))
-        x = np.concatenate((first ^ second, second), axis=1)
+    while x.shape[0] > 1:
+        half = x.shape[0] // 2
+        x_a = x[:half] ^ x[half:]
+        tree.append(x_a)
+        x = np.stack((x_a, x[half:]), axis=2).reshape(half, 2 * x.shape[1], rows)
     return tree
 
 
 class KnownPathWorkspace:
     """The arrays :func:`known_path_conditionals` computes in, for up to
     ``rows`` rows of length ``n``: the level, its complements 1 - p, and
-    the f, g and scratch halves.  A level is read whole into f and g before
-    the next one overwrites it.  A caller that scores many chunks makes one
-    workspace and passes it to every call."""
+    the f, g and scratch halves.  Each is flat and shaped per call to the
+    call's rows, so every level of a chunk of fewer rows is contiguous too.
+    A level is read whole into f and g before the next one overwrites it.
+    A caller that scores many chunks makes one workspace and passes it to
+    every call."""
 
     def __init__(self, rows: int, n: int):
         _require_power_of_two(n)
         self.rows, self.n = rows, n
-        self.level = np.empty((rows, n))
-        self.not_p = np.empty((rows, n))
-        self.halves = np.empty((3, rows, n // 2))
+        self.level = np.empty(n * rows)
+        self.not_p = np.empty(n * rows)
+        self.halves = np.empty((3, n * rows // 2))
 
 
 def known_path_conditionals(
     leaf_p1: np.ndarray, tree: list[np.ndarray], workspace: KnownPathWorkspace | None = None
 ) -> np.ndarray:
-    """P(bit_j = 1 | true prefix, evidence) for (rows, n) leaf
-    probabilities along the bits whose :func:`known_path_tree` is ``tree``.
+    """P(bit_j = 1 | true prefix, evidence) for (n, rows) leaf
+    probabilities, a row per column, along the bits whose codeword's
+    :func:`known_path_tree` is ``tree``; the result is (n, rows) in natural
+    bit order.
 
-    Level-ordered: level d holds the 2**d sub-blocks of length n >> d as an
-    array of shape (rows, n >> d, 2**d), so the halves that f and g combine
-    are contiguous.  Every level is computed in ``workspace`` (a fresh one
-    when None), and the result is a view into it: it stays valid until the
-    workspace's next call.  A tree made from bits of another shape raises
-    ValueError.
+    Level-ordered with rows innermost: level d holds the 2**d sub-blocks of
+    length n >> d as an (n >> d, 2**d, rows) array, so each half that f and
+    g read, and each half they fill, is one contiguous slice.  Every level
+    is computed in ``workspace`` (a fresh one when None), and the result is
+    a view into it: it stays valid until the workspace's next call.  A tree
+    whose shapes do not fit the leaves raises ValueError.
     """
     leaf = np.asarray(leaf_p1, dtype=np.float64)
-    rows, n = leaf.shape
+    n, rows = leaf.shape
     _require_power_of_two(n)
-    need = [(rows, 2**k, n >> (k + 1)) for k in range(n.bit_length() - 1)]
+    need = [(n >> (d + 1), 2**d, rows) for d in range(n.bit_length() - 1)]
     got = [x_a.shape for x_a in tree]
     if got != need:
         raise ValueError(f"tree of shapes {got} does not fit leaves {leaf.shape}, which need {need}")
     ws = KnownPathWorkspace(rows, n) if workspace is None else workspace
     if rows > ws.rows or n != ws.n:
         raise ValueError(f"leaves {leaf.shape} do not fit a workspace of {ws.rows} rows of length {ws.n}")
-    level = _leaf_probabilities(leaf, out=ws.level[:rows])
-    p = level.reshape(rows, n, 1)
-    for x_a in reversed(tree):
-        half, width = p.shape[1] // 2, p.shape[2]
-        not_p = np.subtract(1.0, p, out=ws.not_p[:rows].reshape(p.shape))
-        halves = p[:, :half], p[:, half:], not_p[:, :half], not_p[:, half:]
-        f, g, tmp = (buf[:rows].reshape(rows, half, width) for buf in ws.halves)
+    size = n * rows
+    level = _leaf_probabilities(leaf, out=ws.level[:size].reshape(n, rows), axis=0)
+    p = level.reshape(n, 1, rows)
+    for x_a in tree:
+        half, width = x_a.shape[:2]
+        not_p = np.subtract(1.0, p, out=ws.not_p[:size].reshape(p.shape))
+        halves = p[:half], p[half:], not_p[:half], not_p[half:]
+        f, g, tmp = (buf[: size // 2].reshape(x_a.shape) for buf in ws.halves)
         f = _f(*halves, out=f, tmp=tmp)
         g = _g(*halves, x_a, out=g, tmp=tmp)  # stack what they return: a substitute may ignore out
-        p = np.stack((f, g), axis=-1, out=level.reshape(rows, half, width, 2)).reshape(rows, half, 2 * width)
+        p = np.stack((f, g), axis=2, out=level.reshape(half, width, 2, rows)).reshape(half, 2 * width, rows)
     return level

@@ -17,7 +17,8 @@ cells.  A pmf is checked once, where it is built: :class:`JointPMF` (a
 table with no given axes) and :class:`ConditionalPMF` pass one check,
 which also rejects a NaN or infinite entry.  The measures read numbers off
 a table and build no pmf.  One pair of helpers reads and writes the JSON,
-and :func:`iid_blocks` draws the i.i.d. blocks of every layer.
+and :func:`iid_blocks` draws the i.i.d. blocks of every layer, as the
+symbols of one :func:`iid_cells` draw of flat table cells.
 """
 
 from __future__ import annotations
@@ -43,12 +44,15 @@ __all__ = [
     "total_variation",
     "kl_divergence",
     "inverse_cdf",
+    "iid_cells",
+    "cell_symbols",
     "iid_blocks",
     "binary_entropy",
 ]
 
 CELL_CAP = 10**6
 NORMALIZATION_TOL = 1e-12
+_GUIDE_BUCKETS = 4096  # equal buckets of the guide table of a shared pmf
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -326,33 +330,61 @@ def kl_divergence(p: JointPMF, q: JointPMF) -> float:
 
 
 def inverse_cdf(pmf, uniforms):
-    """The cell of each uniform under the pmf on ``pmf``'s last axis.
+    """The cell of each uniform in [0, 1) under the pmf on ``pmf``'s last axis.
 
     Cell i holds the uniforms in [cdf[i-1], cdf[i]), the rule of
     ``np.searchsorted(cdf, u, side="right")``.  The CDF is 1 from the last
     cell with mass on, so the rounding slack of the sum goes to that cell
     and a zero-mass cell is never drawn.  ``pmf`` is either one pmf shared
-    by all uniforms (1-D, searched without a draws x cells array) or one pmf
-    per uniform, of shape ``uniforms.shape + (cells,)``.
+    by all uniforms (1-D) or one pmf per uniform, of shape
+    ``uniforms.shape + (cells,)``.
+
+    A shared pmf is searched through a guide table (Chen & Asau 1974): the
+    uniform u lies in bucket floor(u * 4096) of 4096 equal buckets, and
+    where no CDF value falls inside its bucket, the bucket's one cell is
+    read from the table.  The other uniforms, at most one bucket per CDF
+    value, fall back to ``searchsorted``, so every cell is the searched one
+    and no draws x cells array is built.
     """
     cdf = np.cumsum(pmf, axis=-1)
     cdf[cdf == cdf[..., -1:]] = 1.0
-    if cdf.ndim == 1:
-        return np.searchsorted(cdf, uniforms, side="right")
-    return (np.asarray(uniforms)[..., None] >= cdf).sum(axis=-1)
+    if cdf.ndim > 1:
+        return (np.asarray(uniforms)[..., None] >= cdf).sum(axis=-1)
+    # the cell of every uniform in bucket b is the cell of its left edge
+    # b / 4096, unless a CDF value lies inside the bucket: then it is -1
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    guide = np.where(first == np.searchsorted(cdf, edges[1:], side="left"), first, -1)
+    u = np.asarray(uniforms, dtype=np.float64)
+    flat = u.reshape(-1)
+    cells = guide[(flat * _GUIDE_BUCKETS).astype(np.intp)]  # u * 4096 is exact
+    split = np.flatnonzero(cells < 0)
+    cells[split] = np.searchsorted(cdf, flat[split], side="right")
+    return cells.reshape(u.shape)[()]
+
+
+def iid_cells(p: JointPMF, rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` i.i.d. blocks of length ``n`` drawn from ``p``, as a
+    (count, n) array of cells of ``p``'s flat table: one
+    ``rng.random((count, n))`` call through :func:`inverse_cdf`."""
+    return inverse_cdf(p.table.reshape(-1), rng.random((count, n)))
+
+
+def cell_symbols(p: JointPMF, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The symbols of flat cells of ``p``'s table: one array of ``cells``'s
+    shape per axis, in ``p``'s axis order, of the narrowest unsigned dtype
+    that holds the largest axis."""
+    dtype = np.min_scalar_type(max(a.size for a in p.axes) - 1)
+    # row i of ``symbols`` is the axis-i symbol of each flat cell
+    symbols = np.indices(p.table.shape, dtype=dtype).reshape(len(p.axes), -1)
+    return tuple(axis.take(cells) for axis in symbols)
 
 
 def iid_blocks(p: JointPMF, rng: np.random.Generator, count: int, n: int) -> tuple[np.ndarray, ...]:
     """``count`` i.i.d. blocks of length ``n`` drawn from ``p``: one
-    (count, n) symbol array per axis, in ``p``'s axis order.  The draw is
-    one ``rng.random((count, n))`` call through :func:`inverse_cdf` on the
-    flat table; symbols take the narrowest unsigned dtype that holds the
-    largest axis."""
-    draws = inverse_cdf(p.table.reshape(-1), rng.random((count, n)))
-    dtype = np.min_scalar_type(max(a.size for a in p.axes) - 1)
-    # row i of ``cells`` is the axis-i symbol of each flat cell
-    cells = np.indices(p.table.shape, dtype=dtype).reshape(len(p.axes), -1)
-    return tuple(axis.take(draws) for axis in cells)
+    (count, n) symbol array per axis, in ``p``'s axis order, the
+    :func:`cell_symbols` of one :func:`iid_cells` draw."""
+    return cell_symbols(p, iid_cells(p, rng, count, n))
 
 
 def binary_entropy(p) -> np.ndarray | float:

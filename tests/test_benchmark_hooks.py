@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from coordsim import cli, codec
+from coordsim import cli, codec, construction
 from coordsim.binning import RandomBinning
 from coordsim.bundled import chained_model
 from coordsim.codec import CommonRandomness
-from coordsim.construction import PolarizedEntropyProfile, SourceModel, load_index_cache
-from coordsim.polar import polar_transform, true_path_conditionals
+from coordsim.construction import PolarParams, PolarizedEntropyProfile, SourceModel, load_index_cache
+from coordsim.polar import CHUNK_ROWS, polar_transform, true_path_conditionals
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -106,3 +106,18 @@ def test_construct_op_passes_its_benchmark_check(tmp_path):
     report = cli.run("construct", cli.parse_config("construct", workload.config(0, tmp_path), PERFBENCH.parent))
     workloads._check_construct(report)
     assert workload.work(report) == workloads.CONSTRUCT_ROWS == 2048
+
+
+def test_profile_counts_read_the_code_that_runs():
+    # the tracer's construct counters on one profile run on chained: the
+    # trees are built from the sampled codewords, so no polar_transform
+    # call, and one sample_blocks call per chunk draws every row
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    rows = 2 * CHUNK_ROWS + 5
+    with tracing.traced(tracer):
+        construction.estimate_profile(chained_model(), PolarParams(n=64, mc_samples=rows), np.random.default_rng(0))
+    assert tracer.counts["construction.estimate_profile.calls"] == 1
+    assert tracer.counts["polar.polar_transform.calls"] == 0
+    assert tracer.counts["construction.sample_blocks.calls"] == 3
+    assert tracer.counts["construction.sample_blocks.rows"] == rows

@@ -21,7 +21,7 @@ from coordsim.binning import (
     sw_error_rate,
     verify_lemma_regimes,
 )
-from coordsim.probability import Alphabet, JointPMF, entropy, mutual_information
+from coordsim.probability import Alphabet, JointPMF, entropy, iid_blocks, mutual_information
 
 
 def _wide_a_joint():
@@ -277,6 +277,55 @@ def test_sw_error_rate_reads_axes_by_name():
         for order in ("AB", "BA")
     ]
     assert errs[0] == errs[1]
+
+
+def _full_table_sw_error_rate(binning, joint, rng, samples):
+    """The SW error rate from the whole samples x |A|^n table: each
+    sequence's log-likelihood summed left to right, -inf outside the
+    draw's bin by one full mask, and the first maximum decoded."""
+    size_a, n = binning.alphabet_size, binning.n
+    blocks = iid_blocks(joint, rng, samples, n)
+    a, b = blocks[joint.axis_index("A")], blocks[joint.axis_index("B")]
+    codes = np.ravel_multi_index(tuple(a.T), (size_a,) * n)
+    ll = _log_table(_ab_table(joint))
+    seqs = np.array(list(itertools.product(range(size_a), repeat=n)))
+    scores = ll[seqs[None, :, 0], b[:, None, 0]]
+    for t in range(1, n):
+        scores = scores + ll[seqs[None, :, t], b[:, None, t]]
+    scores[binning.assignment[None, :] != binning.assignment[codes][:, None]] = -np.inf
+    return int(np.count_nonzero(np.argmax(scores, axis=1) != codes)) / samples
+
+
+@pytest.mark.parametrize("chunk_cells", [binning_module.CHUNK_CELLS, 3 * 2**7])
+@pytest.mark.parametrize("case", ["dsbs n=12 rate 0.3", "dsbs n=12 rate 0.6", "ternary A n=7", "zero cell n=9"])
+def test_sw_error_rate_matches_the_full_table(monkeypatch, case, chunk_cells):
+    # the in-place scores and the mask applied a few draws at a time decode
+    # every draw as the full table does; the small chunk leaves a partial
+    # last one
+    monkeypatch.setattr(binning_module, "CHUNK_CELLS", chunk_cells)
+    zero_cell = np.array([[0.3, 0.0], [0.25, 0.45]])
+    joint, n, rate, size = {
+        "dsbs n=12 rate 0.3": (dsbs(0.1), 12, 0.3, 2),
+        "dsbs n=12 rate 0.6": (dsbs(0.1), 12, 0.6, 2),
+        "ternary A n=7": (_wide_a_joint(), 7, 0.5, 3),
+        "zero cell n=9": (_ab_joint(zero_cell, "BA"), 9, 0.4, 2),
+    }[case]
+    binning = RandomBinning.draw(n, rate, size, np.random.default_rng(1))
+    got = sw_error_rate(binning, joint, np.random.default_rng(2), 200)
+    assert got == _full_table_sw_error_rate(binning, joint, np.random.default_rng(2), 200)
+
+
+def test_sw_error_rate_holds_one_score_array():
+    # at n = 12 with 200 draws the peak is the samples x 2^12 float64 scores
+    # and no more than 512 KiB besides: no second score array, no full mask
+    binning = RandomBinning.draw(12, 0.3, 2, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        sw_error_rate(binning, dsbs(0.1), np.random.default_rng(2), 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**12 * 8 + (1 << 19)
 
 
 def test_extraction_identity_binning_closed_form():

@@ -253,6 +253,8 @@ def test_sample_blocks_chunked_draw_is_one_draw():
         parts = [model.sample_blocks(chunked, min(CHUNK_ROWS, count - lo), 16)
                  for lo in range(0, count, CHUNK_ROWS)]
         cells = inverse_cdf(joint.table.reshape(-1), ref.random((count, 16)))
+        assert np.array_equal(blocks["cells"], cells)
+        assert np.array_equal(np.concatenate([blocks["cells"][:0]] + [p["cells"] for p in parts]), cells)
         for name, axis in zip("uxwyv", np.unravel_index(cells, joint.table.shape)):
             assert blocks[name].dtype == np.uint8 and blocks[name].shape == (count, 16)
             assert np.array_equal(blocks[name], axis)
@@ -324,8 +326,8 @@ def test_profile_scores_a_half_family_in_closed_form(monkeypatch, model_name, ha
 def test_half_evidence_has_entropy_exactly_one():
     # the identity the closed form rests on: f(1/2, 1/2) = g(1/2, 1/2, x) = 1/2
     # and h(1/2) = 1 in float64, along any path
-    tree = known_path_tree(np.random.default_rng(5).integers(0, 2, (CHUNK_ROWS, 1024), dtype=np.uint8))
-    h = binary_entropy(known_path_conditionals(np.full((CHUNK_ROWS, 1024), 0.5), tree))
+    tree = known_path_tree(np.random.default_rng(5).integers(0, 2, (1024, CHUNK_ROWS), dtype=np.uint8))
+    h = binary_entropy(known_path_conditionals(np.full((1024, CHUNK_ROWS), 0.5), tree))
     assert np.all(h == 1.0)
 
 

@@ -176,7 +176,7 @@ def bitwise_sc(leaf, bits, known, decide):
     1) slices.  Fills ``bits`` in place; returns the probabilities."""
     seen = []
     for j in np.flatnonzero(~known):
-        p = known_path_conditionals(leaf, known_path_tree(bits))[:, j : j + 1]
+        p = known_path_conditionals(leaf.T, known_path_tree(polar_transform(bits).T)).T[:, j : j + 1]
         seen.append(p)
         bits[:, j : j + 1] = decide(p)
     return seen
@@ -398,22 +398,65 @@ def test_g_contradiction_cell(x_dtype):
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_known_path_conditionals_match_select_form(monkeypatch, n):
     rng = np.random.default_rng(n)
-    leaf = rng.choice([0.0, 1e-20, 0.5, 1.0, 0.3, 0.9], (CHUNK_ROWS, n))
-    leaf[::2] = rng.random((CHUNK_ROWS // 2, n))
-    tree = known_path_tree(rng.integers(0, 2, (CHUNK_ROWS, n), dtype=np.uint8))
+    leaf = rng.choice([0.0, 1e-20, 0.5, 1.0, 0.3, 0.9], (n, CHUNK_ROWS))
+    leaf[:, ::2] = rng.random((n, CHUNK_ROWS // 2))
+    tree = known_path_tree(rng.integers(0, 2, (n, CHUNK_ROWS), dtype=np.uint8))
     got = known_path_conditionals(leaf, tree)
     monkeypatch.setattr(polar, "_g", g_select)
     assert got.tobytes() == known_path_conditionals(leaf, tree).tobytes()
 
 
+def recursive_conditionals(leaf, bits):
+    """P(bit_j = 1 | bits before j, evidence) for (rows, n) leaves by the
+    textbook SC recursion on each sub-block, with the kernel's f and g: the
+    layout-free reference for the known-path kernel."""
+    n = leaf.shape[1]
+    if n == 1:
+        return np.maximum(leaf, 1e-20)
+    a, b = leaf[:, : n // 2], leaf[:, n // 2 :]
+    x_a = polar_transform(bits[:, : n // 2])
+    first = recursive_conditionals(polar._f(a, b, 1.0 - a, 1.0 - b), bits[:, : n // 2])
+    second = recursive_conditionals(polar._g(a, b, 1.0 - a, 1.0 - b, x_a), bits[:, n // 2 :])
+    return np.concatenate((first, second), axis=1)
+
+
+@pytest.mark.parametrize("n", [2**m for m in range(11)])
+def test_kernel_on_the_codeword_tree_matches_bitwise_sc(n):
+    # the (n, rows) kernel on the tree of the codeword T(bits) gives, bit
+    # for bit, the transposed conditionals that bitwise SC sees when it
+    # replays the same bits one at a time, and those of the recursion
+    rng = np.random.default_rng(n)
+    rows = 3
+    leaf = rng.choice([0.0, 1e-20, 0.5, 1.0, 0.3, 0.9], (rows, n))
+    leaf[::2] = rng.random((2, n))
+    bits = rng.integers(0, 2, (rows, n), dtype=np.uint8)
+    got = known_path_conditionals(leaf.T, known_path_tree(polar_transform(bits).T))
+    assert got.shape == (n, rows) and got.flags.c_contiguous
+    columns = iter(bits.T)
+    replayed = np.zeros_like(bits)
+    seen = bitwise_sc(leaf, replayed, np.zeros(n, dtype=bool), lambda p: next(columns)[:, None])
+    assert np.array_equal(replayed, bits)
+    assert got.tobytes() == np.concatenate(seen, axis=1).T.tobytes()
+    assert got.tobytes() == np.ascontiguousarray(recursive_conditionals(np.clip(leaf, 1e-20, 1.0), bits).T).tobytes()
+
+
+def test_known_path_tree_is_contiguous_bool_from_any_codeword_layout():
+    # a column-major codeword (the transpose of sampled rows) still gives a
+    # C-contiguous bool tree
+    x = np.random.default_rng(7).integers(0, 2, (CHUNK_ROWS, 64), dtype=np.uint8)
+    tree = known_path_tree(x.T)
+    assert all(x_a.dtype == bool and x_a.flags.c_contiguous for x_a in tree)
+    assert [x_a.tobytes() for x_a in tree] == [x_a.tobytes() for x_a in known_path_tree(np.ascontiguousarray(x.T))]
+
+
 def test_known_path_conditionals_rejects_a_mismatched_tree():
     rng = np.random.default_rng(5)
-    one_row = known_path_tree(rng.integers(0, 2, (1, 8), dtype=np.uint8))
-    with pytest.raises(ValueError, match=re.escape("(1, 1, 4)") + ".*" + re.escape("(3, 8)")):
-        known_path_conditionals(np.full((3, 8), 0.3), one_row)  # would broadcast one row's bits
-    longer = known_path_tree(rng.integers(0, 2, (3, 16), dtype=np.uint8))
-    with pytest.raises(ValueError, match=re.escape("(3, 1, 8)") + ".*" + re.escape("(3, 8)")):
-        known_path_conditionals(np.full((3, 8), 0.3), longer)
+    one_row = known_path_tree(polar_transform(rng.integers(0, 2, (1, 8), dtype=np.uint8)).T)
+    with pytest.raises(ValueError, match=re.escape("(4, 1, 1)") + ".*" + re.escape("(8, 3)")):
+        known_path_conditionals(np.full((8, 3), 0.3), one_row)  # would broadcast one row's bits
+    longer = known_path_tree(polar_transform(rng.integers(0, 2, (3, 16), dtype=np.uint8)).T)
+    with pytest.raises(ValueError, match=re.escape("(8, 1, 3)") + ".*" + re.escape("(8, 3)")):
+        known_path_conditionals(np.full((8, 3), 0.3), longer)
 
 
 def test_workspace_reuse_matches_fresh_calls():
@@ -423,20 +466,22 @@ def test_workspace_reuse_matches_fresh_calls():
     n = 64
     workspace = KnownPathWorkspace(CHUNK_ROWS, n)
     for rows in (CHUNK_ROWS, 5, CHUNK_ROWS):
-        leaf = rng.random((rows, n))
-        tree = known_path_tree(rng.integers(0, 2, (rows, n), dtype=np.uint8))
+        leaf = rng.random((n, rows))
+        tree = known_path_tree(polar_transform(rng.integers(0, 2, (rows, n), dtype=np.uint8)).T)
         got = known_path_conditionals(leaf, tree, workspace)
         assert got.tobytes() == known_path_conditionals(leaf, tree).tobytes()
     with pytest.raises(ValueError, match="workspace"):
-        known_path_conditionals(rng.random((CHUNK_ROWS + 1, n)),
-                                known_path_tree(np.zeros((CHUNK_ROWS + 1, n), np.uint8)), workspace)
+        known_path_conditionals(rng.random((n, CHUNK_ROWS + 1)),
+                                known_path_tree(polar_transform(np.zeros((CHUNK_ROWS + 1, n), np.uint8)).T),
+                                workspace)
 
     # the batched driver reuses one workspace across chunks; no chunk's
     # result is overwritten by the next
     rows = 2 * CHUNK_ROWS + 5
     leaf = rng.random((rows, n))
     bits = rng.integers(0, 2, (rows, n), dtype=np.uint8)
-    chunks = [known_path_conditionals(leaf[lo : lo + CHUNK_ROWS], known_path_tree(bits[lo : lo + CHUNK_ROWS]))
+    chunks = [known_path_conditionals(leaf[lo : lo + CHUNK_ROWS].T,
+                                      known_path_tree(polar_transform(bits[lo : lo + CHUNK_ROWS]).T)).T
               for lo in range(0, rows, CHUNK_ROWS)]
     assert true_path_conditionals(leaf, bits).tobytes() == np.concatenate(chunks).tobytes()
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordsim import probability
+from coordsim.bundled import chained_model
 from coordsim.probability import (
     CELL_CAP,
     Alphabet,
@@ -338,6 +339,41 @@ def test_inverse_cdf_never_draws_a_zero_mass_cell_at_the_ends():
     top = np.nextafter(1.0, 0.0)
     assert inverse_cdf(pmf, top) == 9
     assert inverse_cdf(np.stack([pmf, pmf]), np.array([top, 0.0])).tolist() == [9, 0]
+
+
+def guide_pmfs():
+    """Shared pmfs for the guide-table path, by name: a zero run ends on a
+    bucket edge (0.5) or inside a bucket (0.50001); 70000 cells put CDF
+    values in every bucket, 4096 equal cells put one on every edge."""
+    gap = np.zeros(1000)
+    return {
+        "chained": chained_model().single_letter_joint().table.reshape(-1),
+        "one cell": np.array([1.0]),
+        "leading zeros": np.array([0.0, 0.0, 1.0]),
+        "zero run to an edge": np.concatenate([[0.5], gap, [0.5]]),
+        "zero run off an edge": np.concatenate([[0.50001], gap, [0.49999]]),
+        "70000 cells": np.random.default_rng(30).dirichlet(np.ones(70000)),
+        "4096 equal cells": np.full(4096, 1 / 4096),
+    }
+
+
+@pytest.mark.parametrize("name", list(guide_pmfs()))
+def test_inverse_cdf_guide_table_matches_searchsorted_right(name):
+    pmf = guide_pmfs()[name]
+    cdf = cdf_of(pmf)
+    inner = cdf[cdf < 1.0]
+    u = np.concatenate([
+        np.random.default_rng(31).random(5000),
+        inner, np.nextafter(inner, 0.0),  # on and just below each CDF value
+        np.arange(4096) / 4096,  # every bucket edge
+        [0.0, 1.0 - 2.0**-53],
+    ])
+    assert np.array_equal(inverse_cdf(pmf, u), np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(inverse_cdf(pmf, u.reshape(-1, 1)), np.searchsorted(cdf, u, side="right")[:, None])
+    for x in (0.0, 0.5, 0.50001, 1.0 - 2.0**-53):
+        got = inverse_cdf(pmf, x)
+        assert np.ndim(got) == 0 and got == np.searchsorted(cdf, x, side="right")
+    assert inverse_cdf(pmf, np.array([])).shape == (0,)
 
 
 def test_iid_blocks_are_the_unraveled_cells_of_one_draw():
