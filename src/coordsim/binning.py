@@ -46,6 +46,8 @@ __all__ = [
 
 ENUMERATION_CELL_CAP = 1 << 24  # max cells of one array an exact oracle allocates
 CHUNK_CELLS = 1 << 18  # cells of one streamed extraction chunk (2 MiB of float64)
+SW_SAMPLES = 200  # source draws per SW binning, by default
+LEMMAS = ("sw", "extraction")  # the primitives a sweep can check
 
 
 def _check_cells(what: str, base: int, n: int, factor: int = 1) -> int:
@@ -129,7 +131,7 @@ def sw_error_rate(
     binning: RandomBinning,
     joint: JointPMF,
     rng: np.random.Generator,
-    samples: int = 200,
+    samples: int = SW_SAMPLES,
 ) -> float:
     """Empirical P{decoded != true} over i.i.d. draws."""
     size_a, n = binning.alphabet_size, binning.n
@@ -163,9 +165,10 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     contracted in chunks of at most ``CHUNK_CELLS // max(|A|, |B|)^n``
     columns (at least one), and each chunk's share of the KL sum is added
     to a running total in chunk order.  That costs O(n |A| |B|^n m) time
-    (O(n |B| |A|^n m) when |A| > |B|), never builds the |A|^n x |B|^n pair
-    table, and holds at most a few arrays of one chunk's size, whatever the
-    bin count.
+    (O(n |B| |A|^n m) when |A| > |B|) and never builds the |A|^n x |B|^n
+    pair table.  Besides a few arrays of one chunk's size, whatever the bin
+    count, it holds the |B|^n sort order of the states by bin and the |A|^n
+    reference P_{A^n} / bins.
     """
     if n != binning.n:
         raise ValueError("n must match the binning")
@@ -180,20 +183,19 @@ def extraction_kl(binning: RandomBinning, joint: JointPMF, n: int) -> float:
     states_a, states_b = size_a**n, size_b**n
     bins = binning.num_bins
     ref = _kronecker(np.multiply, np.broadcast_to(table.sum(axis=1), (n, size_a)))[:, None] / bins
-    # the states sorted by bin, and the occupied bins numbered in that order:
-    # an empty bin adds nothing to the sum, and a chunk's rows are one slice
+    # the states sorted by bin: an empty bin adds nothing to the sum, and the
+    # states of occupied bin j are order[edges[j]:edges[j + 1]]
     order = np.argsort(binning.assignment, kind="stable")
-    first = binning.assignment[order[0]]
-    cols = np.cumsum(np.diff(binning.assignment[order], prepend=first) != 0)
-    occupied = int(cols[-1]) + 1
-    starts = range(0, occupied, chunk)
-    edges = np.searchsorted(cols, [*starts, occupied])
+    labels = binning.assignment[order]
+    edges = np.concatenate(([0], np.flatnonzero(labels[1:] != labels[:-1]) + 1, [states_b]))
+    del labels  # only the sort order is held while the chunks are contracted
+    occupied = len(edges) - 1
     total = 0.0
-    for i, lo in enumerate(starts):
-        rows = slice(edges[i], edges[i + 1])
+    for lo in range(0, occupied, chunk):
         width = min(chunk, occupied - lo)
         cur = np.zeros((states_b, width))
-        cur[order[rows], cols[rows] - lo] = 1.0
+        bounds = edges[lo : lo + width + 1]
+        cur[order[bounds[0] : bounds[-1]], np.repeat(np.arange(width), np.diff(bounds))] = 1.0
         for t in range(n):
             cur = np.matmul(table, cur.reshape(size_a**t, size_b, -1))
         cur = cur.reshape(states_a, width)
@@ -256,8 +258,8 @@ def verify_lemma_regimes(
     rates,
     replicates: int,
     rng: np.random.Generator,
-    samples: int = 200,
-    lemmas: tuple[str, ...] = ("sw", "extraction"),
+    samples: int = SW_SAMPLES,
+    lemmas: tuple[str, ...] = LEMMAS,
 ) -> list[BinningTrialStats]:
     """Sweep the requested primitives over blocklengths and rates.
 

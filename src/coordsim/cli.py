@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled
-from .binning import ENUMERATION_CELL_CAP, check_sweep, verify_lemma_regimes
+from .binning import ENUMERATION_CELL_CAP, LEMMAS, SW_SAMPLES, check_sweep, verify_lemma_regimes
 from .codec import TrialResult, run_trials
 from .construction import (
     PolarParams,
@@ -46,6 +46,8 @@ from .construction import (
 )
 from .probability import JointPMF
 from .region import (
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
     CoordinationTarget,
     EmptyWindow,
     binning_rate_ledger,
@@ -69,8 +71,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config schemas
 
-# key: (types, default) or (types, default, least value); a default of None
-# marks a required key unless None is one of the types
+# key: (types, default) or (types, default, least value); a default of None marks a
+# required key unless None is one of the types; a default the library has is read from it
 _COMMON = {
     "schema_version": (int, SCHEMA_VERSION),
     "model": ((str, dict), None),
@@ -82,8 +84,8 @@ _SCHEMAS: dict[str, dict] = {
     "region": {
         **_COMMON,
         "w_size": ((int, type(None)), None, 1),
-        "restarts": (int, 32, 1),
-        "tol": (float, 1e-6),
+        "restarts": (int, DEFAULT_RESTARTS, 1),
+        "tol": (float, DEFAULT_TOL),
     },
     "construct": {
         **_COMMON,
@@ -102,8 +104,8 @@ _SCHEMAS: dict[str, dict] = {
         "n_list": (list, [4, 8, 12]),
         "rates": (list, [0.3, 0.8]),
         "replicates": (int, 100, 1),
-        "samples": (int, 200, 1),
-        "lemmas": (list, ["sw", "extraction"]),
+        "samples": (int, SW_SAMPLES, 1),
+        "lemmas": (list, list(LEMMAS)),
     },
     "plotdata": {
         "schema_version": (int, SCHEMA_VERSION),
@@ -115,8 +117,8 @@ _SCHEMAS: dict[str, dict] = {
 
 _PARAMS_SCHEMA = {
     "n": (int, None),
-    "beta": (float, 0.25),
-    "mc_samples": (int, 20000, 1),
+    "beta": (float, PolarParams.beta),
+    "mc_samples": (int, PolarParams.mc_samples, 1),
 }
 
 
@@ -202,8 +204,8 @@ def _check_binning_sweep(cfg):
     if not cfg["lemmas"]:
         raise ConfigError("/lemmas", "lemma list must be nonempty")
     for i, lemma in enumerate(cfg["lemmas"]):
-        if lemma not in ("sw", "extraction"):
-            raise ConfigError(f"/lemmas/{i}", f"lemmas are 'sw' and 'extraction', got {lemma!r}")
+        if lemma not in LEMMAS:
+            raise ConfigError(f"/lemmas/{i}", f"lemmas are {' and '.join(map(repr, LEMMAS))}, got {lemma!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,6 @@ def _run_simulate(cfg) -> dict:
         profile, sets = _profile_and_sets(cfg, model)
     seeds = [cfg["seed"] + t for t in range(cfg["trials"])]
     results = _parallel_map(functools.partial(run_trials, model, sets, cfg["k"]), seeds, workers)
-    results.sort(key=lambda r: r.seed)
 
     rows = [r.csv_row() for r in results]
     metrics = TrialResult.CSV_FIELDS[3:]

@@ -145,9 +145,17 @@ class BlockTranscript:
         return polar_transform(self.z)
 
 
-def _stacked(crs: list[CommonRandomness]) -> tuple[np.ndarray, ...]:
-    """c, c_prime, c_bar, keys_s, keys_z of one trial per row."""
-    return tuple(np.stack([getattr(cr, f.name) for cr in crs]) for f in fields(CommonRandomness))
+def _frozen_frame(sets: PolarIndexSets, crs: list[CommonRandomness]):
+    """The frozen fills that encoder and decoder share, for one trial per
+    row: s and z of shape (trials, k, n), zero except for c on a1, c_bar
+    on bp1 and c_prime on b1 minus bp1 in every block, and the pad keys
+    keys_s and keys_z."""
+    c, c_prime, c_bar, keys_s, keys_z = (np.stack([getattr(cr, f.name) for cr in crs]) for f in fields(crs[0]))
+    s, z = (np.zeros((len(crs), c.shape[1], sets.n), dtype=np.uint8) for _ in range(2))
+    s[:, :, sets.a1] = c
+    z[:, :, sets.bp1] = c_bar[:, None]
+    z[:, :, np.setdiff1d(sets.b1, sets.bp1)] = c_prime
+    return s, z, keys_s, keys_z
 
 
 def _known(n: int, *index_sets: np.ndarray) -> np.ndarray:
@@ -185,17 +193,13 @@ def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs
     x, w, each of shape (trials, k, n).
     """
     trials, k, n = u_blocks.shape[0], u_blocks.shape[1] - 1, sets.n
-    c, c_prime, c_bar, keys_s, keys_z = _stacked(crs)
-    b1_rest = np.setdiff1d(sets.b1, sets.bp1)
     s_known, z_known = _known(n, sets.a1, sets.a2), _known(n, sets.b1)
     s_draws, z_draws = n - int(s_known.sum()), n - int(z_known.sum())
     leaf_prior = np.full((trials, n), float(model.x_prior.table[1]))
     wxu = model.w_given_xu()
 
-    s, z, x, w = (np.zeros((trials, k, n), dtype=np.uint8) for _ in range(4))
-    s[:, :, sets.a1] = c
-    z[:, :, sets.bp1] = c_bar[:, None]
-    z[:, :, b1_rest] = c_prime
+    s, z, keys_s, keys_z = _frozen_frame(sets, crs)
+    x, w = np.zeros_like(s), np.zeros_like(z)
     for i in range(k):
         s_i, z_i = s[:, i], z[:, i]
         local = sets.a2 if i == 0 else sets.ap2
@@ -215,18 +219,14 @@ def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, mo
     the side-channel payloads, one row per trial.  Returns s_hat, z_hat,
     x_hat, w_hat and v, each of shape (trials, k, n).
     """
-    trials, k, n = y_blocks.shape
-    c, c_prime, c_bar, keys_s, keys_z = _stacked(crs)
-    b1_rest = np.setdiff1d(sets.b1, sets.bp1)
+    _, k, n = y_blocks.shape
     s_known, z_known = _known(n, sets.a1, sets.a3), _known(n, sets.b1, sets.b3)
     xpost = model.x_posterior_given_y()
     wx = model.w_given_x()
     v_rule = model.v_rule.aligned_table(("W", "Y"))
 
-    s_hat, z_hat, x_hat, w_hat, v = (np.zeros((trials, k, n), dtype=np.uint8) for _ in range(5))
-    s_hat[:, :, sets.a1] = c
-    z_hat[:, :, sets.bp1] = c_bar[:, None]
-    z_hat[:, :, b1_rest] = c_prime
+    s_hat, z_hat, keys_s, keys_z = _frozen_frame(sets, crs)
+    x_hat, w_hat, v = (np.zeros_like(s_hat) for _ in range(3))
     s_hat[:, -1, sets.a3] = s_last_a3
     z_hat[:, -1, sets.b3] = z_last_b3
     for i in range(k - 1, -1, -1):

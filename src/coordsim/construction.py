@@ -28,7 +28,7 @@ import numpy as np
 
 from .polar import CHUNK_ROWS, KnownPathWorkspace, known_path_conditionals, known_path_tree
 from .probability import ConditionalPMF, JointPMF, cell_symbols, condition, iid_cells, marginalize
-from .region import AXES_UXYV, AuxiliaryDecomposition, CoordinationTarget, check_source_axes, witness_joint
+from .region import AXES_UXYV, AuxiliaryDecomposition, CoordinationTarget, LawJSON, check_source_axes, witness_joint
 
 __all__ = [
     "PolarParams",
@@ -77,7 +77,8 @@ class PolarParams:
         return 2.0 ** (-(self.n**self.beta))
 
 
-class SourceModel:
+@dataclass(frozen=True)
+class SourceModel(LawJSON):
     """A coordination target plus the witness that induces it: the
     single-letter law P_U P_X P_{Y|X} P_{W|UX} P_{V|WY}, with binary X and
     W for the polar codec and at most 256 symbols on every axis.
@@ -86,7 +87,7 @@ class SourceModel:
     P_{V|WY}) the :attr:`witness`; the polar scheme runs on the whole law.
     """
 
-    # the JSON keys in order, each an attribute and constructor argument of its pmf type
+    # the JSON keys in order, each a field of its pmf type
     JSON_FIELDS = {
         "u_prior": JointPMF,
         "x_prior": JointPMF,
@@ -95,29 +96,24 @@ class SourceModel:
         "v_rule": ConditionalPMF,
     }
 
-    def __init__(
-        self,
-        u_prior: JointPMF,
-        x_prior: JointPMF,
-        channel: ConditionalPMF,
-        w_rule: ConditionalPMF,
-        v_rule: ConditionalPMF,
-    ):
-        check_source_axes(u_prior, x_prior, channel)
-        AuxiliaryDecomposition(2, w_rule, v_rule)  # W|UX with binary W, V|WY
-        if x_prior.axes[0].size != 2:
+    u_prior: JointPMF
+    x_prior: JointPMF
+    channel: ConditionalPMF
+    w_rule: ConditionalPMF
+    v_rule: ConditionalPMF
+
+    def __post_init__(self):
+        check_source_axes(self.u_prior, self.x_prior, self.channel)
+        AuxiliaryDecomposition(2, self.w_rule, self.v_rule)  # W|UX with binary W, V|WY
+        if self.x_prior.axes[0].size != 2:
             raise ValueError("X must be binary")
-        self.u_prior = u_prior
-        self.x_prior = x_prior
-        self.channel = channel
-        self.w_rule = w_rule
-        self.v_rule = v_rule
         # composing checks that the factors agree on every shared axis size
-        self._joint = witness_joint(u_prior, x_prior, channel, w_rule, v_rule)
+        joint = witness_joint(self.u_prior, self.x_prior, self.channel, self.w_rule, self.v_rule)
         # the codec holds blocks as uint8, so a wider axis would wrap modulo 256
-        for axis in self._joint.axes:
+        for axis in joint.axes:
             if axis.size > 256:
                 raise ValueError(f"axis {axis.name!r} has {axis.size} symbols; a source model allows at most 256")
+        object.__setattr__(self, "_joint", joint)
 
     def single_letter_joint(self) -> JointPMF:
         """The i.i.d. per-symbol joint over (U, X, W, Y, V)."""
@@ -168,13 +164,6 @@ class SourceModel:
         joint = self.single_letter_joint()
         cells = iid_cells(joint, rng, count, n)
         return dict(zip("uxwyv", cell_symbols(joint, cells)), cells=cells)
-
-    def to_json_dict(self) -> dict:
-        return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SourceModel":
-        return cls(**{key: kind.from_json_dict(d[key]) for key, kind in cls.JSON_FIELDS.items()})
 
 
 @dataclass(frozen=True)
@@ -235,7 +224,8 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
     sums are the row count without a kernel call.
     """
     n, total = params.n, params.mc_samples
-    u, x, _, y, v = np.indices(model.single_letter_joint().table.shape).reshape(5, -1)
+    joint = model.single_letter_joint()
+    u, x, _, y, v = cell_symbols(joint, np.arange(joint.table.size))
     # each family's chain and its leaf evidence at every cell of the joint
     families = {
         "h_s": ("x", np.full(u.shape, float(model.x_prior.table[1]))),

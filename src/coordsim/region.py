@@ -56,6 +56,7 @@ __all__ = [
 AXES_UXYV = ("U", "X", "Y", "V")
 
 DEFAULT_TOL = 1e-6
+DEFAULT_RESTARTS = 32
 INFO_SLACK_TOL = 1e-9  # closure of the region
 
 
@@ -81,8 +82,20 @@ def check_source_axes(p_u: JointPMF, p_x: JointPMF, channel: ConditionalPMF):
         raise ValueError("channel must be Y|X")
 
 
+class LawJSON:
+    """The JSON round trip of a law type: ``JSON_FIELDS`` maps each JSON
+    key, in order, to the field of that name and the pmf type it holds."""
+
+    def to_json_dict(self) -> dict:
+        return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        return cls(**{key: kind.from_json_dict(d[key]) for key, kind in cls.JSON_FIELDS.items()})
+
+
 @dataclass(frozen=True)
-class CoordinationTarget:
+class CoordinationTarget(LawJSON):
     """The coordination problem (P_U, P_X, P_{Y|X}, P_{V|UXY})."""
 
     # the JSON keys in order, each a field of its pmf type
@@ -104,13 +117,6 @@ class CoordinationTarget:
     def joint(self) -> JointPMF:
         """The target joint over (U, X, Y, V), composed once at construction."""
         return self._joint
-
-    def to_json_dict(self) -> dict:
-        return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CoordinationTarget":
-        return cls(**{key: kind.from_json_dict(d[key]) for key, kind in cls.JSON_FIELDS.items()})
 
 
 def cardinality_bound(target: CoordinationTarget) -> int:
@@ -392,7 +398,7 @@ def least_squares(target: CoordinationTarget, q, r):
 def search_auxiliary(
     target: CoordinationTarget,
     w_size: int,
-    restarts: int = 32,
+    restarts: int = DEFAULT_RESTARTS,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> RegionVerdict:

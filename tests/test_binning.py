@@ -409,6 +409,20 @@ def test_extraction_memory_bounded_by_chunk():
     assert peak < 8 << 20
 
 
+def test_extraction_memory_holds_no_per_state_bin_numbers():
+    # n = 18, rate 0.2: 16 bins, one column per chunk; besides the chunk the KL
+    # holds only the sort order and the reference, 2 MiB each
+    binning = RandomBinning.draw(18, 0.2, 2, np.random.default_rng(18))
+    joint = dsbs(0.1)
+    tracemalloc.start()
+    try:
+        extraction_kl(binning, joint, 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 << 20
+
+
 # -- sweep -------------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -31,6 +33,29 @@ def test_parse_config_fills_defaults():
     assert cfg["params"]["mc_samples"] == 20000
     assert cfg["trials"] == 1
     assert cfg["seed"] == 0
+
+
+def test_parse_config_defaults_are_the_library_defaults():
+    # the run defaults have one owner each, in the library; a default changed
+    # on one side alone fails here
+    from coordsim.binning import sw_error_rate, verify_lemma_regimes
+    from coordsim.construction import PolarParams
+    from coordsim.region import search_auxiliary
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    fields = {f.name: f.default for f in dataclasses.fields(PolarParams)}
+    params = parse_config("construct", {"model": "bundled:bsc", "params": {"n": 64}})["params"]
+    assert (params["beta"], params["mc_samples"]) == (fields["beta"], fields["mc_samples"])
+    cfg = parse_config("region", {"model": "bundled:bsc"})
+    assert (cfg["restarts"], cfg["tol"]) == (default(search_auxiliary, "restarts"), default(search_auxiliary, "tol"))
+    cfg = parse_config("verify-binning", {"model": "bundled:bsc"})
+    assert cfg["samples"] == default(sw_error_rate, "samples") == default(verify_lemma_regimes, "samples")
+    lemmas = default(verify_lemma_regimes, "lemmas")
+    assert cfg["lemmas"] == list(lemmas)  # echoed as a JSON list
+    with pytest.raises(ConfigError, match="^/lemmas/1: "):
+        parse_config("verify-binning", {"model": "bundled:bsc", "lemmas": [lemmas[0], "slepian-wolf"]})
 
 
 def test_parse_config_rejects_non_power_of_two():
@@ -320,6 +345,20 @@ def test_region_cli_planted_target(tmp_path, capsys):
     assert "rate_ledger" in report
     out = capsys.readouterr().out
     assert "R0 lower bound" in out
+
+
+def test_region_benchmark_op_pinned(tmp_path):
+    # one region op of the benchmark: the digest pins the verdict, the rate
+    # ledger and the echoed config with its defaults (the output path aside)
+    doc = {"model": "bundled:planted-target", "seed": 0}
+    report = cli.run("region", parse_config("region", doc, tmp_path))
+    pinned = {
+        "region_verdict": report["region_verdict"],
+        "rate_ledger": report["rate_ledger"],
+        "config": {k: v for k, v in report["config"].items() if k != "out"},
+    }
+    got = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+    assert got == "75de969a9dd6ae0f3073ce6231f0633dea1977b7787b76155cf03b9bb826d660"
 
 
 def test_region_cli_w_sweep_stops_at_first_feasible(tmp_path):
