@@ -134,6 +134,8 @@ def sw_error_rate(
     samples: int = SW_SAMPLES,
 ) -> float:
     """Empirical P{decoded != true} over i.i.d. draws."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     size_a, n = binning.alphabet_size, binning.n
     # the score and out-of-bin arrays are samples x |A|^n
     _check_cells("SW decoding", size_a, n, samples)
@@ -268,6 +270,8 @@ def verify_lemma_regimes(
     source draws shared across rates at fixed n and replicate), and the
     exact extraction KL of ``replicates`` binnings of B, averaged.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     results = []
     size_a, size_b = _ab_table(joint).shape
     anchor = int(rng.integers(0, 2**62))

@@ -8,11 +8,12 @@ into one long-format CSV).
 
 Every run writes a ``report.json`` that starts with ``schema_version``,
 ``subcommand`` and ``config``, plus the subcommand's CSV, into the output
-directory.  Configs are strict JSON: unknown keys are rejected with a
-JSON-pointer path.  Models are given inline, as a path to a model JSON, or
-as one of the bundled source models (``bundled:bsc``,
+directory.  Configs and inline models are strict JSON: unknown keys are
+rejected with a JSON-pointer path.  Models are given inline, as a path to a
+model JSON, or as one of the bundled source models (``bundled:bsc``,
 ``bundled:bsc-noiseless``, ``bundled:chained``, ``bundled:planted-target``);
-``region`` reads a bundled model through its target view.
+``region`` reads a source model, bundled or a document, through its target
+view.
 The worker pool for simulation trials is capped by COORDSIM_THREADS; each
 worker runs one contiguous chunk of the seeds in lockstep.
 """
@@ -44,7 +45,7 @@ from .construction import (
     rate_report,
     save_index_cache,
 )
-from .probability import JointPMF
+from .probability import JointPMF, UnknownKeyError
 from .region import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
@@ -233,6 +234,8 @@ def _load(cfg, parse, what: str):
     try:
         return parse(model if path is None else json.loads(path.read_text()))
     except (KeyError, TypeError, ValueError, OSError) as err:
+        if isinstance(err, UnknownKeyError) and path is None:
+            raise ConfigError("/model/" + "/".join(err.path), "unknown key") from None
         source = what if path is None else f"{what} file {path}"
         raise ConfigError("/model", f"invalid {source}: {err}") from None
 
@@ -242,8 +245,13 @@ def _source_model(cfg) -> SourceModel:
 
 
 def _target(cfg) -> CoordinationTarget:
-    """A bundled model's target view, or an inline or file target."""
-    model = _load(cfg, CoordinationTarget.from_json_dict, "coordination target")
+    """An inline or file target, or the target view of a bundled, inline or
+    file source model; a document with a ``u_prior`` key is a source model."""
+
+    def parse(doc):
+        return (SourceModel if "u_prior" in doc else CoordinationTarget).from_json_dict(doc)
+
+    model = _load(cfg, parse, "coordination target or source model")
     return model.target if isinstance(model, SourceModel) else model
 
 

@@ -19,13 +19,13 @@ the already-decoded block i+1, the rest by hard successive-cancellation
 decisions, and the action V is sampled symbol by symbol from the action
 rule applied to the reconstructed auxiliary and the channel output.
 
-:func:`run_trials` runs the trials of several seeds in lockstep: each
-successive-cancellation pass covers the same block of every trial at once,
-while each trial keeps its own generators, consumed in the order of a
-one-trial run, so a trial's result does not depend on its batch.
-:func:`run_end_to_end`, :func:`encode` and :func:`decode` are one-trial
-views of the same code.  A :class:`BlockTranscript` stores s and z and
-derives x and w as their transforms.
+:func:`decode` and :func:`run_trials` run the trials of several seeds in
+lockstep: each successive-cancellation pass covers the same block of every
+trial at once, while each trial keeps its own generators, consumed in the
+order of a one-trial run, so a trial's result does not depend on its batch.
+:func:`run_end_to_end` and :func:`encode` are one-trial views of the same
+code.  A :class:`BlockTranscript` stores s and z and derives x and w as
+their transforms.
 
 Coordination statistics pair the source block of index i-1 with the signal
 block i: that tuple follows the single-letter model when the scheme works,
@@ -48,9 +48,7 @@ from .probability import Alphabet, JointPMF, iid_blocks, inverse_cdf, marginaliz
 __all__ = [
     "CommonRandomness",
     "BlockTranscript",
-    "SideChannelPayload",
     "EncodedBlock",
-    "DecodedBlock",
     "TrialResult",
     "one_time_pad",
     "encode",
@@ -98,28 +96,11 @@ class CommonRandomness:
 
 
 @dataclass(frozen=True)
-class SideChannelPayload:
-    """Final-block chained bits delivered over the lossless side channel."""
-
-    s_last_a3: np.ndarray
-    z_last_b3: np.ndarray
-
-
-@dataclass(frozen=True)
 class EncodedBlock:
     s: np.ndarray
     z: np.ndarray
     x: np.ndarray
     w: np.ndarray
-
-
-@dataclass(frozen=True)
-class DecodedBlock:
-    s_hat: np.ndarray
-    z_hat: np.ndarray
-    x_hat: np.ndarray
-    w_hat: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -212,14 +193,24 @@ def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs
     return s, z, x, w
 
 
-def _decode_trials(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, model: SourceModel, rngs):
+def decode(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, model: SourceModel, rngs):
     """The reverse-order decoder for a batch of trials in lockstep.
 
-    ``y_blocks`` has shape (trials, k, n); ``s_last_a3``/``z_last_b3`` are
-    the side-channel payloads, one row per trial.  Returns s_hat, z_hat,
-    x_hat, w_hat and v, each of shape (trials, k, n).
+    ``y_blocks`` has shape (trials, k, n); ``s_last_a3`` and ``z_last_b3``
+    are the side-channel payloads, of shapes (trials, |a3|) and
+    (trials, |b3|); ``crs`` and ``rngs`` hold one :class:`CommonRandomness`
+    and one generator per trial.  Returns s_hat, z_hat, x_hat, w_hat and v,
+    each of shape (trials, k, n); whether a block decoded correctly is not
+    checked here.
     """
-    _, k, n = y_blocks.shape
+    trials, k, n = y_blocks.shape
+    for cr in crs:
+        cr.validate(sets, k)
+    if s_last_a3.shape != (trials, len(sets.a3)) or z_last_b3.shape != (trials, len(sets.b3)):
+        raise ValueError(
+            f"payload shapes {s_last_a3.shape}/{z_last_b3.shape} do not match "
+            f"(trials, |a3|) = {(trials, len(sets.a3))}, (trials, |b3|) = {(trials, len(sets.b3))}"
+        )
     s_known, z_known = _known(n, sets.a1, sets.a3), _known(n, sets.b1, sets.b3)
     xpost = model.x_posterior_given_y()
     wx = model.w_given_x()
@@ -248,12 +239,13 @@ def encode(
     cr: CommonRandomness,
     model: SourceModel,
     rng: np.random.Generator,
-) -> tuple[list[EncodedBlock], SideChannelPayload]:
+) -> tuple[list[EncodedBlock], tuple[np.ndarray, np.ndarray]]:
     """Run the chaining encoder over k blocks.
 
     ``u_blocks`` has shape (k+1, n): row 0 is the uniform dummy source
     block, rows 1..k the source.  Returns the per-block polarized vectors
-    and the final-block side-channel payload.
+    and the side-channel payload: the final block's chained bits s[a3] and
+    z[b3].
     """
     u_blocks = np.asarray(u_blocks, dtype=np.uint8)
     k = u_blocks.shape[0] - 1
@@ -264,7 +256,7 @@ def encode(
     cr.validate(sets, k)
     s, z, x, w = (a[0] for a in _encode_trials(u_blocks[None], sets, [cr], model, [rng]))
     blocks = [EncodedBlock(s=s[i], z=z[i], x=x[i], w=w[i]) for i in range(k)]
-    return blocks, SideChannelPayload(s_last_a3=s[-1, sets.a3], z_last_b3=z[-1, sets.b3])
+    return blocks, (s[-1, sets.a3], z[-1, sets.b3])
 
 
 def transmit(x: np.ndarray, channel, rng: np.random.Generator) -> np.ndarray:
@@ -274,36 +266,6 @@ def transmit(x: np.ndarray, channel, rng: np.random.Generator) -> np.ndarray:
     calls in turn."""
     x = np.asarray(x, dtype=np.intp)
     return inverse_cdf(channel.table[x], rng.random(x.shape)).astype(np.uint8)
-
-
-def decode(
-    y_blocks: np.ndarray,
-    payload: SideChannelPayload,
-    sets: PolarIndexSets,
-    cr: CommonRandomness,
-    model: SourceModel,
-    rng: np.random.Generator,
-) -> list[DecodedBlock]:
-    """Run the reverse-order decoder over the k channel-output blocks
-    ``y_blocks`` (shape (k, n)), with the final block's chained bits from
-    ``payload``.  Returns each block's decoded polarized vectors and
-    actions; whether a block decoded correctly is not checked here."""
-    y_blocks = np.asarray(y_blocks, dtype=np.uint8)
-    k = y_blocks.shape[0]
-    cr.validate(sets, k)
-    if payload.s_last_a3.shape != (len(sets.a3),) or payload.z_last_b3.shape != (len(sets.b3),):
-        raise ValueError(
-            f"payload sizes {payload.s_last_a3.shape}/{payload.z_last_b3.shape} do not "
-            f"match |a3|={len(sets.a3)}, |b3|={len(sets.b3)}"
-        )
-    s_hat, z_hat, x_hat, w_hat, v = (
-        a[0] for a in _decode_trials(
-            y_blocks[None], payload.s_last_a3[None], payload.z_last_b3[None], sets, [cr], model, [rng]
-        )
-    )
-    return [
-        DecodedBlock(s_hat=s_hat[i], z_hat=z_hat[i], x_hat=x_hat[i], w_hat=w_hat[i], v=v[i]) for i in range(k)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +379,7 @@ def run_trials(
     u_blocks = np.stack([_source_blocks(model, n, k, rng) for rng in rng_enc])
     s, z, x, _ = _encode_trials(u_blocks, sets, crs, model, rng_enc)
     y = np.stack([transmit(x_t, model.channel, rng) for x_t, rng in zip(x, rng_ch)])
-    s_hat, z_hat, _, _, v = _decode_trials(
-        y, s[:, -1][:, sets.a3], z[:, -1][:, sets.b3], sets, crs, model, rng_dec
-    )
+    s_hat, z_hat, _, _, v = decode(y, s[:, -1][:, sets.a3], z[:, -1][:, sets.b3], sets, crs, model, rng_dec)
     s_ok = (s_hat == s).all(axis=2)
     z_ok = (z_hat == z).all(axis=2)
 

@@ -35,6 +35,8 @@ __all__ = [
     "Alphabet",
     "JointPMF",
     "ConditionalPMF",
+    "UnknownKeyError",
+    "reject_unknown_keys",
     "marginalize",
     "compose",
     "condition",
@@ -97,6 +99,24 @@ def _checked_table(given: tuple[Alphabet, ...], out: tuple[Alphabet, ...], table
     return table
 
 
+class UnknownKeyError(ValueError):
+    """A JSON document holds a key that its type does not read; ``path``
+    holds the keys from the document's root down to that key."""
+
+    def __init__(self, *path: str):
+        self.path = path
+        super().__init__(f"/{'/'.join(path)}: unknown key")
+
+
+def reject_unknown_keys(d: dict, known, *path: str) -> None:
+    """Raise :class:`UnknownKeyError` at the first key of ``d``, in document
+    order, outside ``known``; ``path`` leads from the document's root to
+    ``d``."""
+    for key in d:
+        if key not in known:
+            raise UnknownKeyError(*path, key)
+
+
 def _pmf_to_json(table: np.ndarray, **axes: tuple[Alphabet, ...]) -> dict:
     """A pmf's JSON: one ``[{"name", "size"}]`` list per keyword, then the
     row-major table."""
@@ -106,18 +126,21 @@ def _pmf_to_json(table: np.ndarray, **axes: tuple[Alphabet, ...]) -> dict:
 
 def _pmf_from_json(d: dict, *keys: str) -> list:
     """The alphabet tuple under each of ``keys`` in a pmf's JSON, then the
-    table in their shape.  A size must be an int (not a bool) >= 1, and a
-    table entry a JSON number (an int or a float, not a bool or a string)."""
+    table in their shape.  A size must be an int (not a bool) >= 1, a table
+    entry a JSON number (an int or a float, not a bool or a string), and
+    every key one that the document's type reads."""
     groups = []
     for key in keys:
-        for a in d[key]:
+        for i, a in enumerate(d[key]):
             if type(a["size"]) is not int:
                 raise ValueError(f"alphabet size must be an integer, got {a['size']!r}")
+            reject_unknown_keys(a, ("name", "size"), key, str(i))
         groups.append(tuple(Alphabet(a["name"], a["size"]) for a in d[key]))
     entries = np.array(d["table"], dtype=object).ravel()
     for v in entries:
         if type(v) not in (int, float):
             raise ValueError(f"pmf table entries must be JSON numbers, got {v!r}")
+    reject_unknown_keys(d, (*keys, "table"))
     return groups + [entries.astype(np.float64).reshape([a.size for g in groups for a in g])]
 
 

@@ -25,12 +25,14 @@ from .probability import (
     Alphabet,
     ConditionalPMF,
     JointPMF,
+    UnknownKeyError,
     compose,
     condition,
     conditional_entropy,
     entropy,
     marginalize,
     mutual_information,
+    reject_unknown_keys,
     total_variation,
 )
 
@@ -84,14 +86,23 @@ def check_source_axes(p_u: JointPMF, p_x: JointPMF, channel: ConditionalPMF):
 
 class LawJSON:
     """The JSON round trip of a law type: ``JSON_FIELDS`` maps each JSON
-    key, in order, to the field of that name and the pmf type it holds."""
+    key, in order, to the field of that name and the pmf type it holds.  A
+    key outside them, in the law or in one of its pmfs, raises
+    :class:`~coordsim.probability.UnknownKeyError`."""
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
 
     @classmethod
     def from_json_dict(cls, d: dict):
-        return cls(**{key: kind.from_json_dict(d[key]) for key, kind in cls.JSON_FIELDS.items()})
+        fields = {}
+        for key, kind in cls.JSON_FIELDS.items():
+            try:
+                fields[key] = kind.from_json_dict(d[key])
+            except UnknownKeyError as err:
+                raise UnknownKeyError(key, *err.path) from None
+        reject_unknown_keys(d, cls.JSON_FIELDS)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -438,6 +438,22 @@ def test_verify_lemma_regimes_table():
     assert all(len(r) == 5 for r in rows)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sw_error_rate_refuses_no_samples(samples):
+    # an empty draw has no error rate; it is refused by name, not divided by
+    binning = RandomBinning.draw(4, 0.5, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sw_error_rate(binning, dsbs(0.1), np.random.default_rng(1), samples=samples)
+
+
+@pytest.mark.parametrize("lemmas", [("sw",), ("extraction",)])
+def test_verify_lemma_regimes_refuses_no_replicates(lemmas):
+    # no replicate binning has no mean; it is refused by name, not averaged to NaN
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        verify_lemma_regimes(dsbs(0.1), [4], [0.5], replicates=0, rng=np.random.default_rng(0),
+                             samples=10, lemmas=lemmas)
+
+
 def test_degenerate_side_info_threshold_collapses_to_source_entropy():
     # B constant: side information useless, so only rate > H(A) decodes
     axA, axB = Alphabet("A", 2), Alphabet("B", 2)

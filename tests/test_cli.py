@@ -361,6 +361,19 @@ def test_region_benchmark_op_pinned(tmp_path):
     assert got == "75de969a9dd6ae0f3073ce6231f0633dea1977b7787b76155cf03b9bb826d660"
 
 
+def test_region_reads_a_source_model_document_as_its_target(tmp_path):
+    # a source model is read through its target view, bundled or a document
+    from coordsim.bundled import chained_model
+
+    write_config(tmp_path, "chained.json", chained_model().to_json_dict())
+    verdicts = [
+        cli.run("region", parse_config("region", {"model": model, "seed": 0}, tmp_path))["region_verdict"]
+        for model in ("bundled:chained", chained_model().to_json_dict(), "chained.json")
+    ]
+    assert verdicts[0]["feasible"]
+    assert verdicts[1] == verdicts[0] == verdicts[2]
+
+
 def test_region_cli_w_sweep_stops_at_first_feasible(tmp_path):
     cfg = write_config(
         tmp_path, "r2.json",
@@ -669,7 +682,8 @@ def test_main_rejects_missing_file_where_it_is_read(tmp_path, capsys, subcommand
 @pytest.mark.parametrize("make", [
     lambda path: path.write_text("{not json"),
     lambda path: path.mkdir(),
-], ids=["not-json", "directory"])
+    lambda path: path.write_text(json.dumps({**bsc_model().to_json_dict(), "x_prior_typo": 1})),
+], ids=["not-json", "directory", "unknown-key"])
 def test_main_rejects_unreadable_model_file(tmp_path, capsys, make):
     make(tmp_path / "m.json")
     doc = {"model": "m.json", "params": {"n": 32, "mc_samples": 100}, "out": "bad"}
@@ -679,6 +693,27 @@ def test_main_rejects_unreadable_model_file(tmp_path, capsys, make):
     assert err["type"] == "ConfigError"
     assert err["error"].startswith("/model: ")
     assert str(tmp_path / "m.json") in err["error"]
+    assert not (tmp_path / "bad").exists()
+
+
+BSC_DOC = bsc_model().to_json_dict()
+AB_DOC = {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [0.45, 0.05, 0.05, 0.45]}
+
+
+@pytest.mark.parametrize("subcommand,doc,pointer", [
+    ("construct", {"model": {**BSC_DOC, "x_prior_typo": 1}, "params": {"n": 32}}, "/model/x_prior_typo"),
+    ("simulate", {"model": {**BSC_DOC, "u_prior": {**BSC_DOC["u_prior"], "tabel": []}}, "params": {"n": 32}, "k": 2},
+     "/model/u_prior/tabel"),
+    ("region", {"model": {**bsc_model().target.to_json_dict(), "p_v": 1}}, "/model/p_v"),
+    ("region", {"model": {**BSC_DOC, "x_prior_typo": 1}}, "/model/x_prior_typo"),
+    ("verify-binning", {"model": {**AB_DOC, "tabel": []}, "n_list": [4], "rates": [0.3]}, "/model/tabel"),
+], ids=["construct", "simulate-pmf", "region-target", "region-source-model", "verify-binning"])
+def test_main_names_unknown_model_key(tmp_path, capsys, subcommand, doc, pointer):
+    # an inline model document is as strict as the config around it
+    code = cli.main([subcommand, "--config", str(write_config(tmp_path, "bad.json", {**doc, "out": "bad"}))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": f"{pointer}: unknown key", "type": "ConfigError"}
     assert not (tmp_path / "bad").exists()
 
 

@@ -11,8 +11,6 @@ from coordsim.binning import dsbs
 from coordsim.bundled import binary_symmetric_channel, bsc_model, chained_model
 from coordsim.codec import (
     CommonRandomness,
-    SideChannelPayload,
-    _decode_trials,
     _source_blocks,
     chi_square_conditional,
     decode,
@@ -140,7 +138,8 @@ class ZeroUniforms:
 
 
 def zero_payload(sets):
-    return SideChannelPayload(np.zeros(len(sets.a3), np.uint8), np.zeros(len(sets.b3), np.uint8))
+    """An all-zero side-channel payload for one trial."""
+    return np.zeros((1, len(sets.a3)), np.uint8), np.zeros((1, len(sets.b3)), np.uint8)
 
 
 # a uniform of exactly 0.0 used to pick the first cell of each of these
@@ -164,8 +163,8 @@ def test_action_draw_zero_uniform_skips_zero_mass_action():
     model = SourceModel(base.u_prior, base.x_prior, base.channel, base.w_rule, always_one)
     sets = synthetic_sets()
     cr = CommonRandomness.draw(sets, 2, np.random.default_rng(0))
-    decoded = decode(np.zeros((2, 8), np.uint8), zero_payload(sets), sets, cr, model, ZeroUniforms())
-    assert all(np.all(block.v == 1) for block in decoded)
+    *_, v = decode(np.zeros((1, 2, 8), np.uint8), *zero_payload(sets), sets, [cr], model, [ZeroUniforms()])
+    assert np.all(v == 1)
 
 
 def test_sampling_sites_take_one_random_call_each():
@@ -193,7 +192,7 @@ def test_sampling_sites_take_one_random_call_each():
         (lambda r: encode(u, sets, cr, model, r),
          lambda r: [(r.integers(0, 2, size, dtype=np.uint8), r.random(4), r.random(6)) for size in (3, 1, 1)]),
         # hard SC decisions draw nothing; the action takes one rng.random(n) per block
-        (lambda r: decode(y, zero_payload(sets), sets, cr, model, r),
+        (lambda r: decode(y[None], *zero_payload(sets), sets, [cr], model, [r]),
          lambda r: [r.random(8) for _ in range(3)]),
     ]
     for i, (site, reference) in enumerate(sites):
@@ -216,8 +215,8 @@ def test_sampling_streams_pinned():
         digest.update(_source_blocks(model, 16, 3, rng).tobytes())
         cr = CommonRandomness.draw(sets, 3, rng)
         y = rng.integers(0, 2, (3, 8), dtype=np.uint8)
-        decoded = decode(y, zero_payload(sets), sets, cr, model, rng)
-        digest.update(b"".join(block.v.tobytes() for block in decoded))
+        *_, v = decode(y[None], *zero_payload(sets), sets, [cr], model, [rng])
+        digest.update(v[0].tobytes())
     assert digest.hexdigest() == "98b1d3fe4bd5fc09a482285db43d5a7de2a24e728d2c6394c5f7ac97018866ae"
 
 
@@ -235,7 +234,7 @@ def test_decoder_pinned_at_n1024():
     z_last_b3 = rng.integers(0, 2, (trials, len(sets.b3)), dtype=np.uint8)
     crs = [CommonRandomness.draw(sets, k, rng) for _ in range(trials)]
     rngs = [np.random.default_rng(seed) for seed in range(trials)]
-    decoded = _decode_trials(y, s_last_a3, z_last_b3, sets, crs, model, rngs)
+    decoded = decode(y, s_last_a3, z_last_b3, sets, crs, model, rngs)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in decoded)).hexdigest()
     assert digest == "738280383061cf937a23b2c3e58807f48bbe5112aff1065c768e38cea5d68832"
 
@@ -258,7 +257,7 @@ def test_encode_deterministic_given_seed():
     (blocks_b, pay_b), _ = encode_with_seed(model, sets, u_blocks, 7)
     for a, b in zip(blocks_a, blocks_b):
         assert np.array_equal(a.s, b.s) and np.array_equal(a.z, b.z)
-    assert np.array_equal(pay_a.s_last_a3, pay_b.s_last_a3)
+    assert np.array_equal(pay_a[0], pay_b[0])
 
 
 def test_strict_causality_differential():
@@ -317,16 +316,14 @@ def test_payload_corruption_propagates_to_final_block():
     y = np.stack([transmit(b.x, model.channel, np.random.default_rng(12 + i)) for i, b in enumerate(blocks)])
 
     def encoder_output():  # deep copies of every array
-        return [dataclasses.astuple(item) for item in (*blocks, payload)]
+        return [dataclasses.astuple(block) for block in blocks] + [tuple(a.copy() for a in payload)]
 
     encoded = encoder_output()
-    clean = decode(y, payload, sets, cr, model, np.random.default_rng(13))
-    bad_payload = SideChannelPayload(
-        s_last_a3=payload.s_last_a3 ^ 1, z_last_b3=payload.z_last_b3.copy()
-    )
-    dirty = decode(y, bad_payload, sets, cr, model, np.random.default_rng(13))
+    s_last_a3, z_last_b3 = (a[None] for a in payload)
+    clean, *_ = decode(y[None], s_last_a3, z_last_b3, sets, [cr], model, [np.random.default_rng(13)])
+    dirty, *_ = decode(y[None], s_last_a3 ^ 1, z_last_b3, sets, [cr], model, [np.random.default_rng(13)])
     # the corrupted chain bit lands verbatim in the final block's a3 position
-    assert dirty[-1].s_hat[sets.a3[0]] == clean[-1].s_hat[sets.a3[0]] ^ 1
+    assert dirty[0, -1, sets.a3[0]] == clean[0, -1, sets.a3[0]] ^ 1
     # the encoder's blocks and payload are untouched by both decodes
     for got, want in zip(encoder_output(), encoded, strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
@@ -529,8 +526,8 @@ def test_decoder_contradiction_counts_as_block_error(monkeypatch):
     # contradiction of its own (after a decoding error, known auxiliary
     # bits against certain evidence), and must be counted as an error
     decoded = []
-    decode_trials = codec._decode_trials
-    monkeypatch.setattr(codec, "_decode_trials", lambda *args: decoded.append(decode_trials(*args)) or decoded[0])
+    real_decode = codec.decode
+    monkeypatch.setattr(codec, "decode", lambda *args: decoded.append(real_decode(*args)) or decoded[0])
     model = contradiction_model()
     sets = constructed_sets(model, n=64, mc=4000, seed=0)
     results = run_trials(model, sets, 4, range(40))
@@ -552,11 +549,12 @@ def test_decode_rejects_wrong_payload_sizes():
     cr = CommonRandomness.draw(sets, 2, np.random.default_rng(41))
     blocks, payload = encode(u_blocks, sets, cr, model, rng)
     y = np.stack([transmit(b.x, model.channel, rng) for b in blocks])
-    bad = SideChannelPayload(
-        s_last_a3=np.zeros(len(sets.a3) + 1, dtype=np.uint8), z_last_b3=payload.z_last_b3
-    )
+    bad = np.zeros((1, len(sets.a3) + 1), dtype=np.uint8)
     with pytest.raises(ValueError, match="payload"):
-        decode(y, bad, sets, cr, model, rng)
+        decode(y[None], bad, payload[1][None], sets, [cr], model, [rng])
+    # one payload row per trial: a payload without its trial axis is refused too
+    with pytest.raises(ValueError, match="payload"):
+        decode(y[None], *payload, sets, [cr], model, [rng])
 
 
 @pytest.mark.parametrize("k,bits", [(2, 2091), (3, 2888), (8, 6873)])

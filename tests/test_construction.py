@@ -12,6 +12,8 @@ from coordsim.cli import ConfigError, _source_model
 from coordsim.codec import transmit
 from coordsim.construction import (
     CapacityError,
+    PolarIndexSets,
+    PolarizedEntropyProfile,
     PolarParams,
     SourceModel,
     build_index_sets,
@@ -32,6 +34,7 @@ from coordsim.probability import (
     Alphabet,
     ConditionalPMF,
     JointPMF,
+    UnknownKeyError,
     binary_entropy,
     conditional_entropy,
     entropy,
@@ -94,6 +97,27 @@ def test_source_model_rejects_malformed(case):
     with pytest.raises(ConfigError) as err:
         _source_model({"model": doc, "base_dir": "."})
     assert err.value.pointer == "/model"
+
+
+@pytest.mark.parametrize("make,path", [
+    (chained_model, ("x_prior_typo",)),
+    (chained_model, ("u_prior", "tabel")),
+    (chained_model, ("w_rule", "out_axes", "0", "label")),
+    (bsc_target, ("action_rule_typo",)),
+    (bsc_target, ("channel", "tabel")),
+])
+def test_law_documents_reject_unknown_keys(make, path):
+    # a key that no field reads is refused with its path, not dropped
+    law = make()
+    doc = law.to_json_dict()
+    node = doc
+    for key in path[:-1]:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[path[-1]] = 1
+    with pytest.raises(UnknownKeyError) as err:
+        type(law).from_json_dict(doc)
+    assert err.value.path == path
+    assert str(err.value) == "/" + "/".join(path) + ": unknown key"
 
 
 def test_source_model_samples_256_symbols_whole():
@@ -449,6 +473,56 @@ def test_divergence_certificate_chained_model():
     prof, params, sets = bundled_sets(model=chained_model(), seed=12)
     cert = divergence_certificate(prof, sets)
     assert cert.total <= cert.bound + 3 * cert.stderr
+
+
+@pytest.mark.parametrize("f_s,f_z", [([0, 1], [0]), ([0, 2, 3], [1, 3]), ([0, 1, 2, 3], [0, 1, 2, 3])])
+def test_divergence_certificate_is_the_exact_encoder_divergence(f_s, f_z):
+    # The encoder fills s on F_s = a1 u a2 and z on F_z = b1 uniformly and
+    # draws every other bit from its SC conditional; call that block law
+    # Q_enc(u, s, z).  By the chain rule for KL,
+    #   D(P^n || Q_enc) = sum_{F_s} (1 - H(S_j|S^{j-1})) + sum_{F_z} (1 - H(Z_j|Z^{j-1} X^n U^n)),
+    # which is what the certificate sums.  At n = 4 on chained, both sides
+    # are exact over the 2^12 cells (u, s, z).
+    model, n = chained_model(), 4
+    cells = np.array(list(itertools.product((0, 1), repeat=3 * n)), dtype=np.uint8)
+    u, s, z = cells[:, :n], cells[:, n : 2 * n], cells[:, 2 * n :]
+    x, w = polar_transform(s), polar_transform(z)
+    p_u, p_x = model.u_prior.table, model.x_prior.table
+    p_w = model.w_rule.aligned_table(("X", "U"))
+    # P^n straight from the single-letter law, P(u) P(x) P(w|x,u) per symbol
+    p = (p_u[u] * p_x[x] * p_w[x, u, w]).prod(axis=1)
+
+    # the SC conditional of each bit's true value, on the encoder's evidence
+    def bit_probability(evidence, bits):
+        p1 = true_path_conditionals(evidence, bits)
+        return np.where(bits == 1, p1, 1.0 - p1), p1
+
+    q_s, p1_s = bit_probability(np.full(s.shape, float(p_x[1])), s)
+    q_z, p1_z = bit_probability(model.w_given_xu()[x, u], z)
+    q_s[:, f_s] = 0.5
+    q_z[:, f_z] = 0.5
+    q = p_u[u].prod(axis=1) * q_s.prod(axis=1) * q_z.prod(axis=1)
+    mass = p > 0
+    divergence = float((p[mass] * np.log2(p[mass] / q[mass])).sum())
+
+    # the exact profile: each conditional entropy is E_P[h(p1)]
+    h_s, h_z_xu = (p @ binary_entropy(p1) for p1 in (p1_s, p1_z))
+    ones, zeros = np.ones(n), np.zeros(n)
+    profile = PolarizedEntropyProfile(
+        n=n, samples=1, h_s=h_s, h_s_y=ones, h_z_xu=h_z_xu, h_z_x=ones, h_z_all=ones,
+        se_s=zeros, se_s_y=zeros, se_z_xu=zeros, se_z_x=zeros, se_z_all=zeros,
+    )
+    idx = lambda v: np.array(v, dtype=np.int64)  # noqa: E731
+    rest = lambda v: np.setdiff1d(np.arange(n), v)  # noqa: E731
+    sets = PolarIndexSets(
+        n=n, delta_n=0.1,
+        a1=idx(f_s[:1]), a2=idx(f_s[1:]), a3=idx([]), a4=rest(f_s),
+        b1=idx(f_z), b2=rest(f_z), b3=idx([]), b4=idx([]),
+        bp1=idx([]), ap3=idx([]), bp3=idx([]), ap2=idx(f_s[1:]),
+    )
+    cert = divergence_certificate(profile, sets)
+    assert divergence > 0.01
+    assert cert.total == pytest.approx(divergence, abs=1e-12)
 
 
 # -- persistence ----------------------------------------------------------------------
