@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ from .construction import (
     rate_report,
     save_index_cache,
 )
-from .probability import JointPMF, UnknownKeyError
+from .probability import DocumentKeyError, JointPMF, json_pointer
 from .region import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
@@ -146,16 +145,17 @@ def _apply_schema(doc: dict, schema: dict, pointer: str = "") -> dict:
     _object(doc, pointer)
     out = {}
     for key, value in doc.items():
+        at = pointer + json_pointer(key)
         if key not in schema:
-            raise ConfigError(f"{pointer}/{key}", "unknown key")
+            raise ConfigError(at, "unknown key")
         types, _default, *least = schema[key]
-        out[key] = _check_type(f"{pointer}/{key}", value, types)
+        out[key] = _check_type(at, value, types)
         if least and out[key] is not None and out[key] < least[0]:
-            raise ConfigError(f"{pointer}/{key}", f"{key} must be >= {least[0]}, got {out[key]}")
+            raise ConfigError(at, f"{key} must be >= {least[0]}, got {out[key]}")
     for key, (types, default, *_least) in schema.items():
         if key not in out:
             if default is None and type(None) not in (types if isinstance(types, tuple) else (types,)):
-                raise ConfigError(f"{pointer}/{key}", "required key missing")
+                raise ConfigError(pointer + json_pointer(key), "required key missing")
             out.setdefault(key, default)
     return out
 
@@ -224,7 +224,8 @@ def _load(cfg, parse, what: str):
     """The config's model: a bundled :class:`SourceModel`, or the inline or
     file JSON document read by ``parse``.  An unknown bundled name or a
     document that ``parse`` rejects, or a model file that cannot be read as
-    JSON, raises ConfigError at /model."""
+    JSON, raises ConfigError at /model; an inline document's unknown or
+    missing key is named by its own pointer under /model."""
     model = cfg["model"]
     if isinstance(model, str) and model.startswith("bundled:"):
         if model not in _BUNDLED:
@@ -234,8 +235,8 @@ def _load(cfg, parse, what: str):
     try:
         return parse(model if path is None else json.loads(path.read_text()))
     except (KeyError, TypeError, ValueError, OSError) as err:
-        if isinstance(err, UnknownKeyError) and path is None:
-            raise ConfigError("/model/" + "/".join(err.path), "unknown key") from None
+        if isinstance(err, DocumentKeyError) and path is None:
+            raise ConfigError("/model" + err.pointer, err.reason) from None
         source = what if path is None else f"{what} file {path}"
         raise ConfigError("/model", f"invalid {source}: {err}") from None
 
@@ -246,10 +247,12 @@ def _source_model(cfg) -> SourceModel:
 
 def _target(cfg) -> CoordinationTarget:
     """An inline or file target, or the target view of a bundled, inline or
-    file source model; a document with a ``u_prior`` key is a source model."""
+    file source model; a document with a key that only a source model has
+    (``u_prior``, ``x_prior``, ``w_rule`` or ``v_rule``) is a source model."""
+    own_keys = SourceModel.JSON_FIELDS.keys() - CoordinationTarget.JSON_FIELDS.keys()
 
     def parse(doc):
-        return (SourceModel if "u_prior" in doc else CoordinationTarget).from_json_dict(doc)
+        return (SourceModel if any(key in doc for key in own_keys) else CoordinationTarget).from_json_dict(doc)
 
     model = _load(cfg, parse, "coordination target or source model")
     return model.target if isinstance(model, SourceModel) else model
@@ -456,6 +459,9 @@ def _parallel_map(fn, items, workers: int):
         return fn(items)
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # imported here, so that a run that needs no pool does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [result for part in pool.map(fn, chunks) for result in part]
 

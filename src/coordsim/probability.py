@@ -35,7 +35,11 @@ __all__ = [
     "Alphabet",
     "JointPMF",
     "ConditionalPMF",
+    "json_pointer",
+    "DocumentKeyError",
     "UnknownKeyError",
+    "MissingKeyError",
+    "required",
     "reject_unknown_keys",
     "marginalize",
     "compose",
@@ -99,13 +103,45 @@ def _checked_table(given: tuple[Alphabet, ...], out: tuple[Alphabet, ...], table
     return table
 
 
-class UnknownKeyError(ValueError):
-    """A JSON document holds a key that its type does not read; ``path``
-    holds the keys from the document's root down to that key."""
+def json_pointer(*path: str) -> str:
+    """The RFC 6901 JSON pointer to ``path``, the keys from a document's
+    root down: ``~`` in a key is written ``~0`` and ``/`` is written ``~1``."""
+    return "".join("/" + key.replace("~", "~0").replace("/", "~1") for key in path)
+
+
+class DocumentKeyError(ValueError):
+    """A JSON document that its type cannot read because of a key:
+    ``path`` holds the keys from the document's root down to that key,
+    ``pointer`` is their JSON pointer, and ``reason`` says what is wrong."""
+
+    reason = "invalid key"
 
     def __init__(self, *path: str):
         self.path = path
-        super().__init__(f"/{'/'.join(path)}: unknown key")
+        self.pointer = json_pointer(*path)
+        super().__init__(f"{self.pointer}: {self.reason}")
+
+
+class UnknownKeyError(DocumentKeyError):
+    """A key that the document's type does not read."""
+
+    reason = "unknown key"
+
+
+class MissingKeyError(DocumentKeyError):
+    """A key that the document's type requires is absent."""
+
+    reason = "required key missing"
+
+
+def required(d: dict, key: str, *path: str):
+    """``d[key]``, or :class:`MissingKeyError` at ``path`` and ``key`` when
+    the object ``d`` lacks it; ``path`` leads from the document's root to
+    ``d``."""
+    try:
+        return d[key]
+    except KeyError:
+        raise MissingKeyError(*path, key) from None
 
 
 def reject_unknown_keys(d: dict, known, *path: str) -> None:
@@ -128,15 +164,19 @@ def _pmf_from_json(d: dict, *keys: str) -> list:
     """The alphabet tuple under each of ``keys`` in a pmf's JSON, then the
     table in their shape.  A size must be an int (not a bool) >= 1, a table
     entry a JSON number (an int or a float, not a bool or a string), and
-    every key one that the document's type reads."""
+    every key one that the document's type reads; a key it requires and
+    lacks raises :class:`MissingKeyError`."""
     groups = []
     for key in keys:
-        for i, a in enumerate(d[key]):
-            if type(a["size"]) is not int:
-                raise ValueError(f"alphabet size must be an integer, got {a['size']!r}")
+        group = []
+        for i, a in enumerate(required(d, key)):
+            name, size = (required(a, field, key, str(i)) for field in ("name", "size"))
+            if type(size) is not int:
+                raise ValueError(f"alphabet size must be an integer, got {size!r}")
             reject_unknown_keys(a, ("name", "size"), key, str(i))
-        groups.append(tuple(Alphabet(a["name"], a["size"]) for a in d[key]))
-    entries = np.array(d["table"], dtype=object).ravel()
+            group.append(Alphabet(name, size))
+        groups.append(tuple(group))
+    entries = np.array(required(d, "table"), dtype=object).ravel()
     for v in entries:
         if type(v) not in (int, float):
             raise ValueError(f"pmf table entries must be JSON numbers, got {v!r}")

@@ -17,7 +17,7 @@ optimality of the bilinear search is not claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .probability import (
     Alphabet,
     ConditionalPMF,
     JointPMF,
-    UnknownKeyError,
+    DocumentKeyError,
     compose,
     condition,
     conditional_entropy,
@@ -33,7 +33,7 @@ from .probability import (
     marginalize,
     mutual_information,
     reject_unknown_keys,
-    total_variation,
+    required,
 )
 
 __all__ = [
@@ -88,7 +88,9 @@ class LawJSON:
     """The JSON round trip of a law type: ``JSON_FIELDS`` maps each JSON
     key, in order, to the field of that name and the pmf type it holds.  A
     key outside them, in the law or in one of its pmfs, raises
-    :class:`~coordsim.probability.UnknownKeyError`."""
+    :class:`~coordsim.probability.UnknownKeyError`, and a key that one of
+    them needs and lacks :class:`~coordsim.probability.MissingKeyError`,
+    each with the key's path."""
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key).to_json_dict() for key in self.JSON_FIELDS}
@@ -97,10 +99,11 @@ class LawJSON:
     def from_json_dict(cls, d: dict):
         fields = {}
         for key, kind in cls.JSON_FIELDS.items():
+            doc = required(d, key)
             try:
-                fields[key] = kind.from_json_dict(d[key])
-            except UnknownKeyError as err:
-                raise UnknownKeyError(key, *err.path) from None
+                fields[key] = kind.from_json_dict(doc)
+            except DocumentKeyError as err:
+                raise type(err)(key, *err.path) from None
         reject_unknown_keys(d, cls.JSON_FIELDS)
         return cls(**fields)
 
@@ -239,29 +242,72 @@ def induced_joint(target: CoordinationTarget, aux: AuxiliaryDecomposition) -> Jo
     return witness_joint(target.p_u, target.p_x, target.channel, aux.p_w_given_ux, aux.p_v_given_wy)
 
 
-def _rates(ind: JointPMF) -> tuple[float, float]:
-    outer = mutual_information(ind, ["W"], ["U", "X", "V"], ["Y"])
-    inner = outer + conditional_entropy(ind, ["X"], ["W", "Y"])
-    return inner, outer
+def _entropies(marginal: np.ndarray) -> np.ndarray:
+    """-sum t log2 t per restart over a (restarts, ...) marginal, summed as
+    :func:`~coordsim.probability.entropy` sums one: a plain row sum when
+    every cell is positive, else the sum of each row's positive cells."""
+    rows = marginal.reshape(len(marginal), -1)
+    if (rows > 0).all():
+        return -(rows * np.log2(rows)).sum(axis=1)
+    return np.array([-(t * np.log2(t)).sum() for t in (row[row > 0] for row in rows)])
+
+
+def _clamped(value: np.ndarray) -> np.ndarray:
+    # max(value, 0.0) as mutual_information takes it, elementwise
+    return np.where(0.0 > value, 0.0, value)
+
+
+def _score(target: CoordinationTarget, q: np.ndarray, r: np.ndarray, tol: float):
+    """The scores of a batch of witnesses: rows ``q`` (restarts, u, x, w) of
+    P_{W|UX} and ``r`` (restarts, w, y, v) of P_{V|WY}.
+
+    Forms the induced (restarts, U, X, W, Y, V) joint by the three products
+    of :func:`witness_joint` and reads every quantity of :func:`evaluate`
+    off it, each marginal entropy once.  Each restart's arithmetic is that
+    of ``evaluate`` on it alone.  Returns the arrays (feasible, residual,
+    info_slack, inner_rate, outer_rate) over the restarts.
+    """
+    j = np.einsum("ab,zabc->zabc", np.multiply.outer(target.p_u.table, target.p_x.table), q)
+    j = np.einsum("zabc,bd->zabcd", j, target.channel.table)
+    j = np.einsum("zabcd,zcde->zabcde", j, r)
+    uxyv = j.sum(axis=3)
+    residual = np.abs(uxyv - target.joint().table).reshape(len(j), -1).sum(axis=1)
+
+    def h(*names):
+        # the entropy of the named marginal, as entropy(ind, names) sums it
+        drop = tuple(i + 1 for i, name in enumerate("UXWYV") if name not in names)
+        return _entropies(j.sum(axis=drop) if drop else j)
+
+    h_y, h_wx, h_wy, h_wxy = h("Y"), h("W", "X"), h("W", "Y"), h("W", "X", "Y")
+    info_slack = _clamped(h_wx - (h_wxy - h_y)) - _clamped(h_wx - (h("U", "W", "X") - h("U")))
+    outer = _clamped((h_wy - h_y) - (h("U", "X", "W", "Y", "V") - _entropies(uxyv)))
+    inner = outer + (h_wxy - h_wy)
+    feasible = (residual <= tol) & (info_slack >= -INFO_SLACK_TOL)
+    return feasible, residual, info_slack, inner, outer
 
 
 def evaluate(
     target: CoordinationTarget, aux: AuxiliaryDecomposition, tol: float = DEFAULT_TOL
 ) -> RegionVerdict:
-    """Score a candidate witness against the target.
+    """Score a candidate witness against the target: the one-restart case
+    of the batch that :func:`search_auxiliary` scores.
 
-    residual  -- total variation between the induced (U,X,Y,V) marginal and
-                 the target joint
-    info_slack-- I(WX;Y) - I(WX;U) on the induced joint
+    residual   -- total variation between the induced (U,X,Y,V) marginal
+                  and the target joint
+    info_slack -- I(WX;Y) - I(WX;U) on the induced joint
+    inner_rate -- I(W;UXV|Y) + H(X|WY)
+    outer_rate -- I(W;UXV|Y)
     """
-    ind = induced_joint(target, aux)
-    residual = total_variation(marginalize(ind, AXES_UXYV), target.joint())
-    info_slack = mutual_information(ind, ["W", "X"], ["Y"]) - mutual_information(
-        ind, ["W", "X"], ["U"]
-    )
-    inner, outer = _rates(ind)
-    feasible = residual <= tol and info_slack >= -INFO_SLACK_TOL
-    return RegionVerdict(feasible, residual, info_slack, inner, outer, aux)
+    q = aux.p_w_given_ux.aligned_table(("U", "X"))
+    r = aux.p_v_given_wy.aligned_table(("W", "Y"))
+    nu, nx, ny, nv = target.joint().table.shape
+    if q.shape[:2] != (nu, nx) or r.shape != (aux.w_size, ny, nv):
+        raise ValueError(
+            f"witness shapes W|UX {q.shape} and V|WY {r.shape} do not fit the target's (U, X, Y, V) "
+            f"{(nu, nx, ny, nv)}"
+        )
+    feasible, *scores = (a[0].item() for a in _score(target, q[None], r[None], tol))
+    return RegionVerdict(feasible, *scores, aux)
 
 
 def empirical_region_check(
@@ -276,15 +322,17 @@ def empirical_region_check(
 # search
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    # renormalize rows exactly (the softmax rows sum to 1 only up to fp error)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
 def _as_aux(target: CoordinationTarget, w_size: int, q: np.ndarray, r: np.ndarray) -> AuxiliaryDecomposition:
     W = Alphabet("W", w_size)
-    # renormalize rows exactly (the softmax rows sum to 1 only up to fp error)
-    q = q / q.sum(axis=-1, keepdims=True)
-    r = r / r.sum(axis=-1, keepdims=True)
     return AuxiliaryDecomposition(
         w_size,
-        ConditionalPMF(target.p_u.axes + target.p_x.axes, (W,), q),
-        ConditionalPMF((W,) + target.channel.out_axes, target.action_rule.out_axes, r),
+        ConditionalPMF(target.p_u.axes + target.p_x.axes, (W,), _unit_rows(q)),
+        ConditionalPMF((W,) + target.channel.out_axes, target.action_rule.out_axes, _unit_rows(r)),
     )
 
 
@@ -420,8 +468,10 @@ def search_auxiliary(
     Restart i draws its start from the i-th child of ``SeedSequence(seed)``.
     The restarts are fitted in lockstep, as one batch with a leading restart
     axis, each with its own damping factor and stop rule, so the result
-    equals that of fitting the restarts one after another.  Each fitted
-    witness is then scored with :func:`evaluate`.
+    equals that of fitting the restarts one after another.  The fitted
+    witnesses are then scored in one batch, of which :func:`evaluate` is
+    the one-restart case, and only the returned witness is built as an
+    :class:`AuxiliaryDecomposition`.
 
     Returns the best verdict found: among feasible witnesses the one with
     the smallest inner rate, otherwise the one with the smallest residual,
@@ -441,13 +491,18 @@ def search_auxiliary(
         q.append(rng.dirichlet(np.ones(w_size), size=(nu, nx)))
         r.append(rng.dirichlet(np.ones(nv), size=(w_size, ny)))
     q, r = least_squares(target, np.array(q), np.array(r))
-    verdicts = [evaluate(target, _as_aux(target, w_size, qi, ri), tol) for qi, ri in zip(q, r)]
-    feasible = [v for v in verdicts if v.feasible]
-    if feasible:
-        best = min(feasible, key=lambda v: (v.inner_rate, v.residual))
-        rates = [v.inner_rate for v in feasible]
-        return replace(best, feasible_restarts=len(feasible), inner_rate_range=(min(rates), max(rates)))
-    return replace(min(verdicts, key=lambda v: (v.residual, v.inner_rate)), feasible_restarts=0)
+    feasible, *scores = (a.tolist() for a in _score(target, _unit_rows(q), _unit_rows(r), tol))
+    residual, _, inner, _ = scores
+    found = [i for i in range(restarts) if feasible[i]]
+    if found:
+        best = min(found, key=lambda i: (inner[i], residual[i]))
+        rates = [inner[i] for i in found]
+        spread = (min(rates), max(rates))
+    else:
+        best = min(range(restarts), key=lambda i: (residual[i], inner[i]))
+        spread = None
+    witness = _as_aux(target, w_size, q[best], r[best])
+    return RegionVerdict(feasible[best], *(s[best] for s in scores), witness, len(found), spread)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +584,7 @@ def binning_rate_ledger(target: CoordinationTarget, aux: AuxiliaryDecomposition)
         "H(W|UXYV)": h_w_all,
     }
     r0_bound = h_x_y + h_w_x - h_w_all
-    inner, _ = _rates(ind)
+    inner = mutual_information(ind, ["W"], ["U", "X", "V"], ["Y"]) + conditional_entropy(ind, ["X"], ["W", "Y"])
 
     # canonical assignment: fill the W-extraction budget (R3 + Rf = H(W|XU),
     # Rf at its own cap) so the pad R4 is minimal, R4 = I(W;U|X) + margin

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from coordsim import cli
-from coordsim.bundled import bsc_model
+from coordsim.bundled import bsc_model, chained_model
 from coordsim.cli import ConfigError, emit_plotdata, parse_config
 
 
@@ -409,6 +409,16 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a simulate run on more than one worker starts a pool; importing
+    # concurrent.futures.process costs every run's setup about 14 ms
+    code = "import sys, coordsim.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 # -- verify-binning -----------------------------------------------------------------
 
 
@@ -484,28 +494,94 @@ def test_verify_binning_extraction_n16(tmp_path):
     assert math.isfinite(kl) and kl >= 0.0
 
 
-@pytest.mark.parametrize("model", [
-    {"axes": [{"name": "X", "size": 2}, {"name": "Y", "size": 2}], "table": [0.25] * 4},
-    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}, {"name": "C", "size": 2}],
-     "table": [0.125] * 8},
-    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [0.5, 0.5]},
-    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}]},
-    {"axes": "AB", "table": [0.25] * 4},
-    "bundled:bsc",
-    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [math.nan, 0.5, 0.25, 0.25]},
-    {"axes": [{"name": "A", "size": 2.9}, {"name": "B", "size": 2}], "table": [0.25] * 4},
-    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": ["0.45", "0.05", "0.05", "0.45"]},
-    {"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [True, False, False, False]},
+@pytest.mark.parametrize("model,pointer", [
+    ({"axes": [{"name": "X", "size": 2}, {"name": "Y", "size": 2}], "table": [0.25] * 4}, "/model"),
+    ({"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}, {"name": "C", "size": 2}],
+      "table": [0.125] * 8}, "/model"),
+    ({"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [0.5, 0.5]}, "/model"),
+    # a missing key is named at its own pointer
+    ({"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}]}, "/model/table"),
+    ({"axes": "AB", "table": [0.25] * 4}, "/model"),
+    ("bundled:bsc", "/model"),
+    ({"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [math.nan, 0.5, 0.25, 0.25]}, "/model"),
+    ({"axes": [{"name": "A", "size": 2.9}, {"name": "B", "size": 2}], "table": [0.25] * 4}, "/model"),
+    ({"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": ["0.45", "0.05", "0.05", "0.45"]},
+     "/model"),
+    ({"axes": [{"name": "A", "size": 2}, {"name": "B", "size": 2}], "table": [True, False, False, False]}, "/model"),
 ], ids=["axes-XY", "axes-ABC", "table-length", "no-table", "axes-not-a-list", "bundled", "table-nan",
         "size-not-int", "table-strings", "table-bools"])
-def test_verify_binning_rejects_joint_not_over_a_b(tmp_path, capsys, model):
+def test_verify_binning_rejects_joint_not_over_a_b(tmp_path, capsys, model, pointer):
     doc = {"model": model, "n_list": [4], "rates": [0.3], "replicates": 1, "samples": 10, "out": "bad"}
     code = cli.main(["verify-binning", "--config", str(write_config(tmp_path, "bad.json", doc))])
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["type"] == "ConfigError"
-    assert err["error"].startswith("/model: ")
+    assert err["error"].startswith(pointer + ": ")
     assert not (tmp_path / "bad").exists()
+
+
+def sparse_rows(rng, shape, size):
+    """Pmf rows over ``size`` outcomes: each row dense, with zero cells, or a
+    point mass."""
+    rows = rng.dirichlet(np.ones(size), size=shape)
+    kind = rng.integers(3, size=shape)[..., None]
+    rows[(kind == 1) & (rng.random(rows.shape) < 0.5)] = 0.0
+    point = np.eye(size)[rng.integers(size, size=shape)]
+    rows = np.where(kind == 2, point, rows)
+    rows[..., 0] += rows.sum(axis=-1) == 0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def sparse_model_doc(rng):
+    """A random valid source model: U, Y and V of 1 to 3 symbols, binary X
+    and W, with zero cells and point-mass rows."""
+    from coordsim.construction import SourceModel
+    from coordsim.probability import Alphabet, ConditionalPMF, JointPMF
+
+    u, y, v = (Alphabet(name, int(k)) for name, k in zip("UYV", rng.integers(1, 4, size=3)))
+    x, w = Alphabet("X", 2), Alphabet("W", 2)
+    return SourceModel(
+        u_prior=JointPMF((u,), sparse_rows(rng, (), u.size)),
+        x_prior=JointPMF((x,), sparse_rows(rng, (), 2)),
+        channel=ConditionalPMF((x,), (y,), sparse_rows(rng, (2,), y.size)),
+        w_rule=ConditionalPMF((x, u), (w,), sparse_rows(rng, (2, u.size), 2)),
+        v_rule=ConditionalPMF((w, y), (v,), sparse_rows(rng, (2, y.size), v.size)),
+    ).to_json_dict()
+
+
+def finite_numbers(node):
+    if isinstance(node, dict):
+        return all(finite_numbers(value) for value in node.values())
+    if isinstance(node, list):
+        return all(finite_numbers(value) for value in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def test_sparse_valid_models_run_or_fail_typed(tmp_path, capsys, monkeypatch):
+    # every model that passes validation either runs to a finite report or
+    # exits nonzero with exactly one JSON error line, never a traceback
+    monkeypatch.setenv("COORDSIM_THREADS", "1")
+    rng = np.random.default_rng(2908)
+    outcomes = {"report": 0, "error": 0}
+    for i in range(40):
+        doc = sparse_model_doc(rng)
+        for subcommand, n in [("construct", 16), ("simulate", 16), ("construct", 64), ("simulate", 64)]:
+            cfg = {"model": doc, "params": {"n": n, "mc_samples": 64}, "seed": i, "out": f"m{i}-{subcommand}-{n}"}
+            if subcommand == "simulate":
+                cfg.update(k=2, trials=2)
+            code = cli.main([subcommand, "--config", str(write_config(tmp_path, "sparse.json", cfg))])
+            err = capsys.readouterr().err.strip().splitlines()
+            if code == 0:
+                assert err == []
+                report = json.loads((tmp_path / cfg["out"] / "report.json").read_text())
+                assert finite_numbers(report), (i, subcommand, n)
+                outcomes["report"] += 1
+            else:
+                assert code == 1 and len(err) == 1, (i, subcommand, n, err)
+                assert set(json.loads(err[0])) == {"error", "type"}
+                outcomes["error"] += 1
+    # both branches are taken: some models run and some are refused
+    assert outcomes["report"] and outcomes["error"], outcomes
 
 
 # -- plotdata -----------------------------------------------------------------------
@@ -714,6 +790,54 @@ def test_main_names_unknown_model_key(tmp_path, capsys, subcommand, doc, pointer
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": f"{pointer}: unknown key", "type": "ConfigError"}
+    assert not (tmp_path / "bad").exists()
+
+
+def test_config_pointers_escape_keys_per_rfc_6901():
+    # "~" is written "~0" and "/" is written "~1", so each key stays one token
+    with pytest.raises(ConfigError) as err:
+        parse_config("construct", {"model": "bundled:bsc", "params": {"n": 64}, "x~y/z": 1})
+    assert str(err.value) == "/x~0y~1z: unknown key"
+    with pytest.raises(ConfigError) as err:
+        parse_config("construct", {"model": "bundled:bsc", "params": {"n": 64, "a/b": 1}})
+    assert str(err.value) == "/params/a~1b: unknown key"
+    model = {**BSC_DOC, "u_prior": {**BSC_DOC["u_prior"], "~/": 1}}
+    cfg = parse_config("construct", {"model": model, "params": {"n": 32}})
+    with pytest.raises(ConfigError) as err:
+        cli._source_model(cfg)
+    assert str(err.value) == "/model/u_prior/~0~1: unknown key"
+
+
+def without(doc, *path):
+    """A deep copy of ``doc`` with the key at ``path`` deleted."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    del node[path[-1]]
+    return doc
+
+
+CHAINED_DOC = chained_model().to_json_dict()
+
+
+@pytest.mark.parametrize("subcommand,doc,pointer", [
+    ("construct", {"model": without(CHAINED_DOC, "x_prior"), "params": {"n": 32}}, "/model/x_prior"),
+    ("simulate", {"model": without(CHAINED_DOC, "u_prior", "table"), "params": {"n": 32}, "k": 2},
+     "/model/u_prior/table"),
+    ("construct", {"model": without(CHAINED_DOC, "w_rule", "out_axes", "0", "size"), "params": {"n": 32}},
+     "/model/w_rule/out_axes/0/size"),
+    ("region", {"model": without(bsc_model().target.to_json_dict(), "channel")}, "/model/channel"),
+    ("region", {"model": without(CHAINED_DOC, "u_prior")}, "/model/u_prior"),
+    ("verify-binning", {"model": without(AB_DOC, "axes", "1", "name"), "n_list": [4], "rates": [0.3]},
+     "/model/axes/1/name"),
+], ids=["construct", "simulate-pmf", "construct-alphabet", "region-target", "region-source-model", "verify-binning"])
+def test_main_names_missing_model_key(tmp_path, capsys, subcommand, doc, pointer):
+    # a key that a law or pmf document needs is named by its pointer, as the config's own keys are
+    code = cli.main([subcommand, "--config", str(write_config(tmp_path, "bad.json", {**doc, "out": "bad"}))])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": f"{pointer}: required key missing", "type": "ConfigError"}
     assert not (tmp_path / "bad").exists()
 
 

@@ -528,24 +528,109 @@ def test_polish_lockstep_matches_one_restart_at_a_time(monkeypatch):
         assert np.allclose(batch_q.sum(axis=-1), 1.0) and np.allclose(batch_r.sum(axis=-1), 1.0)
 
 
-def test_search_reports_spread_over_feasible_restarts(monkeypatch):
-    scored = []
-    score = region.evaluate
-    monkeypatch.setattr(region, "evaluate", lambda *args: scored.append(score(*args)) or scored[-1])
-    verdict = search_auxiliary(planted_target(), 2, restarts=32, seed=0)
-    rates = [v.inner_rate for v in scored if v.feasible]
+def fitted_starts(target, w_size, restarts, seed):
+    """The rows the search fits: restart i's Dirichlet start drawn from the
+    i-th child of SeedSequence(seed), all fitted in one batch."""
+    nu, nx, ny, nv = target.joint().table.shape
+    q, r = [], []
+    for ss in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(ss)
+        q.append(rng.dirichlet(np.ones(w_size), size=(nu, nx)))
+        r.append(rng.dirichlet(np.ones(nv), size=(w_size, ny)))
+    return region.least_squares(target, np.array(q), np.array(r))
+
+
+def witness_of(target, q, r):
+    w = Alphabet("W", q.shape[-1])
+    return AuxiliaryDecomposition(
+        q.shape[-1],
+        ConditionalPMF(target.p_u.axes + target.p_x.axes, (w,), q / q.sum(axis=-1, keepdims=True)),
+        ConditionalPMF((w,) + target.channel.out_axes, target.action_rule.out_axes, r / r.sum(axis=-1, keepdims=True)),
+    )
+
+
+def test_search_reports_spread_over_feasible_restarts():
+    # the oracle: each of the search's 32 fitted witnesses scored alone by evaluate
+    target = planted_target()
+    scored = [evaluate(target, witness_of(target, q, r)) for q, r in zip(*fitted_starts(target, 2, 32, 0))]
+    feasible = [v for v in scored if v.feasible]
+    rates = [v.inner_rate for v in feasible]
     # measured: 14 of the 32 restarts are feasible, at inner rates 0.8804 to 1.0467
     assert 1 < len(rates) < 32
+    verdict = search_auxiliary(target, 2, restarts=32, seed=0)
     assert verdict.feasible_restarts == len(rates)
     assert verdict.inner_rate_range == (min(rates), max(rates))
     assert verdict.inner_rate == min(rates) < max(rates)
+    best = min(feasible, key=lambda v: (v.inner_rate, v.residual)).to_json_dict()
+    best.update(feasible_restarts=len(rates), inner_rate_range=[min(rates), max(rates)])
     report = verdict.to_json_dict()
-    assert report["feasible_restarts"] == len(rates)
-    assert report["inner_rate_range"] == [min(rates), max(rates)]
+    assert json.dumps(report) == json.dumps(best)  # every float bit
     # a verdict on one witness keeps its JSON form
-    assert "feasible_restarts" not in evaluate(planted_target(), verdict.witness).to_json_dict()
-    infeasible = search_auxiliary(planted_target(), 1, restarts=4, seed=0).to_json_dict()
+    assert "feasible_restarts" not in evaluate(target, verdict.witness).to_json_dict()
+    infeasible = search_auxiliary(target, 1, restarts=4, seed=0).to_json_dict()
     assert infeasible["feasible_restarts"] == 0 and infeasible["inner_rate_range"] is None
+
+
+def test_search_builds_only_the_returned_witness(monkeypatch):
+    built = []
+
+    class Counted(AuxiliaryDecomposition):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(region, "AuxiliaryDecomposition", Counted)
+    verdict = search_auxiliary(planted_target(), 2, restarts=32, seed=0)
+    assert built == [verdict.witness]
+
+
+def sparse_rows(rng, shape, size):
+    """Dirichlet rows over ``size`` outcomes with about a third of the cells
+    set to zero; a row left empty puts its mass on outcome 0."""
+    rows = rng.dirichlet(np.ones(size), size=shape)
+    rows[rng.random(rows.shape) < 1 / 3] = 0.0
+    rows[..., 0] += rows.sum(axis=-1) == 0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("w_size", [1, 2, 3])
+def test_batched_scores_equal_evaluate_per_restart(w_size):
+    # evaluate is the one-restart case of the batch; each restart's scores
+    # must not depend on the rest of it, and must be those of the induced
+    # joint's measures, to the bit, on targets and witnesses with zero cells
+    rng = np.random.default_rng(2900 + w_size)
+    for _ in range(20):
+        sizes = rng.integers(1, 4, size=4)
+        u, x, y, v = (Alphabet(name, int(k)) for name, k in zip("UXYV", sizes))
+        target = CoordinationTarget(
+            p_u=JointPMF((u,), sparse_rows(rng, (), u.size)),
+            p_x=JointPMF((x,), sparse_rows(rng, (), x.size)),
+            channel=ConditionalPMF((x,), (y,), sparse_rows(rng, (x.size,), y.size)),
+            action_rule=ConditionalPMF((u, x, y), (v,), sparse_rows(rng, (u.size, x.size, y.size), v.size)),
+        )
+        auxes = [
+            witness_of(target, sparse_rows(rng, (u.size, x.size), w_size), sparse_rows(rng, (w_size, y.size), v.size))
+            for _ in range(5)
+        ]
+        q = np.stack([aux.p_w_given_ux.table for aux in auxes])
+        r = np.stack([aux.p_v_given_wy.table for aux in auxes])
+        batch = [a.tolist() for a in region._score(target, q, r, region.DEFAULT_TOL)]
+        for i, aux in enumerate(auxes):
+            verdict = evaluate(target, aux)
+            ind = induced_joint(target, aux)
+            residual = total_variation(marginalize(ind, ["U", "X", "Y", "V"]), target.joint())
+            slack = mutual_information(ind, ["W", "X"], ["Y"]) - mutual_information(ind, ["W", "X"], ["U"])
+            outer = mutual_information(ind, ["W"], ["U", "X", "V"], ["Y"])
+            inner = outer + conditional_entropy(ind, ["X"], ["W", "Y"])
+            oracle = (residual <= region.DEFAULT_TOL and slack >= -region.INFO_SLACK_TOL, residual, slack, inner, outer)
+            scores = (verdict.feasible, verdict.residual, verdict.info_slack, verdict.inner_rate, verdict.outer_rate)
+            assert repr(scores) == repr(oracle) == repr(tuple(a[i] for a in batch))
+
+
+def test_evaluate_rejects_a_witness_of_other_alphabets():
+    aux = witness_of(bsc_target(), np.full((2, 2, 3), 1 / 3), np.full((3, 2, 2), 0.5))
+    with pytest.raises(ValueError, match="do not fit"):
+        evaluate(small_target(31, (3, 2, 3, 2)), aux)
 
 
 # -- rate ledger --------------------------------------------------------------------
