@@ -19,6 +19,16 @@ the already-decoded block i+1, the rest by hard successive-cancellation
 decisions, and the action V is sampled symbol by symbol from the action
 rule applied to the reconstructed auxiliary and the channel output.
 
+The signal chain is decoded in waves.  A wave is a run of consecutive
+blocks, none of which takes its a3 fill from a block of the same wave,
+decoded in one successive-cancellation pass over its (trial, block) rows.
+When a3 is empty no s bit chains between blocks, and a wave holds as many
+blocks as fit in :data:`~coordsim.polar.WAVE_ROWS` rows (at least one);
+otherwise each wave is one block.  Hard decisions are independent across
+rows, so the waves decide the bits a block-by-block loop decides.  The z
+passes and the action draws stay one per block, in reverse block order,
+after the s chain.
+
 :func:`decode` and :func:`run_trials` run the trials of several seeds in
 lockstep: each successive-cancellation pass covers the same block of every
 trial at once, while each trial keeps its own generators, consumed in the
@@ -42,7 +52,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .construction import PolarIndexSets, SourceModel, common_randomness_shapes, rate_report
-from .polar import polar_transform, sc_pass
+from .polar import WAVE_ROWS, polar_transform, sc_pass
 from .probability import Alphabet, JointPMF, iid_blocks, inverse_cdf, marginalize, mutual_information
 
 __all__ = [
@@ -135,7 +145,7 @@ def _frozen_frame(sets: PolarIndexSets, crs: list[CommonRandomness]):
     s, z = (np.zeros((len(crs), c.shape[1], sets.n), dtype=np.uint8) for _ in range(2))
     s[:, :, sets.a1] = c
     z[:, :, sets.bp1] = c_bar[:, None]
-    z[:, :, np.setdiff1d(sets.b1, sets.bp1)] = c_prime
+    z[:, :, _known(sets.n, sets.b1) & ~_known(sets.n, sets.bp1)] = c_prime
     return s, z, keys_s, keys_z
 
 
@@ -202,6 +212,12 @@ def decode(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, model: Sou
     and one generator per trial.  Returns s_hat, z_hat, x_hat, w_hat and v,
     each of shape (trials, k, n); whether a block decoded correctly is not
     checked here.
+
+    The s chain takes one pass per wave: with a3 empty, a wave is up to
+    ``max(1, WAVE_ROWS // trials)`` consecutive blocks, else one block, so
+    a batch of more than ``WAVE_ROWS // 2`` trials takes one pass per block
+    of ``trials`` rows.  Each block then takes one z pass and one action
+    draw, from block k-1 down to block 0.
     """
     trials, k, n = y_blocks.shape
     for cr in crs:
@@ -220,12 +236,20 @@ def decode(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, model: Sou
     x_hat, w_hat, v = (np.zeros_like(s_hat) for _ in range(3))
     s_hat[:, -1, sets.a3] = s_last_a3
     z_hat[:, -1, sets.b3] = z_last_b3
+    # the s chain in waves: blocks lo..hi-1, highest wave first, decoded as
+    # the (trials * blocks, n) rows of one pass
+    per_wave = 1 if len(sets.a3) else max(1, WAVE_ROWS // trials)
+    for hi in range(k, 0, -per_wave):
+        lo = max(hi - per_wave, 0)
+        if len(sets.a3) and hi < k:  # a one-block wave: block lo takes a3 from block hi
+            s_hat[:, lo, sets.a3] = one_time_pad(s_hat[:, hi][:, sets.ap3], keys_s[:, lo])
+        rows = s_hat[:, lo:hi].reshape(-1, n)  # a view for one trial, one block or all k; else a copy
+        x_rows = sc_pass(xpost[y_blocks[:, lo:hi]].reshape(-1, n), rows, s_known, _hard)
+        s_hat[:, lo:hi], x_hat[:, lo:hi] = (a.reshape(trials, hi - lo, n) for a in (rows, x_rows))
     for i in range(k - 1, -1, -1):
-        s_i, z_i = s_hat[:, i], z_hat[:, i]
+        z_i = z_hat[:, i]
         if i < k - 1:
-            s_i[:, sets.a3] = one_time_pad(s_hat[:, i + 1][:, sets.ap3], keys_s[:, i])
             z_i[:, sets.b3] = one_time_pad(s_hat[:, i + 1][:, sets.bp3], keys_z[:, i])
-        x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, _hard)
         w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, _hard)
 
         uniforms = np.stack([rng.random(n) for rng in rngs])

@@ -366,7 +366,8 @@ def build_index_sets(profile: PolarizedEntropyProfile, params: PolarParams) -> P
     a2 = idx[very_high_s & ~high_s_y]
     a3 = idx[~very_high_s & high_s_y]
     a4 = idx[~very_high_s & ~high_s_y]
-    b1 = idx[very_high_z & high_z_x]
+    in_b1 = very_high_z & high_z_x
+    b1 = idx[in_b1]
     b2 = idx[very_high_z & ~high_z_x]
     b3 = idx[~very_high_z & high_z_x]
     b4 = idx[~very_high_z & ~high_z_x]
@@ -377,13 +378,12 @@ def build_index_sets(profile: PolarizedEntropyProfile, params: PolarParams) -> P
             f"b2 nonempty ({len(b2)} indices): estimated very-high-entropy set "
             "is not inside the high-entropy set"
         )
-    shared = idx[very_high_z_all]
-    outside = np.setdiff1d(shared, b1)
-    if len(outside) > 0:
+    outside = np.count_nonzero(very_high_z_all & ~in_b1)
+    if outside > 0:
         warnings.append(
-            f"{len(outside)} shared-set indices fell outside b1 and were dropped"
+            f"{outside} shared-set indices fell outside b1 and were dropped"
         )
-    bp1 = np.intersect1d(shared, b1)
+    bp1 = idx[very_high_z_all & in_b1]
 
     if len(a2) < len(a3) + len(b3):
         raise CapacityError(

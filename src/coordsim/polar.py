@@ -84,10 +84,17 @@ __all__ = [
     "known_path_conditionals",
     "KnownPathWorkspace",
     "CHUNK_ROWS",
+    "WAVE_ROWS",
 ]
 
 _CLIP = 1e-20
 CHUNK_ROWS = 32  # rows per known-path chunk: its level arrays stay in cache
+# rows per sequential pass of the decoder's signal-chain waves (codec.decode):
+# a pass costs mostly a fixed time per node, so stacked (trial, block) rows
+# come almost free up to here (at n = 1024 on a 2-vCPU x86-64 host, 8 rows
+# take 3.7 ms a pass, 64 rows 9.2 ms and 128 rows 15.1 ms); 64 holds 8
+# trials of 8 blocks, and a batch of over 32 trials decodes a block a pass
+WAVE_ROWS = 64
 # 0-d array operands: on the small arrays of a sequential pass numpy
 # broadcasts them faster than Python floats
 _FLOOR = np.array(_CLIP)

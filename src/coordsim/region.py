@@ -351,7 +351,14 @@ def _logits(rows: np.ndarray) -> np.ndarray:
 FIT_EVALS = 400  # residual evaluations per restart in the fit
 
 
-def _softmax_fit(c, tgt, zq, zr):
+def _fit_masks(nu, nx, ny, nv):
+    """The identity masks of :func:`_softmax_fit`'s Jacobian for the
+    alphabet sizes of U, X, Y and V: the (u, x) row mask, the delta_vj
+    columns and the y column mask, built once per fit."""
+    return np.eye(nu * nx).reshape(nu, nx, 1, 1, nu, nx, 1), np.eye(nv)[:, 1:], np.eye(ny).reshape(ny, 1, 1, ny, 1)
+
+
+def _softmax_fit(c, tgt, zq, zr, masks):
     """Residual and Jacobian of the row-softmax fit for a batch of restarts.
 
     ``zq`` (restarts, u, x, w-1) and ``zr`` (restarts, w, y, v-1) hold the
@@ -359,24 +366,24 @@ def _softmax_fit(c, tgt, zq, zr):
     M[u,x,y,v] = c[u,x,y] sum_k q[u,x,k] r[k,y,v] and c = P_U P_X P_{Y|X},
     is flattened to (restarts, cells); the Jacobian (restarts, cells,
     params) takes the parameters in the order of the flattened ``zq`` and
-    then ``zr``.  Every entry is computed per restart.
+    then ``zr``.  Every entry is computed per restart.  ``masks`` is
+    :func:`_fit_masks` of the target's shape.
     """
     q, r = _softmax_rows(zq), _softmax_rows(zr)
-    restarts, nu, nx, _ = q.shape
-    ny, nv = r.shape[2:]
+    restarts = len(q)
+    eye_ux, eye_v, eye_y = masks
     cv = c[:, :, :, None, None]
     mix = (q[..., None, None] * r[:, None, None]).sum(axis=3)  # (restarts, u, x, y, v)
     resid = (cv[..., 0] * mix - tgt).reshape(restarts, -1)
     cells = resid.shape[1]
     # dM[u,x,y,v]/dzq[u,x,j] = c q_j (r[j,y,v] - mix[u,x,y,v]); zero off row (u, x)
-    r_j = np.moveaxis(r[:, 1:], 1, -1)[:, None, None]  # (restarts, 1, 1, y, v, w-1)
+    r_j = r[:, 1:].transpose(0, 2, 3, 1)[:, None, None]  # (restarts, 1, 1, y, v, w-1)
     dq = cv * q[:, :, :, None, None, 1:] * (r_j - mix[..., None])
-    eye_ux = np.eye(nu * nx).reshape(nu, nx, 1, 1, nu, nx, 1)
     jq = dq[:, :, :, :, :, None, None, :] * eye_ux
     # dM[u,x,y,v]/dzr[w,y,j] = c q_w r[w,y,v] (delta_vj - r[w,y,j]); zero off column y
-    soft = r[..., None] * (np.eye(nv)[:, 1:] - r[:, :, :, None, 1:])  # (restarts, w, y, v, v-1)
-    dr = cv[..., None] * q[:, :, :, None, None, :, None] * np.moveaxis(soft, 1, 3)[:, None, None]
-    jr = dr[..., None, :] * np.eye(ny).reshape(ny, 1, 1, ny, 1)
+    soft = r[..., None] * (eye_v - r[:, :, :, None, 1:])  # (restarts, w, y, v, v-1)
+    dr = cv[..., None] * q[:, :, :, None, None, :, None] * soft.transpose(0, 2, 3, 1, 4)[:, None, None]
+    jr = dr[..., None, :] * eye_y
     jac = np.concatenate([jq.reshape(restarts, cells, -1), jr.reshape(restarts, cells, -1)], axis=2)
     return resid, jac
 
@@ -406,12 +413,13 @@ def least_squares(target: CoordinationTarget, q, r):
     nq = int(np.prod(qshape))
     tgt = target.joint().table  # [u, x, y, v]
     c = target.p_u.table[:, None, None] * target.p_x.table[None, :, None] * target.channel.table[None]
+    masks = _fit_masks(*tgt.shape)
 
     def fit(theta):
         # the residual f with the normal-equation terms J^T J and J^T f
         zq = theta[:, :nq].reshape((len(theta),) + qshape)
         zr = theta[:, nq:].reshape((len(theta),) + rshape)
-        f, jac = _softmax_fit(c, tgt, zq, zr)
+        f, jac = _softmax_fit(c, tgt, zq, zr, masks)
         jt = np.swapaxes(jac, 1, 2)
         return f, jt @ jac, (jt @ f[..., None])[..., 0]
 

@@ -419,6 +419,29 @@ def test_cli_import_loads_no_process_pool():
     assert done.stdout.strip() == "False"
 
 
+def test_construct_and_simulate_runs_load_no_numpy_ma(tmp_path):
+    # np.setdiff1d and np.intersect1d import numpy.ma through np.unique,
+    # about 1 MB of peak memory and 10 ms of setup per run
+    construct = write_config(tmp_path, "construct.json", {
+        "model": "bundled:chained", "params": {"n": 64, "mc_samples": 256}, "seed": 1,
+        "out": str(tmp_path / "construct"), "cache": str(tmp_path / "sets.idx"),
+    })
+    simulate = write_config(tmp_path, "simulate.json", {
+        "model": "bundled:chained", "params": {"n": 64}, "k": 3, "trials": 2, "seed": 1,
+        "sets_cache": str(tmp_path / "sets.idx"), "out": str(tmp_path / "simulate"),
+    })
+    code = (
+        "import sys, coordsim.cli as cli\n"
+        f"assert cli.main(['construct', '--config', {str(construct)!r}]) == 0\n"
+        f"assert cli.main(['simulate', '--config', {str(simulate)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), COORDSIM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
 # -- verify-binning -----------------------------------------------------------------
 
 

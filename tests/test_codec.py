@@ -30,8 +30,8 @@ from coordsim.construction import (
     load_index_cache,
     rate_report,
 )
-from coordsim.polar import polar_transform
-from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, iid_blocks
+from coordsim.polar import polar_transform, sc_pass
+from coordsim.probability import Alphabet, ConditionalPMF, JointPMF, iid_blocks, inverse_cdf
 
 U, X, Y, V, W = (Alphabet(n, 2) for n in "UXYVW")
 
@@ -237,6 +237,95 @@ def test_decoder_pinned_at_n1024():
     decoded = decode(y, s_last_a3, z_last_b3, sets, crs, model, rngs)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in decoded)).hexdigest()
     assert digest == "738280383061cf937a23b2c3e58807f48bbe5112aff1065c768e38cea5d68832"
+
+
+# -- the wave decoder -----------------------------------------------------------------
+
+
+def reference_decode(y_blocks, s_last_a3, z_last_b3, sets, crs, model, rngs):
+    """The decoder block by block, in reverse order: one s pass, one z pass
+    and one action draw per block, the s pass after the block above."""
+    trials, k, n = y_blocks.shape
+    s_known, z_known = codec._known(n, sets.a1, sets.a3), codec._known(n, sets.b1, sets.b3)
+    xpost, wx = model.x_posterior_given_y(), model.w_given_x()
+    v_rule = model.v_rule.aligned_table(("W", "Y"))
+    s_hat, z_hat, keys_s, keys_z = codec._frozen_frame(sets, crs)
+    x_hat, w_hat, v = (np.zeros_like(s_hat) for _ in range(3))
+    s_hat[:, -1, sets.a3] = s_last_a3
+    z_hat[:, -1, sets.b3] = z_last_b3
+    for i in range(k - 1, -1, -1):
+        s_i, z_i = s_hat[:, i], z_hat[:, i]
+        if i < k - 1:
+            s_i[:, sets.a3] = one_time_pad(s_hat[:, i + 1][:, sets.ap3], keys_s[:, i])
+            z_i[:, sets.b3] = one_time_pad(s_hat[:, i + 1][:, sets.bp3], keys_z[:, i])
+        x_hat[:, i] = sc_pass(xpost[y_blocks[:, i]], s_i, s_known, codec._hard)
+        w_hat[:, i] = sc_pass(wx[x_hat[:, i]], z_i, z_known, codec._hard)
+        uniforms = np.stack([rng.random(n) for rng in rngs])
+        v[:, i] = inverse_cdf(v_rule[w_hat[:, i], y_blocks[:, i]], uniforms)
+    return s_hat, z_hat, x_hat, w_hat, v
+
+
+def chained_n1024_sets():
+    return load_index_cache(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "chained_n1024.idx")
+
+
+def decoder_case(sets, trials, k, seed=0):
+    """Channel outputs of the chained model, payloads and common randomness
+    for a decode, and a maker of the trials' fresh generators."""
+    model = chained_model()
+    rng = np.random.default_rng(seed)
+    y = model.sample_blocks(rng, trials * k, sets.n)["y"].reshape(trials, k, sets.n)
+    s_last_a3 = rng.integers(0, 2, (trials, len(sets.a3)), dtype=np.uint8)
+    z_last_b3 = rng.integers(0, 2, (trials, len(sets.b3)), dtype=np.uint8)
+    crs = [CommonRandomness.draw(sets, k, rng) for _ in range(trials)]
+    args = (y, s_last_a3, z_last_b3, sets, crs, model)
+    return args, lambda: [np.random.default_rng(seed + 100 + t) for t in range(trials)]
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+WAVE_CASES = [("chained_n1024", 4, 3), ("chained_n1024", 3, 2), ("synthetic", 5, 4), ("synthetic", 5, 2)]
+
+
+@pytest.mark.parametrize("name,trials,k", WAVE_CASES)
+def test_wave_decode_equals_block_by_block(name, trials, k):
+    # the committed n=1024 sets have a3 empty, so their s chain is one wave;
+    # the synthetic sets chain s through a3, one block per wave
+    sets = chained_n1024_sets() if name == "chained_n1024" else synthetic_sets()
+    assert (len(sets.a3) == 0) == (name == "chained_n1024")
+    args, rngs = decoder_case(sets, trials, k)
+    assert_same_arrays(decode(*args, rngs()), reference_decode(*args, rngs()))
+
+
+@pytest.mark.parametrize("cap", [1, 4, 6, 9])
+def test_wave_decode_bytes_do_not_depend_on_the_row_cap(cap, monkeypatch):
+    # 2 trials of 7 blocks: waves of 1, 2, 3 and 4 blocks, the last one short
+    args, rngs = decoder_case(chained_n1024_sets(), 2, 7, seed=1)
+    want = reference_decode(*args, rngs())
+    monkeypatch.setattr(codec, "WAVE_ROWS", cap)
+    assert_same_arrays(decode(*args, rngs()), want)
+
+
+@pytest.mark.parametrize("name,cap,rows", [
+    ("chained_n1024", codec.WAVE_ROWS, [12] + [4] * 3),  # 1 + k passes
+    ("chained_n1024", 4, [4] * 6),  # 2k passes
+    ("synthetic", codec.WAVE_ROWS, [4] * 6),
+])
+def test_wave_decode_sc_pass_count(name, cap, rows, monkeypatch):
+    # 4 trials of 3 blocks: one s pass of 12 rows when a3 is empty and the
+    # wave fits the cap, else one s pass per block; then one z pass per block
+    sets = chained_n1024_sets() if name == "chained_n1024" else synthetic_sets()
+    seen = []
+    real_pass = codec.sc_pass
+    monkeypatch.setattr(codec, "sc_pass", lambda p, *rest: seen.append(len(p)) or real_pass(p, *rest))
+    monkeypatch.setattr(codec, "WAVE_ROWS", cap)
+    args, rngs = decoder_case(sets, 4, 3)
+    decode(*args, rngs())
+    assert seen == rows
 
 
 # -- mechanics on synthetic sets ------------------------------------------------------

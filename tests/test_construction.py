@@ -5,11 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from coordsim import construction
 from coordsim.bundled import bsc_model, bsc_target, chained_model, planted_target
 from coordsim.cli import ConfigError, _source_model
-from coordsim.codec import transmit
+from coordsim.codec import CommonRandomness, _encode_trials, transmit
 from coordsim.construction import (
     CapacityError,
     PolarIndexSets,
@@ -17,6 +18,7 @@ from coordsim.construction import (
     PolarParams,
     SourceModel,
     build_index_sets,
+    common_randomness_shapes,
     divergence_certificate,
     estimate_profile,
     load_index_cache,
@@ -39,6 +41,7 @@ from coordsim.probability import (
     binary_entropy,
     conditional_entropy,
     entropy,
+    iid_blocks,
     inverse_cdf,
 )
 from coordsim.region import AuxiliaryDecomposition, evaluate, induced_joint
@@ -496,16 +499,15 @@ def test_divergence_certificate_chained_model():
     assert cert.total <= cert.bound + 3 * cert.stderr
 
 
-def exact_encoder_divergence(model, f_s, f_z):
-    """At n = 4, the enumerated D(P^n || Q_enc) and the certificate of the
-    exact profile, with F_s = a1 u a2 and F_z = b1 as given.
+def encoder_block_law(model, f_s, f_z):
+    """At n = 4, every cell (u, s, z) of one block with its probability
+    under P^n and under the encoder's block law Q_enc, and the SC
+    conditionals P(s_j = 1 | s^{j-1}) and P(z_j = 1 | z^{j-1}, x^n, u^n)
+    of its bits.
 
     The encoder fills s on F_s and z on F_z uniformly and draws every other
-    bit from its SC conditional; call that block law Q_enc(u, s, z).  By the
-    chain rule for KL,
-      D(P^n || Q_enc) = sum_{F_s} (1 - H(S_j|S^{j-1})) + sum_{F_z} (1 - H(Z_j|Z^{j-1} X^n U^n)),
-    which is what the certificate sums.  Both sides are exact over the
-    |U|^4 2^8 cells (u, s, z).
+    bit from its SC conditional; that is Q_enc(u, s, z).  The cells are the
+    |U|^4 2^8 tuples in row-major order of (u, s, z).
     """
     n = 4
     nu = model.u_prior.axes[0].size
@@ -527,6 +529,20 @@ def exact_encoder_divergence(model, f_s, f_z):
     q_s[:, f_s] = 0.5
     q_z[:, f_z] = 0.5
     q = p_u[u].prod(axis=1) * q_s.prod(axis=1) * q_z.prod(axis=1)
+    return cells, p, q, p1_s, p1_z
+
+
+def exact_encoder_divergence(model, f_s, f_z):
+    """At n = 4, the enumerated D(P^n || Q_enc) and the certificate of the
+    exact profile, with F_s = a1 u a2 and F_z = b1 as given.
+
+    By the chain rule for KL, with Q_enc as in :func:`encoder_block_law`,
+      D(P^n || Q_enc) = sum_{F_s} (1 - H(S_j|S^{j-1})) + sum_{F_z} (1 - H(Z_j|Z^{j-1} X^n U^n)),
+    which is what the certificate sums.  Both sides are exact over the
+    |U|^4 2^8 cells (u, s, z).
+    """
+    n = 4
+    _, p, q, p1_s, p1_z = encoder_block_law(model, f_s, f_z)
     mass = p > 0
     divergence = float((p[mass] * np.log2(p[mass] / q[mass])).sum())
 
@@ -567,6 +583,41 @@ def test_divergence_certificate_is_exact_on_bsc_and_ternary_alphabets(make, f_s,
     certificate, divergence = exact_encoder_divergence(make(), f_s, f_z)
     assert divergence > 0.005
     assert certificate == pytest.approx(divergence, abs=1e-12)
+
+
+def test_encoder_draws_block_1_from_the_exact_block_law():
+    # the lockstep encoder at n = 4 on sets that use every fill: c on a1,
+    # the pads on ap3 and bp3, c_bar on bp1 and c_prime on the rest of b1;
+    # s draws one bit and z a rate-1 node of two.  Block 0 pairs with the
+    # dummy source block, so the test reads block 1: a chi-square of its
+    # (u, s, z) cells against Q_enc, the cells expected fewer than 5 times
+    # pooled into one
+    model = chained_model()
+    idx = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
+    sets = PolarIndexSets(
+        n=4, delta_n=0.1,
+        a1=idx(0), a2=idx(1, 2), a3=idx(3), a4=idx(),
+        b1=idx(0, 1), b2=idx(), b3=idx(2), b4=idx(3),
+        bp1=idx(0), ap3=idx(1), bp3=idx(2), ap2=idx(),
+    )
+    cells, _, q, _, _ = encoder_block_law(model, [0, 1, 2], [0, 1])
+    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    trials, k = 40_000, 2
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(30).spawn(trials)]
+    shared = np.random.default_rng(31)  # common randomness and source, drawn for all trials at once
+    fills = {name: shared.integers(0, 2, (trials,) + shape, dtype=np.uint8)
+             for name, shape in common_randomness_shapes(sets, k).items()}
+    crs = [CommonRandomness(**{name: a[t] for name, a in fills.items()}) for t in range(trials)]
+    u_blocks = iid_blocks(model.u_prior, shared, trials * (k + 1), 4)[0].reshape(trials, k + 1, 4)
+    s, z, _, _ = _encode_trials(u_blocks, sets, crs, model, rngs)
+    digits = np.concatenate([u_blocks[:, 1], s[:, 1], z[:, 1]], axis=1)
+    codes = np.ravel_multi_index(tuple(digits.T), cells.max(axis=0) + 1)
+    counts, expected = np.bincount(codes, minlength=len(q)), trials * q
+    pooled = expected < 5
+    counts = np.append(counts[~pooled], counts[pooled].sum())
+    expected = np.append(expected[~pooled], expected[pooled].sum())
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2.sf(stat, len(counts) - 1) > 1e-3
 
 
 # -- persistence ----------------------------------------------------------------------

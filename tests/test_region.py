@@ -488,7 +488,8 @@ def test_softmax_fit_jacobian_matches_central_differences(name, w_size):
     rng = np.random.default_rng(41 + w_size)
     zq = rng.normal(size=(3, nu, nx, w_size - 1))
     zr = rng.normal(size=(3, w_size, ny, nv - 1))
-    resid, jac = region._softmax_fit(c, tgt, zq, zr)
+    masks = region._fit_masks(*tgt.shape)
+    resid, jac = region._softmax_fit(c, tgt, zq, zr, masks)
     q, r = region._softmax_rows(zq), region._softmax_rows(zr)
     induced = np.einsum("u,x,xy,...uxw,...wyv->...uxyv", pu, px, ch, q, r)
     assert np.allclose(resid, (induced - tgt).reshape(3, -1), rtol=0.0, atol=1e-15)
@@ -497,7 +498,7 @@ def test_softmax_fit_jacobian_matches_central_differences(name, w_size):
     assert jac.shape == (3, tgt.size, theta.shape[1])
 
     def resid_at(th):
-        return region._softmax_fit(c, tgt, th[:, :nq].reshape(zq.shape), th[:, nq:].reshape(zr.shape))[0]
+        return region._softmax_fit(c, tgt, th[:, :nq].reshape(zq.shape), th[:, nq:].reshape(zr.shape), masks)[0]
 
     h = 1e-6
     for k in range(theta.shape[1]):
@@ -511,7 +512,7 @@ def test_softmax_fit_jacobian_matches_central_differences(name, w_size):
 def test_polish_lockstep_matches_one_restart_at_a_time(monkeypatch):
     live = []  # restarts still iterating, per residual evaluation
     fit = region._softmax_fit
-    monkeypatch.setattr(region, "_softmax_fit", lambda c, tgt, zq, zr: live.append(len(zq)) or fit(c, tgt, zq, zr))
+    monkeypatch.setattr(region, "_softmax_fit", lambda c, tgt, zq, *rest: live.append(len(zq)) or fit(c, tgt, zq, *rest))
     for name, w_size in [("planted", 1), ("planted", 2), ("small31", 3)]:
         target = PINNED_TARGETS[name]()
         nu, nx, ny, nv = target.joint().table.shape
