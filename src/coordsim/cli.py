@@ -324,6 +324,9 @@ def _profile_and_sets(cfg, model: SourceModel):
 
 
 def _run_construct(cfg) -> dict:
+    cache_path = None if cfg["cache"] is None else Path(cfg["base_dir"]) / cfg["cache"]
+    if cache_path is not None and cache_path.is_dir():  # refused before the profile is spent
+        raise ConfigError("/cache", f"{cache_path} is a directory")
     profile, sets = _profile_and_sets(cfg, _source_model(cfg))
     report = {
         "index_sets": sets.to_json_dict(),
@@ -331,10 +334,12 @@ def _run_construct(cfg) -> dict:
         "divergence_certificate": divergence_certificate(profile, sets).to_json_dict(),
         "set_sizes": {k: int(len(getattr(sets, k))) for k in sets.NAMES},
     }
-    if cfg["cache"] is not None:
-        cache_path = Path(cfg["base_dir"]) / cfg["cache"]
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        save_index_cache(cache_path, sets)
+    if cache_path is not None:
+        try:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            save_index_cache(cache_path, sets)
+        except OSError as err:
+            raise ConfigError("/cache", str(err)) from None
     sizes = report["set_sizes"]
     print(" ".join(f"|{k}|={v}" for k, v in sizes.items()))
     return report
@@ -348,9 +353,10 @@ def _run_simulate(cfg) -> dict:
             sets = load_index_cache(Path(cfg["base_dir"]) / cfg["sets_cache"])
         except (OSError, ValueError) as err:
             raise ConfigError("/sets_cache", str(err)) from None
-        n = cfg["params"]["n"]
-        if sets.n != n:
-            raise ConfigError("/sets_cache", f"cache is for n={sets.n}, config says n={n}")
+        params = PolarParams(**cfg["params"])
+        if (sets.n, sets.delta_n) != (params.n, params.delta_n):
+            raise ConfigError("/sets_cache", f"cache is for n={sets.n}, delta_n={sets.delta_n!r}; config's n "
+                              f"and beta give n={params.n}, delta_n={params.delta_n!r}")
         profile = None
     else:
         profile, sets = _profile_and_sets(cfg, model)

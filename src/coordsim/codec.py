@@ -186,8 +186,8 @@ def _encode_trials(u_blocks, sets: PolarIndexSets, crs, model: SourceModel, rngs
     trials, k, n = u_blocks.shape[0], u_blocks.shape[1] - 1, sets.n
     s_known, z_known = _known(n, sets.a1, sets.a2), _known(n, sets.b1)
     s_draws, z_draws = n - int(s_known.sum()), n - int(z_known.sum())
-    leaf_prior = np.full((trials, n), float(model.x_prior.table[1]))
-    wxu = model.w_given_xu()
+    leaf_prior = np.full((trials, n), model.posterior("X"))
+    wxu = model.posterior("W", ("X", "U"))
 
     s, z, keys_s, keys_z = _frozen_frame(sets, crs)
     x, w = np.zeros_like(s), np.zeros_like(z)
@@ -228,8 +228,7 @@ def decode(y_blocks, s_last_a3, z_last_b3, sets: PolarIndexSets, crs, model: Sou
             f"(trials, |a3|) = {(trials, len(sets.a3))}, (trials, |b3|) = {(trials, len(sets.b3))}"
         )
     s_known, z_known = _known(n, sets.a1, sets.a3), _known(n, sets.b1, sets.b3)
-    xpost = model.x_posterior_given_y()
-    wx = model.w_given_x()
+    xpost, wx = model.posterior("X", ("Y",)), model.posterior("W", ("X",))
     v_rule = model.v_rule.aligned_table(("W", "Y"))
 
     s_hat, z_hat, keys_s, keys_z = _frozen_frame(sets, crs)

@@ -2,20 +2,19 @@
 
 The encoder/decoder operate on two polarized chains: the signal chain
 (bits of S = transform(X)) and the auxiliary chain (bits of Z =
-transform(W)).  For each bit index this module estimates five conditional
-entropies by Monte Carlo along true paths:
-
-    H(S_j | S^{j-1})                the signal prior chain
-    H(S_j | S^{j-1} Y^n)            the signal chain with channel output
-    H(Z_j | Z^{j-1} X^n U^n)        the auxiliary chain with full encoder side info
-    H(Z_j | Z^{j-1} X^n)            the auxiliary chain with decoder side info
-    H(Z_j | Z^{j-1} U^n X^n Y^n V^n) everything observed (shared-bits set)
-
-and thresholds them at delta_n = 2^(-n^beta) to build the frozen /
-information / chained index partitions.  Estimates are plug-in averages of
-the binary entropy of exact successive-cancellation conditionals, hence
-unbiased; standard errors are reported and thresholds applied to the point
-estimates.  All index sets are 0-based.
+transform(W)).  For each bit index this module estimates, by Monte Carlo
+along true paths, the five conditional entropies of one table,
+:attr:`PolarizedEntropyProfile.FAMILIES`.  A family is a bit axis (X for S,
+W for Z) and its evidence axes: H(S_j | S^{j-1}) given nothing or Y^n, and
+H(Z_j | Z^{j-1}, .) given the encoder's (X^n, U^n), the decoder's X^n, or
+all of (U^n, X^n, Y^n, V^n) for the shared-bits set.  One rule,
+:meth:`SourceModel.posterior`, gives the leaf evidence P(bit = 1 | evidence)
+of the profile and of the codec's passes.  The profile holds estimates and
+standard errors as two (5, n) arrays in table order; thresholded at
+delta_n = 2^(-n^beta), the estimates give the frozen / information /
+chained index partitions.  They are plug-in averages of the binary entropy
+of exact successive-cancellation conditionals, hence unbiased.  All index
+sets are 0-based.
 """
 
 from __future__ import annotations
@@ -134,27 +133,24 @@ class SourceModel(LawJSON):
         w_given_ux = condition(self.single_letter_joint(), ["W"], ["U", "X"])
         return AuxiliaryDecomposition(2, w_given_ux, self.v_rule)
 
-    # evidence tables for the successive-cancellation passes
+    def posterior(self, bit: str, given: tuple[str, ...] = ()) -> np.ndarray:
+        """The evidence rule of the successive-cancellation passes:
+        P(bit = 1 | given), indexed by the ``given`` axes in order.  P(X)
+        and P(W | X, U) are the model's own factors; every other
+        conditional is read off the joint by
+        :func:`~coordsim.probability.condition`, which fills a zero-mass
+        row uniformly."""
+        if bit == "X" and not given:
+            table = self.x_prior.table
+        elif bit == "W" and set(given) == set(self.w_rule.given_names):
+            table = self.w_rule.aligned_table(given)
+        else:
+            table = condition(self.single_letter_joint(), [bit], list(given)).table
+        return table[..., 1]
 
     def x_posterior_given_y(self) -> np.ndarray:
         """P(X=1 | y), indexed by y."""
-        c = condition(self.single_letter_joint(), ["X"], ["Y"])
-        return c.table[:, 1].copy()
-
-    def w_given_xu(self) -> np.ndarray:
-        """P(W=1 | x, u), indexed [x, u]."""
-        return self.w_rule.aligned_table(("X", "U"))[..., 1].copy()
-
-    def w_given_x(self) -> np.ndarray:
-        """P(W=1 | x) with U marginalized out, indexed by x."""
-        c = condition(self.single_letter_joint(), ["W"], ["X"])
-        return c.table[:, 1].copy()
-
-    def w_posterior_full(self) -> np.ndarray:
-        """P(W=1 | u, x, y, v), indexed [u, x, y, v]; zero-mass cells are
-        filled uniformly by the conditioning op."""
-        c = condition(self.single_letter_joint(), ["W"], ["U", "X", "Y", "V"])
-        return c.table[..., 1].copy()
+        return self.posterior("X", ("Y",))
 
     def sample_blocks(self, rng: np.random.Generator, count: int, n: int) -> dict[str, np.ndarray]:
         """``count`` i.i.d. blocks of length ``n`` of the 5-tuple, as a dict
@@ -168,38 +164,45 @@ class SourceModel(LawJSON):
 
 @dataclass(frozen=True)
 class PolarizedEntropyProfile:
-    """Per-index conditional-entropy estimates with standard errors."""
+    """Per-index conditional-entropy estimates ``h`` and their standard
+    errors ``se``: two (5, n) arrays, one row per family in the order of
+    :attr:`FAMILIES`."""
 
     n: int
     samples: int
-    h_s: np.ndarray
-    h_s_y: np.ndarray
-    h_z_xu: np.ndarray
-    h_z_x: np.ndarray
-    h_z_all: np.ndarray
-    se_s: np.ndarray
-    se_s_y: np.ndarray
-    se_z_xu: np.ndarray
-    se_z_x: np.ndarray
-    se_z_all: np.ndarray
+    h: np.ndarray
+    se: np.ndarray
 
-    FAMILIES = ("h_s", "h_s_y", "h_z_xu", "h_z_x", "h_z_all")
+    # each family's report name, its bit axis and its evidence axes: the
+    # family is H(T(bit)_j | T(bit)^{j-1}, evidence^n) at every index j
+    FAMILIES = {
+        "h_s": ("X", ()),
+        "h_s_y": ("X", ("Y",)),
+        "h_z_xu": ("W", ("X", "U")),
+        "h_z_x": ("W", ("X",)),
+        "h_z_all": ("W", ("U", "X", "Y", "V")),
+    }
 
     def __post_init__(self):
-        for name in self.FAMILIES:
-            arr = getattr(self, name)
-            if arr.shape != (self.n,):
-                raise ValueError(f"{name} must have shape ({self.n},)")
-            if not np.all(np.isfinite(arr)):
+        shape = (len(self.FAMILIES), self.n)
+        if self.h.shape != shape or self.se.shape != shape:
+            raise ValueError(f"h and se must have shape {shape}")
+        for name, row in zip(self.FAMILIES, self.h):
+            if not np.all(np.isfinite(row)):
                 raise ValueError(f"{name} estimates must be finite")
-            if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
+            if np.any(row < -1e-9) or np.any(row > 1.0 + 1e-9):
                 raise ValueError(f"{name} estimates must lie in [0, 1]")
+
+    def family(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The (h, se) rows of the family ``name``."""
+        row = list(self.FAMILIES).index(name)
+        return self.h[row], self.se[row]
 
     def to_json_dict(self) -> dict:
         d = {"n": self.n, "samples": self.samples}
-        for name in self.FAMILIES:
-            d[name] = getattr(self, name).tolist()
-            d["se_" + name[2:]] = getattr(self, "se_" + name[2:]).tolist()
+        for name, h, se in zip(self.FAMILIES, self.h, self.se):
+            d[name] = h.tolist()
+            d["se" + name[1:]] = se.tolist()
         return d
 
 
@@ -211,12 +214,12 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
     and z = T(w) along the true path; h(p) averaged over samples estimates
     the conditional entropy.  The rows are drawn and scored ``CHUNK_ROWS``
     at a time, one stream for the whole run, all chunks in one
-    :class:`~coordsim.polar.KnownPathWorkspace`.  Within a chunk the two
+    :class:`~coordsim.polar.KnownPathWorkspace`.  Within a chunk the
     families on the bits of s share one partial-sum tree, built from the
-    sampled x, and the three families on the bits of z share another, from
-    w.  Each family's leaf evidence is a function of the joint cell of the
-    symbol, so it is one table over the joint's cells, read at the chunk's
-    sampled cells.  Every h and h*h is summed in draw order.
+    sampled x, and those on the bits of z share another, from w.  A
+    family's leaf evidence, :meth:`SourceModel.posterior` of its bit given
+    its evidence axes, is one table over the joint's cells, read at the
+    chunk's sampled cells.  Every h and h*h is summed in draw order.
 
     A family whose evidence table is 1/2 at every entry is scored in closed
     form: every conditional is then 1/2 exactly (f(1/2, 1/2) = 1/2 and
@@ -225,20 +228,18 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
     """
     n, total = params.n, params.mc_samples
     joint = model.single_letter_joint()
-    u, x, _, y, v = cell_symbols(joint, np.arange(joint.table.size))
-    # each family's chain and its leaf evidence at every cell of the joint
-    families = {
-        "h_s": ("x", np.full(u.shape, float(model.x_prior.table[1]))),
-        "h_s_y": ("x", model.x_posterior_given_y()[y]),
-        "h_z_xu": ("w", model.w_given_xu()[x, u]),
-        "h_z_x": ("w", model.w_given_x()[x]),
-        "h_z_all": ("w", model.w_posterior_full()[u, x, y, v]),
-    }
-    scored = {fam: (bits, table) for fam, (bits, table) in families.items() if np.any(table != 0.5)}
-    chains = dict.fromkeys(bits for bits, _ in scored.values())
+    symbols = dict(zip(joint.axis_names, cell_symbols(joint, np.arange(joint.table.size))))
+    # sums[0] and sums[1] hold the sums of h and of h*h, a row per family
+    sums = np.zeros((2, len(PolarizedEntropyProfile.FAMILIES), n))
+    scored = []  # (row, chain, leaf evidence at every cell of the joint)
+    for row, (bit, given) in enumerate(PolarizedEntropyProfile.FAMILIES.values()):
+        table = np.broadcast_to(model.posterior(bit, given)[tuple(symbols[a] for a in given)], joint.table.size)
+        if np.any(table != 0.5):
+            scored.append((row, bit.lower(), table))
+        else:
+            sums[:, row] = total
+    chains = dict.fromkeys(chain for _, chain, _ in scored)
 
-    sums = {fam: np.zeros(n) if fam in scored else np.full(n, float(total)) for fam in families}
-    sqs = {fam: sums[fam].copy() for fam in families}
     workspace = KnownPathWorkspace(CHUNK_ROWS, n)
     # row 0 carries a running sum and rows 1.. a chunk's h: numpy's axis-0
     # sum adds rows in order, so every row is added in draw order
@@ -248,26 +249,23 @@ def estimate_profile(model: SourceModel, params: PolarParams, rng: np.random.Gen
         rows = min(CHUNK_ROWS, total - lo)
         blk = model.sample_blocks(rng, rows, n)
         cells = blk["cells"].T
-        trees = {bits: known_path_tree(blk[bits].T) for bits in chains}
+        trees = {chain: known_path_tree(blk[chain].T) for chain in chains}
         ev, ent, tmp = (buf[: n * rows].reshape(n, rows) for buf in (leaf, entropies, scratch))
         h = block[1 : rows + 1]
-        for fam, (bits, table) in scored.items():
+        for row, chain, table in scored:
             np.take(table, cells, out=ev, mode="clip")  # every cell is in range; "clip" skips a buffered copy
-            _binary_entropy_into(known_path_conditionals(ev, trees[bits], workspace), ent, tmp)
+            _binary_entropy_into(known_path_conditionals(ev, trees[chain], workspace), ent, tmp)
             h[...] = ent.T
-            block[0] = sums[fam]
-            np.add.reduce(block[: rows + 1], out=sums[fam])
+            sum_h, sum_sq = sums[:, row]
+            block[0] = sum_h
+            np.add.reduce(block[: rows + 1], out=sum_h)
             np.multiply(h, h, out=h)
-            block[0] = sqs[fam]
-            np.add.reduce(block[: rows + 1], out=sqs[fam])
+            block[0] = sum_sq
+            np.add.reduce(block[: rows + 1], out=sum_sq)
 
-    kw = {"n": n, "samples": total}
-    for fam in PolarizedEntropyProfile.FAMILIES:
-        mean = sums[fam] / total
-        var = np.maximum(sqs[fam] / total - mean * mean, 0.0)
-        kw[fam] = np.clip(mean, 0.0, 1.0)
-        kw["se_" + fam[2:]] = np.sqrt(var / total)
-    return PolarizedEntropyProfile(**kw)
+    mean = sums[0] / total
+    var = np.maximum(sums[1] / total - mean * mean, 0.0)
+    return PolarizedEntropyProfile(n=n, samples=total, h=np.clip(mean, 0.0, 1.0), se=np.sqrt(var / total))
 
 
 def _binary_entropy_into(p, h, scratch):
@@ -355,11 +353,10 @@ def build_index_sets(profile: PolarizedEntropyProfile, params: PolarParams) -> P
     if profile.n != params.n:
         raise ValueError("profile and params disagree on n")
     n, delta = params.n, params.delta_n
-    very_high_s = profile.h_s > 1.0 - delta
-    high_s_y = profile.h_s_y > delta
-    very_high_z = profile.h_z_xu > 1.0 - delta
-    high_z_x = profile.h_z_x > delta
-    very_high_z_all = profile.h_z_all > 1.0 - delta
+    very_high_s, very_high_z, very_high_z_all = (
+        profile.family(name)[0] > 1.0 - delta for name in ("h_s", "h_z_xu", "h_z_all")
+    )
+    high_s_y, high_z_x = (profile.family(name)[0] > delta for name in ("h_s_y", "h_z_x"))
 
     idx = np.arange(n)
     a1 = idx[very_high_s & high_s_y]
@@ -484,11 +481,10 @@ def divergence_certificate(
 ) -> DivergenceCertificate:
     s_fill = np.concatenate([sets.a1, sets.a2]).astype(np.intp)
     z_fill = sets.b1.astype(np.intp)
-    d1 = float((1.0 - profile.h_s[s_fill]).sum())
-    d2 = float((1.0 - profile.h_z_xu[z_fill]).sum())
-    stderr = float(
-        np.sqrt((profile.se_s[s_fill] ** 2).sum() + (profile.se_z_xu[z_fill] ** 2).sum())
-    )
+    (h_s, se_s), (h_z, se_z) = (profile.family(name) for name in ("h_s", "h_z_xu"))
+    d1 = float((1.0 - h_s[s_fill]).sum())
+    d2 = float((1.0 - h_z[z_fill]).sum())
+    stderr = float(np.sqrt((se_s[s_fill] ** 2).sum() + (se_z[z_fill] ** 2).sum()))
     return DivergenceCertificate(d1=d1, d2=d2, bound=2.0 * sets.n * sets.delta_n, stderr=stderr)
 
 

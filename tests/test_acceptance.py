@@ -228,8 +228,7 @@ def test_criterion_4_polarization_limits(bundled_1024):
 
 def test_criterion_5_entropy_conservation(bundled_1024):
     profile, sets, params, _ = bundled_1024
-    mean_s = float(profile.h_s.mean())
-    mean_sy = float(profile.h_s_y.mean())
+    mean_s, mean_sy = (float(profile.family(name)[0].mean()) for name in ("h_s", "h_s_y"))
     ok = abs(mean_s - 1.0) <= 0.02 and abs(mean_sy - H_01) <= 0.02
     assert _report(
         5, ok, f"(1/n)sum H(S_j|prefix)={mean_s:.4f} (target 1.0±0.02); "

@@ -18,6 +18,7 @@ from coordsim.bundled import chained_model
 from coordsim.codec import CommonRandomness
 from coordsim.construction import PolarParams, PolarizedEntropyProfile, SourceModel, load_index_cache
 from coordsim.polar import CHUNK_ROWS, polar_transform, true_path_conditionals
+from coordsim.probability import conditional_entropy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,6 +80,11 @@ def test_benchmark_names_resolve():
     load("run")
     entropies = workloads._single_letter_entropies()  # single_letter_joint and the entropies
     assert set(entropies) == set(PolarizedEntropyProfile.FAMILIES)
+    # the benchmark derives each family's limit on its own: it must be the
+    # table's H(bit | evidence), to the last bit
+    joint = chained_model().single_letter_joint()
+    for name, (bit, given) in PolarizedEntropyProfile.FAMILIES.items():
+        assert entropies[name] == conditional_entropy(joint, [bit], list(given)), name
 
     # the batch sweep of run.py, at a small size
     model = chained_model()

@@ -16,6 +16,7 @@ import pytest
 from coordsim import cli
 from coordsim.bundled import bsc_model, chained_model
 from coordsim.cli import ConfigError, emit_plotdata, parse_config
+from coordsim.construction import PolarParams
 
 
 def write_config(tmp_path, name, doc):
@@ -325,6 +326,47 @@ def test_simulate_with_cache_and_overrides(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", str(scfg), "--trials", "2", "--seed", "5"]) == 0
     report = json.loads((tmp_path / "cached" / "report.json").read_text())
     assert [r["seed"] for r in report["rows"]] == [5, 6]
+
+
+@pytest.mark.parametrize("params", [{"n": 64}, {"n": 32, "beta": 0.1}], ids=["n", "beta"])
+def test_simulate_refuses_a_cache_built_for_other_params(tmp_path, capsys, params):
+    # the cache's sets were thresholded at n=32 and beta=0.25; a run at
+    # another n or beta would echo params its sets were not built with
+    ccfg = write_config(
+        tmp_path, "c.json",
+        {"model": "bundled:bsc", "params": {"n": 32, "mc_samples": 400}, "cache": "sets.bin", "out": "c"},
+    )
+    assert cli.main(["construct", "--config", str(ccfg)]) == 0
+    capsys.readouterr()
+    scfg = simulate_config(tmp_path, sets_cache="sets.bin", params={**params, "mc_samples": 400}, out="bad")
+    assert cli.main(["simulate", "--config", str(scfg)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError"
+    cached, given = PolarParams(32), PolarParams(**params)
+    assert err["error"] == (f"/sets_cache: cache is for n=32, delta_n={cached.delta_n!r}; config's n and beta "
+                            f"give n={given.n}, delta_n={given.delta_n!r}")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_construct_refuses_a_cache_path_it_cannot_write(tmp_path, capsys, monkeypatch):
+    # a directory is refused before the profile is estimated; any other
+    # write error is reported at /cache after it
+    (tmp_path / "dir.idx").mkdir()
+    calls = []
+    monkeypatch.setattr(cli, "estimate_profile", lambda *args: calls.append(args))
+    doc = {"model": "bundled:bsc", "params": {"n": 32, "mc_samples": 100}, "cache": "dir.idx", "out": "bad"}
+    assert cli.main(["construct", "--config", str(write_config(tmp_path, "c.json", doc))]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": f"/cache: {tmp_path / 'dir.idx'} is a directory", "type": "ConfigError"}
+    assert not calls and not (tmp_path / "bad").exists()
+    monkeypatch.undo()
+
+    (tmp_path / "file").write_text("")
+    doc["cache"] = "file/sets.idx"  # its parent is a file
+    assert cli.main(["construct", "--config", str(write_config(tmp_path, "c.json", doc))]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ConfigError" and err["error"].startswith("/cache: ")
+    assert not (tmp_path / "bad" / "report.json").exists()
 
 
 # -- region ------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def reference_decode(y_blocks, s_last_a3, z_last_b3, sets, crs, model, rngs):
     and one action draw per block, the s pass after the block above."""
     trials, k, n = y_blocks.shape
     s_known, z_known = codec._known(n, sets.a1, sets.a3), codec._known(n, sets.b1, sets.b3)
-    xpost, wx = model.x_posterior_given_y(), model.w_given_x()
+    xpost, wx = model.posterior("X", ("Y",)), model.posterior("W", ("X",))
     v_rule = model.v_rule.aligned_table(("W", "Y"))
     s_hat, z_hat, keys_s, keys_z = codec._frozen_frame(sets, crs)
     x_hat, w_hat, v = (np.zeros_like(s_hat) for _ in range(3))

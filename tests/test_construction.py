@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from coordsim import construction
-from coordsim.bundled import bsc_model, bsc_target, chained_model, planted_target
+from coordsim.bundled import bsc_model, bsc_target, chained_model, planted_model, planted_target
 from coordsim.cli import ConfigError, _source_model
 from coordsim.codec import CommonRandomness, _encode_trials, transmit
 from coordsim.construction import (
@@ -39,8 +39,9 @@ from coordsim.probability import (
     MissingKeyError,
     UnknownKeyError,
     binary_entropy,
+    cell_symbols,
+    condition,
     conditional_entropy,
-    entropy,
     iid_blocks,
     inverse_cdf,
 )
@@ -179,6 +180,22 @@ def test_single_letter_joint_is_the_induced_joint():
         assert np.array_equal(ind.table, joint.table)
 
 
+def test_posterior_reads_the_model_factors():
+    # P(X) and P(W | X, U) are the model's own factors, the latter in the
+    # order of the evidence axes; every other conditional is the joint's
+    rng = np.random.default_rng(14)
+    for m in [bsc_model(), chained_model(), planted_model()] + [random_binary_w_model(rng) for _ in range(4)]:
+        joint = m.single_letter_joint()
+        assert m.posterior("X").shape == () and m.posterior("X") == m.x_prior.table[1]
+        w_xu = m.w_rule.aligned_table(("X", "U"))[..., 1]
+        assert np.array_equal(m.posterior("W", ("X", "U")), w_xu)
+        assert np.array_equal(m.posterior("W", ("U", "X")), w_xu.T)
+        for bit, given in [("X", ("Y",)), ("W", ("X",)), ("W", ("U", "X", "Y", "V"))]:
+            expected = condition(joint, [bit], list(given)).table[..., 1]
+            assert np.array_equal(m.posterior(bit, given), expected)
+        assert np.array_equal(m.x_posterior_given_y(), m.posterior("X", ("Y",)))
+
+
 def test_witness_view_induces_target_view():
     rng = np.random.default_rng(13)
     for m in [bsc_model(), chained_model()] + [random_binary_w_model(rng) for _ in range(4)]:
@@ -239,14 +256,14 @@ def test_delta_n_value():
 def test_profile_noiseless_channel_kills_observed_entropy():
     model = bsc_model(crossover=0.0)
     prof = estimate_profile(model, small_params(), np.random.default_rng(0))
-    assert np.all(prof.h_s_y <= 1e-12)
-    assert np.allclose(prof.h_s, 1.0, atol=1e-12)  # uniform signal polarizes to uniform
+    assert np.all(prof.family("h_s_y")[0] <= 1e-12)
+    assert np.allclose(prof.family("h_s")[0], 1.0, atol=1e-12)  # uniform signal polarizes to uniform
 
 
 def test_profile_useless_channel_equals_prior_chain():
     model = bsc_model(crossover=0.5)
     prof = estimate_profile(model, small_params(), np.random.default_rng(1))
-    assert np.array_equal(prof.h_s_y, prof.h_s)  # posterior evidence == prior, exactly
+    assert np.array_equal(prof.family("h_s_y")[0], prof.family("h_s")[0])  # posterior evidence == prior, exactly
 
 
 def test_profile_entropy_conservation():
@@ -254,24 +271,17 @@ def test_profile_entropy_conservation():
     params = small_params(n=64, mc=6000)
     prof = estimate_profile(model, params, np.random.default_rng(2))
     joint = model.single_letter_joint()
-    assert prof.h_s.mean() == pytest.approx(entropy(joint, ["X"]), abs=0.02)
-    assert prof.h_s_y.mean() == pytest.approx(conditional_entropy(joint, ["X"], ["Y"]), abs=0.02)
-    assert prof.h_z_xu.mean() == pytest.approx(
-        conditional_entropy(joint, ["W"], ["X", "U"]), abs=0.02
-    )
-    assert prof.h_z_x.mean() == pytest.approx(conditional_entropy(joint, ["W"], ["X"]), abs=0.02)
-    assert prof.h_z_all.mean() == pytest.approx(
-        conditional_entropy(joint, ["W"], ["U", "X", "Y", "V"]), abs=0.02
-    )
+    for name, (bit, given) in PolarizedEntropyProfile.FAMILIES.items():
+        limit = conditional_entropy(joint, [bit], list(given))
+        assert prof.family(name)[0].mean() == pytest.approx(limit, abs=0.02), name
 
 
 def test_profile_conditioning_reduces_entropy_within_noise():
     model = chained_model()
     prof = estimate_profile(model, small_params(n=64, mc=6000), np.random.default_rng(3))
-    slack = 2.0 * (prof.se_s + prof.se_s_y)
-    assert np.all(prof.h_s_y <= prof.h_s + slack)
-    slack_z = 2.0 * (prof.se_z_xu + prof.se_z_x)
-    assert np.all(prof.h_z_xu <= prof.h_z_x + slack_z)
+    for more, less in (("h_s", "h_s_y"), ("h_z_x", "h_z_xu")):
+        (h_more, se_more), (h_less, se_less) = prof.family(more), prof.family(less)
+        assert np.all(h_less <= h_more + 2.0 * (se_more + se_less))
 
 
 def _ternary_side_model():
@@ -314,7 +324,15 @@ def test_profile_deterministic_given_seed():
     model = bsc_model()
     a = estimate_profile(model, small_params(n=32, mc=500), np.random.default_rng(7))
     b = estimate_profile(model, small_params(n=32, mc=500), np.random.default_rng(7))
-    assert np.array_equal(a.h_s_y, b.h_s_y)
+    assert np.array_equal(a.h, b.h) and np.array_equal(a.se, b.se)
+
+
+def test_profile_json_keys_in_table_order():
+    # the report's keys: each family's estimates, then its standard errors
+    prof = estimate_profile(bsc_model(), small_params(n=8, mc=50), np.random.default_rng(9))
+    assert list(prof.to_json_dict()) == [
+        "n", "samples", "h_s", "se_s", "h_s_y", "se_s_y", "h_z_xu", "se_z_xu", "h_z_x", "se_z_x", "h_z_all", "se_z_all",
+    ]
 
 
 def test_profile_pinned_digest():
@@ -338,17 +356,17 @@ def test_profile_is_one_draw_summed_in_order():
     s, z = polar_transform(x), polar_transform(blk["w"])
     families = {
         "h_s": (np.full(s.shape, float(model.x_prior.table[1])), s),
-        "h_s_y": (model.x_posterior_given_y()[y], s),
-        "h_z_xu": (model.w_given_xu()[x, u], z),
-        "h_z_x": (model.w_given_x()[x], z),
-        "h_z_all": (model.w_posterior_full()[u, x, y, v], z),
+        "h_s_y": (model.posterior("X", ("Y",))[y], s),
+        "h_z_xu": (model.posterior("W", ("X", "U"))[x, u], z),
+        "h_z_x": (model.posterior("W", ("X",))[x], z),
+        "h_z_all": (model.posterior("W", ("U", "X", "Y", "V"))[u, x, y, v], z),
     }
     for fam, (evidence, bits) in families.items():
         h = binary_entropy(true_path_conditionals(evidence, bits))
         mean = np.add.reduce(h) / rows
         var = np.maximum(np.add.reduce(h * h) / rows - mean * mean, 0.0)
-        assert np.array_equal(getattr(prof, fam), np.clip(mean, 0.0, 1.0)), fam
-        assert np.array_equal(getattr(prof, "se_" + fam[2:]), np.sqrt(var / rows)), fam
+        assert np.array_equal(prof.family(fam)[0], np.clip(mean, 0.0, 1.0)), fam
+        assert np.array_equal(prof.family(fam)[1], np.sqrt(var / rows)), fam
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -367,8 +385,8 @@ def test_profile_scores_a_half_family_in_closed_form(monkeypatch, model_name, ha
     prof = estimate_profile(model, small_params(n=16, mc=2 * CHUNK_ROWS + 5), np.random.default_rng(4))
     assert len(calls) == (4 if half_family else 5) * 3  # three chunks
     if half_family:
-        assert np.all(getattr(prof, half_family) == 1.0)
-        assert np.all(getattr(prof, "se_" + half_family[2:]) == 0.0)
+        h, se = prof.family(half_family)
+        assert np.all(h == 1.0) and np.all(se == 0.0)
 
 
 def test_half_evidence_has_entropy_exactly_one():
@@ -391,10 +409,73 @@ def test_profile_entropy_matches_binary_entropy_bit_for_bit():
 
 def test_profile_rejects_non_finite_entries():
     prof = estimate_profile(bsc_model(), small_params(n=8, mc=50), np.random.default_rng(9))
-    h_s_y = prof.h_s_y.copy()
-    h_s_y[3] = float("nan")  # NaN fails every threshold comparison
+    h = prof.h.copy()
+    h[1, 3] = float("nan")  # row 1 is h_s_y; NaN fails every threshold comparison
     with pytest.raises(ValueError, match="h_s_y estimates must be finite"):
-        dataclasses.replace(prof, h_s_y=h_s_y)
+        dataclasses.replace(prof, h=h)
+
+
+# -- the exact profile ----------------------------------------------------------------
+
+
+def family_atoms(model, name):
+    """The atoms of a profile family's i.i.d. (bit, evidence) pairs: each
+    distinct (bit, P(bit = 1 | evidence)) with its probability, equal atoms
+    merged and atoms of no mass dropped.  The evidence is the model's rule,
+    read at every cell of the joint as the profile reads it."""
+    bit, given = PolarizedEntropyProfile.FAMILIES[name]
+    joint = model.single_letter_joint()
+    symbols = dict(zip(joint.axis_names, cell_symbols(joint, np.arange(joint.table.size))))
+    p1 = np.broadcast_to(model.posterior(bit, given)[tuple(symbols[a] for a in given)], joint.table.size)
+    atoms, which = np.unique(np.stack([symbols[bit], p1]), axis=1, return_inverse=True)
+    weights = np.bincount(which.ravel(), weights=joint.table.ravel())
+    kept = weights > 0
+    return atoms[0, kept].astype(np.uint8), atoms[1, kept], weights[kept]
+
+
+def exact_family(model, name, n):
+    """The family ``name`` at every index of a length-n block, exactly: the
+    expected h(P(T(bit)_j = 1 | T(bit)^{j-1}, evidence^n)) over all atoms^n
+    blocks of :func:`family_atoms`, each with the product of its atoms'
+    probabilities."""
+    bits, p1, weights = family_atoms(model, name)
+    blocks = np.indices((len(weights),) * n).reshape(n, -1).T
+    h = binary_entropy(true_path_conditionals(p1[blocks], polar_transform(bits[blocks])))
+    return weights[blocks].prod(axis=1) @ h
+
+
+def exact_profile(model, n, names=tuple(PolarizedEntropyProfile.FAMILIES)):
+    """The exact profile at block length n, standard errors 0; a family not
+    in ``names`` is left at 1."""
+    h = np.ones((len(PolarizedEntropyProfile.FAMILIES), n))
+    for row, name in enumerate(PolarizedEntropyProfile.FAMILIES):
+        if name in names:
+            h[row] = exact_family(model, name, n)
+    return PolarizedEntropyProfile(n=n, samples=1, h=h, se=np.zeros_like(h))
+
+
+def test_family_atoms_merge_equal_evidence():
+    # chained: P(X) alone, X given Y, W given (X, U), W given X (the same for
+    # both x) and W given all four: its 16 evidence cells hold 8 posteriors,
+    # but 13 distinct floats, and merging is by equal value, so 26 atoms
+    counts = [len(family_atoms(chained_model(), name)[2]) for name in PolarizedEntropyProfile.FAMILIES]
+    assert counts == [2, 4, 4, 2, 26]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("make", [chained_model, bsc_model], ids=["chained", "bsc"])
+def test_profile_is_within_its_standard_errors_of_the_exact_profile(make, n):
+    model = make()
+    exact = exact_profile(model, n)
+    joint = model.single_letter_joint()
+    for name, h in zip(PolarizedEntropyProfile.FAMILIES, exact.h):
+        # the chain rule: the n entropies sum to n H(bit | evidence)
+        bit, given = PolarizedEntropyProfile.FAMILIES[name]
+        assert h.mean() == pytest.approx(conditional_entropy(joint, [bit], list(given)), abs=1e-12), name
+    prof = estimate_profile(model, small_params(n=n, mc=20000), np.random.default_rng(0))
+    # 1e-4 for the near-polarized indices, where Monte Carlo misses rare
+    # posteriors and its standard error is too small
+    assert np.all(np.abs(prof.h - exact.h) <= 3.0 * (prof.se + 1e-4))
 
 
 # -- index sets -----------------------------------------------------------------------
@@ -501,13 +582,12 @@ def test_divergence_certificate_chained_model():
 
 def encoder_block_law(model, f_s, f_z):
     """At n = 4, every cell (u, s, z) of one block with its probability
-    under P^n and under the encoder's block law Q_enc, and the SC
-    conditionals P(s_j = 1 | s^{j-1}) and P(z_j = 1 | z^{j-1}, x^n, u^n)
-    of its bits.
+    under P^n and under the encoder's block law Q_enc.
 
     The encoder fills s on F_s and z on F_z uniformly and draws every other
-    bit from its SC conditional; that is Q_enc(u, s, z).  The cells are the
-    |U|^4 2^8 tuples in row-major order of (u, s, z).
+    bit from its SC conditional, P(s_j = 1 | s^{j-1}) or
+    P(z_j = 1 | z^{j-1}, x^n, u^n); that is Q_enc(u, s, z).  The cells are
+    the |U|^4 2^8 tuples in row-major order of (u, s, z).
     """
     n = 4
     nu = model.u_prior.axes[0].size
@@ -522,14 +602,14 @@ def encoder_block_law(model, f_s, f_z):
     # the SC conditional of each bit's true value, on the encoder's evidence
     def bit_probability(evidence, bits):
         p1 = true_path_conditionals(evidence, bits)
-        return np.where(bits == 1, p1, 1.0 - p1), p1
+        return np.where(bits == 1, p1, 1.0 - p1)
 
-    q_s, p1_s = bit_probability(np.full(s.shape, float(p_x[1])), s)
-    q_z, p1_z = bit_probability(model.w_given_xu()[x, u], z)
+    q_s = bit_probability(np.full(s.shape, float(p_x[1])), s)
+    q_z = bit_probability(model.posterior("W", ("X", "U"))[x, u], z)
     q_s[:, f_s] = 0.5
     q_z[:, f_z] = 0.5
     q = p_u[u].prod(axis=1) * q_s.prod(axis=1) * q_z.prod(axis=1)
-    return cells, p, q, p1_s, p1_z
+    return cells, p, q
 
 
 def exact_encoder_divergence(model, f_s, f_z):
@@ -538,21 +618,15 @@ def exact_encoder_divergence(model, f_s, f_z):
 
     By the chain rule for KL, with Q_enc as in :func:`encoder_block_law`,
       D(P^n || Q_enc) = sum_{F_s} (1 - H(S_j|S^{j-1})) + sum_{F_z} (1 - H(Z_j|Z^{j-1} X^n U^n)),
-    which is what the certificate sums.  Both sides are exact over the
-    |U|^4 2^8 cells (u, s, z).
+    which is what the certificate sums.  The divergence is exact over the
+    |U|^4 2^8 cells (u, s, z), and h_s and h_z_xu are those of
+    :func:`exact_profile`.
     """
     n = 4
-    _, p, q, p1_s, p1_z = encoder_block_law(model, f_s, f_z)
+    _, p, q = encoder_block_law(model, f_s, f_z)
     mass = p > 0
     divergence = float((p[mass] * np.log2(p[mass] / q[mass])).sum())
 
-    # the exact profile: each conditional entropy is E_P[h(p1)]
-    h_s, h_z_xu = (p @ binary_entropy(p1) for p1 in (p1_s, p1_z))
-    ones, zeros = np.ones(n), np.zeros(n)
-    profile = PolarizedEntropyProfile(
-        n=n, samples=1, h_s=h_s, h_s_y=ones, h_z_xu=h_z_xu, h_z_x=ones, h_z_all=ones,
-        se_s=zeros, se_s_y=zeros, se_z_xu=zeros, se_z_x=zeros, se_z_all=zeros,
-    )
     idx = lambda v: np.array(v, dtype=np.int64)  # noqa: E731
     rest = lambda v: np.setdiff1d(np.arange(n), v)  # noqa: E731
     sets = PolarIndexSets(
@@ -561,7 +635,7 @@ def exact_encoder_divergence(model, f_s, f_z):
         b1=idx(f_z), b2=rest(f_z), b3=idx([]), b4=idx([]),
         bp1=idx([]), ap3=idx([]), bp3=idx([]), ap2=idx(f_s[1:]),
     )
-    return divergence_certificate(profile, sets).total, divergence
+    return divergence_certificate(exact_profile(model, n, ("h_s", "h_z_xu")), sets).total, divergence
 
 
 ENCODER_FILLS = [([0, 1], [0]), ([0, 2, 3], [1, 3]), ([0, 1, 2, 3], [0, 1, 2, 3])]
@@ -600,7 +674,7 @@ def test_encoder_draws_block_1_from_the_exact_block_law():
         b1=idx(0, 1), b2=idx(), b3=idx(2), b4=idx(3),
         bp1=idx(0), ap3=idx(1), bp3=idx(2), ap2=idx(),
     )
-    cells, _, q, _, _ = encoder_block_law(model, [0, 1, 2], [0, 1])
+    cells, _, q = encoder_block_law(model, [0, 1, 2], [0, 1])
     assert q.sum() == pytest.approx(1.0, abs=1e-12)
     trials, k = 40_000, 2
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(30).spawn(trials)]

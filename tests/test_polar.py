@@ -556,8 +556,8 @@ def test_sc_probability_w_independent_uniform():
     base = bsc_model()
     model = SourceModel(base.u_prior, base.x_prior, base.channel, w_rule, base.v_rule)
     x = [0, 1]
-    assert prefix_conditional(model.w_given_x()[x], []) == pytest.approx(0.5, abs=1e-12)
-    assert prefix_conditional(model.w_given_xu()[x, [1, 0]], [1]) == pytest.approx(0.5, abs=1e-12)
+    assert prefix_conditional(model.posterior("W", ("X",))[x], []) == pytest.approx(0.5, abs=1e-12)
+    assert prefix_conditional(model.posterior("W", ("X", "U"))[x, [1, 0]], [1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sc_probability_w_deterministic_copy():
@@ -569,7 +569,7 @@ def test_sc_probability_w_deterministic_copy():
                         ConditionalPMF((X, U), (W,), copy), base.v_rule)
     x = [0, 1, 1, 0]
     z_true = polar_transform(np.array(x, dtype=np.uint8))
-    leaf = model.w_given_xu()[x, [0, 0, 0, 0]]
+    leaf = model.posterior("W", ("X", "U"))[x, [0, 0, 0, 0]]
     for j in range(4):
         p = prefix_conditional(leaf, z_true[:j])
         assert p in (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
@@ -582,7 +582,7 @@ def test_sc_probability_w_enumeration_oracle():
     base = bsc_model()
     model = SourceModel(base.u_prior, base.x_prior, base.channel,
                         ConditionalPMF((X, U), (W,), rows), base.v_rule)
-    leaf = model.w_given_xu()[[1, 0], [0, 1]]
+    leaf = model.posterior("W", ("X", "U"))[[1, 0], [0, 1]]
     for prefix in ([], [0], [1]):
         got = prefix_conditional(leaf, prefix)
         assert got == pytest.approx(enumerate_conditional(leaf, prefix, len(prefix) + 1), abs=1e-12)
